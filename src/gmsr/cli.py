@@ -17,7 +17,8 @@ Subcommands:
   overload  stability decomposition + long-run service rates; write
             overload.json (a null workload marks a divergent backend)
   certify   integrate and check the Lyapunov convergence certificate; write
-            certificate.json
+            certificate.json (with the integrator's work counts under
+            "kernel")
   report    aggregate previously written files in --out into report.json,
             copying their numbers without recomputation
 
@@ -35,7 +36,7 @@ import csv
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -433,6 +434,7 @@ def _cmd_certify(args) -> int:
         "fitted_rate": None if cert.fitted_rate is None else float(cert.fitted_rate),
         "violations": list(cert.violations),
         "ok": cert.ok,
+        "kernel": asdict(traj.stats),
     })
     status = "ok" if cert.ok else f"{len(cert.violations)} violations"
     print(f"wrote {out / 'certificate.json'} ({status})")
@@ -502,6 +504,7 @@ def _cmd_report(args) -> int:
             "v_samples": len(cert["v"]),
             "v_first": cert["v"][0] if cert["v"] else None,
             "v_final": cert["v"][-1] if cert["v"] else None,
+            "kernel": cert.get("kernel"),
         }
         report["sources"].append(cert_path.name)
 

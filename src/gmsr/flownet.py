@@ -13,7 +13,6 @@ run answers feasibility, peak throughput, and the decomposition at once.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ __all__ = [
     "stability_decomposition",
     "opt_tp",
     "transportation_feasible",
+    "TransportNetwork",
 ]
 
 # augmentations below this increment are float noise, not flow
@@ -51,12 +51,13 @@ class FlowNetwork:
     arcs: tuple[tuple[str, str, float], ...]
 
     def __post_init__(self) -> None:
-        if self.source not in self.nodes or self.sink not in self.nodes:
+        known = set(self.nodes)
+        if self.source not in known or self.sink not in known:
             raise ValueError("source and sink must be members of the node set")
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
         for u, v, c in self.arcs:
-            if u not in self.nodes or v not in self.nodes:
+            if u not in known or v not in known:
                 raise ValueError(f"arc ({u!r}, {v!r}) references unknown node")
             if c < 0:
                 raise ValueError(f"arc ({u!r}, {v!r}) has negative capacity {c}")
@@ -87,91 +88,159 @@ class StabilityDecomposition:
     backends: frozenset[str]
 
 
+class _FlowCore:
+    """Integer-indexed residual graph of a fixed arc list.
+
+    Nodes are 0..n-1.  Every ordered node pair joined by an arc in either
+    direction owns one slot per direction; slots are laid out per node in
+    first-arc order (the order in which the pair first appears in the arc
+    list), which fixes the order the BFS scans neighbours in.  Capacities are
+    supplied per arc on each solve, so one topology serves many solves.
+    """
+
+    __slots__ = ("n", "adj", "head", "tail", "rev", "arc_slot", "is_arc", "n_keys")
+
+    def __init__(self, n: int, pairs) -> None:
+        adj: list[list[int]] = [[] for _ in range(n)]
+        head: list[int] = []
+        tail: list[int] = []
+        rev: list[int] = []
+        slot_of: dict[tuple[int, int], int] = {}
+        arc_slot: list[int] = []
+        for u, v in pairs:
+            a = slot_of.get((u, v))
+            if a is None:
+                a = len(head)
+                slot_of[(u, v)] = a
+                head.append(v)
+                tail.append(u)
+                adj[u].append(a)
+                if u == v:
+                    rev.append(a)
+                else:
+                    slot_of[(v, u)] = a + 1
+                    head.append(u)
+                    tail.append(v)
+                    adj[v].append(a + 1)
+                    rev.extend((a + 1, a))
+            arc_slot.append(a)
+        is_arc = [False] * len(head)
+        for a in arc_slot:
+            is_arc[a] = True
+        self.n = n
+        self.adj = adj
+        self.head = head
+        self.tail = tail
+        self.rev = rev
+        self.arc_slot = arc_slot
+        self.is_arc = is_arc
+        self.n_keys = len(set(arc_slot))  # distinct directed arcs
+
+    def solve(self, caps, s: int, t: int):
+        """Max flow from s to t under per-arc capacities `caps` (inf allowed).
+
+        Returns (value, flow, res): the flow value, the net flow per slot
+        (antisymmetric: flow[rev[a]] == -flow[a]) and the residual
+        capacity per slot, for ``cut_sides``.
+        """
+        n, adj, head, tail, rev = self.n, self.adj, self.head, self.tail, self.rev
+        finite_total = sum(c for c in caps if math.isfinite(c))
+        inf_cap = finite_total + 1.0
+        cap = [0.0] * len(head)
+        for a, c in zip(self.arc_slot, caps):
+            cap[a] += inf_cap if math.isinf(c) else c
+        flow = [0.0] * len(head)
+        res = cap[:]  # residual cap - flow, kept current for every slot
+
+        for _ in range(n * max(self.n_keys, 1) + 64):
+            # BFS tree; the scan stops once t is labelled, which leaves the
+            # path to t as a full scan would have found it
+            pred = [-1] * n  # slot that first reached each node; -2 at s
+            pred[s] = -2
+            queue = [s]
+            for u in queue:
+                for a in adj[u]:
+                    v = head[a]
+                    if pred[v] == -1 and res[a] > _EPS:
+                        pred[v] = a
+                        if v == t:
+                            break
+                        queue.append(v)
+                else:
+                    continue
+                break
+            else:
+                break  # t unreachable: the flow is maximum
+            bottleneck = math.inf
+            v = t
+            while v != s:
+                a = pred[v]
+                if res[a] < bottleneck:
+                    bottleneck = res[a]
+                v = tail[a]
+            if bottleneck <= _EPS:
+                break
+            v = t
+            while v != s:
+                a = pred[v]
+                b = rev[a]
+                f = flow[a] + bottleneck
+                flow[a] = f
+                flow[b] = -f
+                res[a] = cap[a] - f
+                res[b] = cap[b] + f
+                v = tail[a]
+
+        return sum(flow[a] for a in adj[s]), flow, res
+
+    def cut_sides(self, res, s: int, t: int) -> tuple[list[int], list[int]]:
+        """Nodes reachable from s, and nodes that reach t, in the residual graph."""
+        return self._closure(res, s, None), self._closure(res, t, self.rev)
+
+    def _closure(self, res, start: int, rev) -> list[int]:
+        # given rev, walk backwards: head[a] joins when its slot into u has residual
+        adj, head = self.adj, self.head
+        seen = {start}
+        queue = [start]
+        for u in queue:
+            for a in adj[u]:
+                v = head[a]
+                if v not in seen and res[a if rev is None else rev[a]] > _EPS:
+                    seen.add(v)
+                    queue.append(v)
+        return queue
+
+
 def max_flow(net: FlowNetwork) -> MaxFlowResult:
     """Shortest-augmenting-path (BFS) max flow over real capacities.
 
     Augmentation count is bounded by the classical n*m/2 shortest-path
     argument, which holds for real capacities; we additionally stop when the
     bottleneck falls below 1e-12 (float noise, not flow).
+
+    A thin shell over ``_FlowCore``, which runs the search on integer node
+    and slot indices with residuals kept in lists.  Neighbours are scanned
+    in first-arc order, parallel arcs are merged by summing their
+    capacities in arc order, and infinite capacities become the total
+    finite capacity + 1, so the flows and both cut sides do not depend on
+    how the graph is stored.
     """
     idx = {name: k for k, name in enumerate(net.nodes)}
-    n = len(net.nodes)
-    finite_total = sum(c for _, _, c in net.arcs if math.isfinite(c))
-    inf_cap = finite_total + 1.0
-
-    cap: dict[tuple[int, int], float] = {}
-    for u, v, c in net.arcs:
-        key = (idx[u], idx[v])
-        cap[key] = cap.get(key, 0.0) + (inf_cap if math.isinf(c) else c)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in cap:
-        if v not in adj[u]:
-            adj[u].append(v)
-        if u not in adj[v]:
-            adj[v].append(u)
-
-    flow: dict[tuple[int, int], float] = {}
+    core = _FlowCore(len(net.nodes), [(idx[u], idx[v]) for u, v, _ in net.arcs])
     s, t = idx[net.source], idx[net.sink]
-
-    def residual(u: int, v: int) -> float:
-        return cap.get((u, v), 0.0) - flow.get((u, v), 0.0)
-
-    max_augmentations = n * max(len(cap), 1) + 64
-    for _ in range(max_augmentations):
-        parent = [-1] * n
-        parent[s] = s
-        queue = deque([s])
-        while queue and parent[t] < 0:
-            u = queue.popleft()
-            for v in adj[u]:
-                if parent[v] < 0 and residual(u, v) > _EPS:
-                    parent[v] = u
-                    queue.append(v)
-        if parent[t] < 0:
-            break
-        bottleneck = math.inf
-        v = t
-        while v != s:
-            u = parent[v]
-            bottleneck = min(bottleneck, residual(u, v))
-            v = u
-        if bottleneck <= _EPS:
-            break
-        v = t
-        while v != s:
-            u = parent[v]
-            flow[(u, v)] = flow.get((u, v), 0.0) + bottleneck
-            flow[(v, u)] = -flow[(u, v)]
-            v = u
-
-    value = sum(flow.get((s, v), 0.0) for v in adj[s])
-
-    reach_s = {s}
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in reach_s and residual(u, v) > _EPS:
-                reach_s.add(v)
-                queue.append(v)
-
-    coreach_t = {t}
-    queue = deque([t])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in coreach_t and residual(u, v) > _EPS:
-                coreach_t.add(u)
-                queue.append(u)
-
+    value, flow, res = core.solve([c for _, _, c in net.arcs], s, t)
+    reach_s, coreach_t = core.cut_sides(res, s, t)
+    names, head, tail = net.nodes, core.head, core.tail
     flows = {
-        (net.nodes[u], net.nodes[v]): f for (u, v), f in flow.items() if (u, v) in cap and f > 0.0
+        (names[tail[a]], names[head[a]]): f
+        for a, f in enumerate(flow)
+        if core.is_arc[a] and f > 0.0
     }
     return MaxFlowResult(
         value=value,
         flows=flows,
-        source_side=frozenset(net.nodes[u] for u in reach_s),
-        sink_side=frozenset(net.nodes[v] for v in coreach_t),
+        source_side=frozenset(names[u] for u in reach_s),
+        sink_side=frozenset(names[v] for v in coreach_t),
     )
 
 
@@ -251,44 +320,74 @@ def transportation_feasible(
     for b, d in demand.items():
         if d < 0:
             raise ValueError(f"negative demand {d} for backend {b!r}")
-    f_set = set(frontends)
-    b_set = set(backends)
-    lam_total = sum(sys.lambdas[sys.frontend_index[f]] for f in f_set)
-    d_total = sum(demand.get(b, 0.0) for b in b_set)
-    scale = 1.0 + abs(lam_total)
-    if abs(d_total - lam_total) > tol * scale:
-        return False, None
+    net = TransportNetwork(sys, frontends, backends)
+    return net.solve([demand.get(sys.backend_ids[j], 0.0) for j in net.b_idx], tol)
 
-    nodes = (_SOURCE,) + tuple(sorted(f_set)) + tuple(sorted(b_set)) + (_SINK,)
-    arcs: list[tuple[str, str, float]] = []
-    for f in sorted(f_set):
-        arcs.append((_SOURCE, f, sys.lambdas[sys.frontend_index[f]]))
-    for f, b in sys.edges:
-        if f in f_set and b in b_set:
-            arcs.append((f, b, math.inf))
-    for b in sorted(b_set):
-        arcs.append((b, _SINK, demand.get(b, 0.0)))
-    res = max_flow(FlowNetwork(nodes=nodes, source=_SOURCE, sink=_SINK, arcs=tuple(arcs)))
-    if res.value < d_total - tol * scale:
-        return False, None
 
-    x = np.zeros((len(sys.frontends), len(sys.backends)))
-    for f in f_set:
-        i = sys.frontend_index[f]
-        lam = sys.lambdas[i]
-        if lam > 0:
-            for b in b_set:
-                w = res.flows.get((f, b), 0.0)
-                if w > 0:
-                    x[i, sys.backend_index[b]] = w / lam
-        if x[i].sum() <= 0:
-            # carries no flow (zero rate, or rate below float noise); the
-            # simplex row still must sit on some restricted edge
-            for j in sys.backends_of_frontend[i]:
-                if sys.backend_ids[j] in b_set:
-                    x[i, j] = 1.0
-                    break
-            else:
-                return False, None  # no edge into the backend set at all
-        x[i] /= x[i].sum()  # wash out augmentation round-off
-    return True, x
+class TransportNetwork:
+    """The flow network behind ``transportation_feasible`` for one fixed
+    (frontends, backends) pair, reusable across demand vectors.
+
+    Source arcs (λ_f) come in sorted frontend-id order, then the system's
+    edges inside the pair in system order (infinite capacity), then sink
+    arcs (the demands) in sorted backend-id order; ``b_idx`` lists the
+    backend indices in that sink-arc order.
+    """
+
+    __slots__ = ("sys", "f_idx", "b_idx", "core", "lam", "mid")
+
+    def __init__(self, sys: BipartiteSystem, frontends, backends) -> None:
+        f_ids = sorted(set(frontends))
+        b_ids = sorted(set(backends))
+        f_node = {f: 1 + k for k, f in enumerate(f_ids)}
+        b_node = {b: 1 + len(f_ids) + k for k, b in enumerate(b_ids)}
+        sink = 1 + len(f_ids) + len(b_ids)
+        pairs = [(0, f_node[f]) for f in f_ids]
+        self.mid = []  # (frontend index, backend index, arc position)
+        for f, b in sys.edges:
+            if f in f_node and b in b_node:
+                self.mid.append((sys.frontend_index[f], sys.backend_index[b], len(pairs)))
+                pairs.append((f_node[f], b_node[b]))
+        pairs.extend((b_node[b], sink) for b in b_ids)
+        self.sys = sys
+        self.f_idx = [sys.frontend_index[f] for f in f_ids]
+        self.b_idx = [sys.backend_index[b] for b in b_ids]
+        self.lam = [sys.lambdas[i] for i in self.f_idx]
+        self.core = _FlowCore(sink + 1, pairs)
+
+    def solve(self, demand, tol: float = 1e-9) -> tuple[bool, np.ndarray | None]:
+        """``transportation_feasible`` for demands given in ``b_idx`` order."""
+        sys = self.sys
+        lam_total = sum(self.lam)
+        d_total = sum(demand)
+        scale = 1.0 + abs(lam_total)
+        if abs(d_total - lam_total) > tol * scale:
+            return False, None
+        core = self.core
+        value, flow, _ = core.solve(
+            self.lam + [math.inf] * len(self.mid) + list(demand), 0, core.n - 1
+        )
+        if value < d_total - tol * scale:
+            return False, None
+
+        x = np.zeros((len(sys.frontends), len(sys.backends)))
+        lam = sys.lambdas
+        for i, j, k in self.mid:
+            w = flow[core.arc_slot[k]]
+            if lam[i] > 0 and w > 0:
+                x[i, j] = w / lam[i]
+        b_in = set(self.b_idx)
+        for i in self.f_idx:
+            total = x[i].sum()
+            if total <= 0:
+                # carries no flow (zero rate, or rate below float noise); the
+                # simplex row still must sit on some restricted edge
+                for j in sys.backends_of_frontend[i]:
+                    if j in b_in:
+                        x[i, j] = 1.0
+                        break
+                else:
+                    return False, None  # no edge into the backend set at all
+                total = x[i].sum()
+            x[i] /= total  # wash out augmentation round-off
+        return True, x

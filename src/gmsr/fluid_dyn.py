@@ -36,6 +36,18 @@ everything derivable from the tie pattern alone — tier membership,
 Hall-condition tables, spanning-tree elimination schedules for
 transportation witnesses — is computed once per distinct pattern and
 cached.
+
+A tier's routing normally comes from its spanning tree.  When a tree flow
+comes out negative, feasibility is decided exactly.  A tier with at most
+16 frontends has a Hall table with one row per closed covered set C (a
+backend set that is the neighbourhood of some frontend set): λ of the
+largest frontend set whose neighbourhood lies inside C, against the demand
+of C.  Rounding is monotone and rates are nonnegative, so these at most
+2^min(|F|,|B|) − 1 rows give the verdict of all 2^|F| − 1 frontend subsets
+bit for bit.  A tier the table accepts, or one with more than 16 frontends,
+takes its rows from a max flow on a network cached with the tier
+(``flownet.TransportNetwork``, the computation ``transportation_feasible``
+runs).  ``FluidTrajectory.stats`` counts these steps.
 """
 
 from __future__ import annotations
@@ -46,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gmsr.flownet import transportation_feasible
+from gmsr.flownet import TransportNetwork, transportation_feasible
 from gmsr.model import HILL, BipartiteSystem
 from gmsr.tiers import Tier, TierPartition
 
@@ -54,6 +66,7 @@ __all__ = [
     "IntegratorConfig",
     "TierEvent",
     "FluidTrajectory",
+    "KernelStats",
     "IntegrationError",
     "gmsr_routing_set",
     "sliding_drift",
@@ -122,6 +135,31 @@ class TierEvent:
 
 
 @dataclass(frozen=True)
+class KernelStats:
+    """Work the sliding kernel did on one run, counted over computed steps
+    (rows copied after a bitwise fixed point add nothing).
+
+    tree_misses:       tier spanning-tree witnesses that came out negative.
+    hall_rejections:   of those, tiers the Hall table proved infeasible.
+    maxflow_witnesses: max-flow solves for the others (one per miss that
+                       the table did not reject, or per miss on a tier with
+                       more than 16 frontends, where max flow alone decides).
+    evictions:         backends evicted from a tier to split it.
+    forced_steps:      steps that fell back to one strict-argmax step.
+    patterns:          distinct tie patterns whose tier structures were built.
+
+    In strict-argmax mode only ``patterns`` can be nonzero.
+    """
+
+    tree_misses: int = 0
+    hall_rejections: int = 0
+    maxflow_witnesses: int = 0
+    evictions: int = 0
+    forced_steps: int = 0
+    patterns: int = 0
+
+
+@dataclass(frozen=True)
 class FluidTrajectory:
     """A recorded fluid trajectory on the uniform grid t_k = k·h.
 
@@ -129,7 +167,7 @@ class FluidTrajectory:
     the workload vector, the routing matrix the integrator realized there,
     and the per-backend arrival inflows λ·x it induces.  boundary_events
     lists (time, backend id) pairs where an Euler step undershot zero and
-    was clamped.
+    was clamped.  stats counts the kernel's work (see ``KernelStats``).
     """
 
     times: np.ndarray
@@ -138,6 +176,7 @@ class FluidTrajectory:
     inflows: np.ndarray
     events: tuple[TierEvent, ...]
     boundary_events: tuple[tuple[float, str], ...]
+    stats: KernelStats = KernelStats()
 
     def __len__(self) -> int:
         return len(self.times)
@@ -232,7 +271,7 @@ class _TierStruct:
 
     __slots__ = (
         "f_idx", "b_idx", "lam_sum", "needs_hall", "hall",
-        "schedule", "root", "fallback_backend", "node_set",
+        "schedule", "root", "fallback_backend", "node_set", "transport",
     )
 
     def __init__(self, f_idx, b_idx, lam_sum, needs_hall, hall, schedule, root,
@@ -241,11 +280,12 @@ class _TierStruct:
         self.b_idx = b_idx                    # tuple of backend indices
         self.lam_sum = lam_sum
         self.needs_hall = needs_hall          # ≥2 frontends and ≥2 backends
-        self.hall = hall                      # tuple of (λ(P), covered b-tuple)
+        self.hall = hall                      # (λ(P_C), C) per closed covered set C
         self.schedule = schedule              # tree-elimination steps
         self.root = root                      # root node id (f: i, b: nf+j)
         self.fallback_backend = fallback_backend  # per f_idx: one-hot target
         self.node_set = node_set              # frozenset of node ids
+        self.transport = None                 # TransportNetwork, built on first miss
 
 
 class _Pattern:
@@ -254,6 +294,41 @@ class _Pattern:
     def __init__(self, tiers, sets):
         self.tiers = tiers  # tuple[_TierStruct, ...]
         self.sets = sets    # frozenset of per-tier node_set (for event diffs)
+
+
+def _hall_rows(nbr: list[int], lams: list[float], bs: list[int]) -> tuple:
+    """Hall rows of one tier: (λ(P_C), C) for each closed covered set C.
+
+    nbr[k] is the neighbourhood of the tier's k-th frontend as a bitmask over
+    positions in bs, lams[k] its rate.  A covered set C is closed when it is
+    the neighbourhood of some frontend set; P_C is the largest such set (every
+    frontend whose neighbourhood lies inside C), and λ(P_C) is summed in
+    frontend order from 0.0.  Rounding to nearest is monotone and rates are
+    nonnegative, so λ(P_C) is the largest λ(P) summed that way over all P with
+    N(P) = C: testing these rows alone gives the same verdict as testing all
+    2^|F| - 1 frontend subsets.  The closed sets are found from whichever side
+    is smaller: all backend subsets, or the neighbourhoods of all frontend
+    subsets.
+    """
+    if len(bs) <= len(nbr):
+        covers = range(1, 1 << len(bs))
+    else:
+        cov = [0] * (1 << len(nbr))
+        for pick in range(1, len(cov)):
+            top = pick.bit_length() - 1
+            cov[pick] = cov[pick ^ (1 << top)] | nbr[top]
+        covers = sorted(set(cov[1:]))
+    rows = []
+    for c in covers:
+        lam_p = 0.0
+        got = 0
+        for m, lam_k in zip(nbr, lams):
+            if not m & ~c:
+                lam_p += lam_k
+                got |= m
+        if got == c:
+            rows.append((lam_p, tuple(j for k, j in enumerate(bs) if c >> k & 1)))
+    return tuple(rows)
 
 
 def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
@@ -311,18 +386,11 @@ def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
                     adj[i].append(nf + j)
                     adj[nf + j].append(i)
         needs_hall = len(fs) >= 2 and len(bs) >= 2
-        hall: tuple = ()
+        hall: tuple | None = ()
         if needs_hall and len(fs) <= 16:
-            entries = []
-            for pick in range(1, 1 << len(fs)):
-                lam_p = 0.0
-                covered: set[int] = set()
-                for k, i in enumerate(fs):
-                    if pick >> k & 1:
-                        lam_p += lam[i]
-                        covered.update(j - nf for j in adj[i])
-                entries.append((lam_p, tuple(sorted(covered))))
-            hall = tuple(entries)
+            pos = {nf + j: k for k, j in enumerate(bs)}
+            nbr = [sum(1 << pos[node] for node in adj[i]) for i in fs]
+            hall = _hall_rows(nbr, [lam[i] for i in fs], bs)
         elif needs_hall:
             hall = None  # too many frontends: fall back to max-flow checks
 
@@ -393,6 +461,22 @@ class _Kernel:
         self.acc = [0.0] * (self.nf + self.nb)
         self.vbuf = [0.0] * self.nb
         self.wbuf = [0.0] * self.nb
+        # work counters, returned as KernelStats
+        self.tree_misses = 0
+        self.hall_rejections = 0
+        self.maxflow_witnesses = 0
+        self.evictions = 0
+        self.forced_steps = 0
+
+    def stats(self) -> KernelStats:
+        return KernelStats(
+            tree_misses=self.tree_misses,
+            hall_rejections=self.hall_rejections,
+            maxflow_witnesses=self.maxflow_witnesses,
+            evictions=self.evictions,
+            forced_steps=self.forced_steps,
+            patterns=len(self.patterns),
+        )
 
     def curves(self, n: list[float]) -> None:
         mu, g, ic = self.mu, self.g, self.ic
@@ -485,17 +569,8 @@ class _Kernel:
         return bad_j
 
     def hall_ok(self, tier: _TierStruct) -> bool:
-        """Exact transportation feasibility of the demands in wbuf."""
+        """Hall's condition for the demands in wbuf (tiers with a table)."""
         w = self.wbuf
-        if tier.hall is None:  # oversized tier: authoritative max-flow check
-            sys = self.sys
-            ok, _ = transportation_feasible(
-                sys,
-                {sys.frontend_ids[i] for i in tier.f_idx},
-                {sys.backend_ids[j] for j in tier.b_idx},
-                {sys.backend_ids[j]: w[j] for j in tier.b_idx},
-            )
-            return ok
         for lam_p, covered in tier.hall:
             supply = 0.0
             for j in covered:
@@ -541,16 +616,27 @@ class _Kernel:
                     xbuf[base + j] /= total
         return True
 
-    def maxflow_witness(self, tier: _TierStruct, xbuf: list[float]) -> bool:
-        """Authoritative witness via max flow (rare; unlucky spanning tree)."""
-        sys = self.sys
+    def exact_witness(self, tier: _TierStruct, xbuf: list[float]) -> bool:
+        """After a tree miss: decide feasibility exactly, and on success fill
+        the tier's rows from a max-flow witness.
+
+        The Hall table decides when the tier has one; a tier with more than
+        16 frontends has none, and the max flow decides by itself.
+        """
+        if tier.hall is not None and not self.hall_ok(tier):
+            self.hall_rejections += 1
+            return False
+        net = tier.transport
+        if net is None:
+            sys = self.sys
+            net = tier.transport = TransportNetwork(
+                sys,
+                [sys.frontend_ids[i] for i in tier.f_idx],
+                [sys.backend_ids[j] for j in tier.b_idx],
+            )
+        self.maxflow_witnesses += 1
         w = self.wbuf
-        ok, witness = transportation_feasible(
-            sys,
-            {sys.frontend_ids[i] for i in tier.f_idx},
-            {sys.backend_ids[j] for j in tier.b_idx},
-            {sys.backend_ids[j]: w[j] for j in tier.b_idx},
-        )
+        ok, witness = net.solve([w[j] for j in net.b_idx])
         if not ok:
             return False
         nb = self.nb
@@ -674,7 +760,8 @@ def integrate_fluid(
                     if tier.f_idx and not k.tree_witness(tier, xbuf):
                         # an unlucky tree is not proof of infeasibility:
                         # decide exactly, then fetch a max-flow witness
-                        if not (k.hall_ok(tier) and k.maxflow_witness(tier, xbuf)):
+                        k.tree_misses += 1
+                        if not k.exact_witness(tier, xbuf):
                             bad_tier = tier
                             break
                 if bad_tier is None:
@@ -693,8 +780,10 @@ def integrate_fluid(
                     # exact tie with unrealizable drift: one strict-argmax step
                     xbuf = [0.0] * (nf * nb)
                     k.strict_step(xbuf)
+                    k.forced_steps += 1
                     forced = True
                     break
+                k.evictions += 1
                 forced = True
                 xbuf = [0.0] * (nf * nb)
         else:
@@ -747,6 +836,7 @@ def integrate_fluid(
         inflows=_fill_rows(inflows, rows, steps + 1, (nb,)),
         events=tuple(events),
         boundary_events=tuple(boundary),
+        stats=k.stats(),
     )
 
 

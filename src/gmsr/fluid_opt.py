@@ -29,6 +29,8 @@ __all__ = [
     "FluidOptimum",
     "OverloadEquilibrium",
     "InfeasibleSystemError",
+    "ConvergenceError",
+    "CapacityMarginError",
     "solve_fluid_optimum",
     "kkt_residual",
     "brute_force_optimum",
@@ -48,6 +50,33 @@ class InfeasibleSystemError(ValueError):
         super().__init__(
             f"no finite-workload equilibrium: frontends {sorted(subset)} saturate "
             "their reachable backends"
+        )
+
+
+class ConvergenceError(RuntimeError):
+    """The solver stopped with its KKT residual still above tolerance;
+    `.residual` and `.iterations` say where it stopped."""
+
+    def __init__(self, residual: float, iterations: int, tol: float):
+        self.residual = residual
+        self.iterations = iterations
+        super().__init__(
+            f"fluid optimum not converged: KKT residual {residual:.3g} > tol {tol:.3g} "
+            f"after {iterations} iterations"
+        )
+
+
+class CapacityMarginError(RuntimeError):
+    """Feasible arrivals that no routing keeps below (1 − 1e-9)·cap on
+    every backend: the optimum's workloads lie outside what the solver
+    resolves.  `.backends` names the backends at the margin."""
+
+    def __init__(self, backends: tuple[str, ...]):
+        self.backends = backends
+        super().__init__(
+            f"arrivals are within 1e-9 (relative) of the capacity of backends "
+            f"{list(backends)}; the solver keeps every inflow below (1 - 1e-9)·cap, "
+            "so it cannot represent this optimum"
         )
 
 
@@ -286,13 +315,17 @@ def solve_fluid_optimum(
     """Minimize total workload subject to per-backend flow balance.
 
     Raises InfeasibleSystemError (with a witness subset) when some frontend
-    group saturates its neighborhood.  Otherwise iterates multiplicative
+    group saturates its neighborhood, and CapacityMarginError when the
+    system is feasible but no routing keeps every inflow below
+    (1 − 1e-9)·cap.  Otherwise iterates multiplicative
     (exponentiated-gradient) updates on each frontend's simplex row until
     the KKT residual drops to tol.  Steps adapt to a per-frontend curvature
     bound, grow while the monotone line search keeps accepting, and any
     proposal pushing an inflow to its cap counts as infinitely costly, so
     iterates stay strictly interior (the true objective is +∞ there; a
-    clamped evaluation would fake a local minimum on the boundary).
+    clamped evaluation would fake a local minimum on the boundary).  If
+    neither the iterations (at most max_iter) nor the exact finish reach
+    tol, raises ConvergenceError with the last residual.
     """
     witness = _infeasibility_witness(sys)
     if witness is not None:
@@ -326,12 +359,18 @@ def solve_fluid_optimum(
         # a caller-supplied start outside the caps: retreat to the interior
         x = _interior_routing(sys)
         w, n, obj = eval_state(x)
+    if n is None:
+        raise CapacityMarginError(
+            tuple(b for b, wb, cap in zip(sys.backend_ids, w, w_max) if wb >= cap)
+        )
     scale = 1.0
     residual = kkt_residual(sys, n, x)
     next_finish = 16
+    iterations = 0
     for it in range(max_iter):
-        if residual <= tol or n is None:
+        if residual <= tol:
             break
+        iterations = it + 1
         if it >= next_finish:
             # mirror descent identifies the optimal support long before its
             # sublinear tail meets tol; periodically try to finish exactly
@@ -369,11 +408,12 @@ def solve_fluid_optimum(
             break
         residual = kkt_residual(sys, n, x)
 
-    if residual > tol and n is not None:
+    if residual > tol:
         for band in (1e-9, 1e-6, 1e-3):
             finished = _equal_gradient_finish(sys, n, x, band, tol)
             if finished is not None:
                 return finished
+        raise ConvergenceError(residual, iterations, tol)
     return FluidOptimum(n_star=n, x_star=x, objective=obj, kkt_residual=residual)
 
 

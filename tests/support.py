@@ -97,6 +97,25 @@ def feasible_random_system(
             scale *= 0.5
 
 
+def square_feasible_system(rng: np.random.Generator, n: int) -> BipartiteSystem:
+    """n x n system: edges f_i-b_i plus each other pair at chance 0.3, arrival
+    rates halved until strictly feasible."""
+    from gmsr.flownet import feasibility_check
+
+    fids = [f"f{i}" for i in range(1, n + 1)]
+    bids = [f"b{j}" for j in range(1, n + 1)]
+    edges = {(fids[i], bids[i]) for i in range(n)}
+    edges |= {(fids[i], bids[j]) for i in range(n) for j in range(n) if rng.random() < 0.3}
+    sys = make_system(
+        frontends=[(f, float(rng.uniform(0.05, 0.5))) for f in fids],
+        backends=[(b, random_curve(rng)) for b in bids],
+        edges=sorted(edges),
+    )
+    while not feasibility_check(sys):
+        sys = scaled_system(sys, 0.5)
+    return sys
+
+
 def scaled_system(sys: BipartiteSystem, factor: float) -> BipartiteSystem:
     """The same system with every arrival rate multiplied by `factor`."""
     return make_system(

@@ -2,6 +2,7 @@
 outputs, exit codes, and the report round-trip guarantee."""
 
 import csv
+import functools
 import json
 import math
 from importlib.resources import files
@@ -152,6 +153,30 @@ def test_exit_codes(tmp_path, scenario_file, capsys):
     assert run_command(["report", "--out", str(empty)]) == 1
 
 
+def test_optimum_exits_3_when_the_solver_does_not_converge(tmp_path, monkeypatch, capsys):
+    import gmsr.cli
+
+    monkeypatch.setattr(gmsr.cli, "solve_fluid_optimum",
+                        functools.partial(solve_fluid_optimum, max_iter=3))
+    assert run_command(["optimum", str(SCENARIOS / "n_model.json"), "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "ConvergenceError" in err and "after 3 iterations" in err
+    assert not (tmp_path / "optimum.json").exists()
+
+
+def test_optimum_exits_3_near_capacity(tmp_path, scenario_file, capsys):
+    scn_path = scenario_file(
+        frontends=[{"id": "f1", "lambda": 1.0 - 1e-10}],
+        backends=[{"id": "b1", "service": {"kind": "hill", "cap": 1.0, "half": 1.0}}],
+        edges=[["f1", "b1"]],
+        initial={"b1": 0.0},
+    )
+    assert run_command(["validate", scn_path]) == 0
+    assert "feasible: true" in capsys.readouterr().out
+    assert run_command(["optimum", scn_path, "--out", str(tmp_path)]) == 3
+    assert "CapacityMarginError" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # subcommand outputs
 
@@ -277,7 +302,10 @@ def test_certify_output(tmp_path, scenario_file):
     scn_path = scenario_file(horizon=20.0)
     assert run_command(["certify", scn_path, "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "certificate.json").read_text())
-    assert set(doc) == {"v", "entry_time", "fitted_rate", "violations", "ok"}
+    assert set(doc) == {"v", "entry_time", "fitted_rate", "violations", "ok", "kernel"}
+    assert doc["kernel"]["patterns"] >= 1
+    assert set(doc["kernel"]) == {"tree_misses", "hall_rejections", "maxflow_witnesses",
+                                  "evictions", "forced_steps", "patterns"}
     assert doc["ok"] is True and doc["violations"] == []
     assert doc["entry_time"] == 0.0  # the origin lies inside the invariant set
     assert len(doc["v"]) == 20001

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from itertools import chain, combinations
 
 import numpy as np
@@ -379,3 +380,169 @@ def test_transportation_matches_hall_oracle():
             np.testing.assert_allclose(
                 inflow, [demand[b] for b in sys.backend_ids], atol=1e-6
             )
+
+
+# -- bit-exactness against a dict-keyed reference ---------------------------------------
+
+
+def _dict_max_flow(net: FlowNetwork):
+    """Reference shortest-augmenting-path max flow on dict-keyed residuals:
+    neighbours in first-arc order, parallel arcs summed in arc order,
+    infinite capacities replaced by the total finite capacity + 1.
+    Returns (value, flows, source_side, sink_side) like MaxFlowResult."""
+    idx = {name: k for k, name in enumerate(net.nodes)}
+    n = len(net.nodes)
+    inf_cap = sum(c for _, _, c in net.arcs if math.isfinite(c)) + 1.0
+    cap = {}
+    for u, v, c in net.arcs:
+        key = (idx[u], idx[v])
+        cap[key] = cap.get(key, 0.0) + (inf_cap if math.isinf(c) else c)
+    adj = [[] for _ in range(n)]
+    for u, v in cap:
+        if v not in adj[u]:
+            adj[u].append(v)
+        if u not in adj[v]:
+            adj[v].append(u)
+    flow = {}
+
+    def residual(u, v):
+        return cap.get((u, v), 0.0) - flow.get((u, v), 0.0)
+
+    s, t = idx[net.source], idx[net.sink]
+    for _ in range(n * max(len(cap), 1) + 64):
+        parent = [-1] * n
+        parent[s] = s
+        queue = deque([s])
+        while queue and parent[t] < 0:
+            u = queue.popleft()
+            for v in adj[u]:
+                if parent[v] < 0 and residual(u, v) > 1e-12:
+                    parent[v] = u
+                    queue.append(v)
+        if parent[t] < 0:
+            break
+        bottleneck = math.inf
+        v = t
+        while v != s:
+            bottleneck = min(bottleneck, residual(parent[v], v))
+            v = parent[v]
+        v = t
+        while v != s:
+            u = parent[v]
+            flow[(u, v)] = flow.get((u, v), 0.0) + bottleneck
+            flow[(v, u)] = -flow[(u, v)]
+            v = u
+
+    def closure(start, usable):
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in seen and usable(u, v):
+                    seen.add(v)
+                    queue.append(v)
+        return frozenset(net.nodes[k] for k in seen)
+
+    return (
+        sum(flow.get((s, v), 0.0) for v in adj[s]),
+        {(net.nodes[u], net.nodes[v]): f for (u, v), f in flow.items()
+         if (u, v) in cap and f > 0.0},
+        closure(s, lambda u, v: residual(u, v) > 1e-12),
+        closure(t, lambda v, u: residual(u, v) > 1e-12),
+    )
+
+
+def _random_network(rng, n: int) -> FlowNetwork:
+    """Random real capacities, some infinite, with parallel, antiparallel
+    and self arcs."""
+    nodes = tuple(f"v{k}" for k in range(n))
+    arcs = []
+    for _ in range(int(rng.integers(1, 4 * n))):
+        u, v = (int(k) for k in rng.integers(0, n, size=2))
+        if rng.random() < 0.15:
+            cap = math.inf
+        else:
+            cap = float(rng.choice([0.0, rng.uniform(0.0, 3.0), 0.1, 0.2, 0.3]))
+        arcs.append((nodes[u], nodes[v], cap))
+    return FlowNetwork(nodes=nodes, source=nodes[0], sink=nodes[-1], arcs=tuple(arcs))
+
+
+def test_max_flow_is_bit_identical_to_dict_reference():
+    rng = np.random.default_rng(1618)
+    nets = [_random_network(rng, int(rng.integers(2, 9))) for _ in range(300)]
+    nets += [augmented_network(random_system(rng, max_frontends=6, max_backends=6,
+                                             lam_range=(0.1, 3.0))) for _ in range(100)]
+    for net in nets:
+        res = max_flow(net)
+        value, flows, source_side, sink_side = _dict_max_flow(net)
+        assert repr(res.value) == repr(value)
+        assert res.flows == flows
+        assert all(repr(res.flows[k]) == repr(f) for k, f in flows.items())
+        assert res.source_side == source_side
+        assert res.sink_side == sink_side
+
+
+# -- cross-check against networkx -----------------------------------------------------
+
+
+def _networkx_cut_sides(nx, graph, s, t):
+    """Value, source side and sink side from networkx's Edmonds-Karp residual."""
+    residual = nx.algorithms.flow.edmonds_karp(graph, s, t)
+
+    def open_arc(u, v):
+        arc = residual[u][v]
+        return arc["capacity"] - arc["flow"] > 0
+
+    def closure(start, step):
+        seen = {start}
+        todo = [start]
+        while todo:
+            u = todo.pop()
+            for v in step(u):
+                if v not in seen:
+                    seen.add(v)
+                    todo.append(v)
+        return frozenset(seen)
+
+    source_side = closure(s, lambda u: (v for v in residual.succ[u] if open_arc(u, v)))
+    sink_side = closure(t, lambda v: (u for u in residual.pred[v] if open_arc(u, v)))
+    return residual.graph["flow_value"], source_side, sink_side
+
+
+def test_max_flow_matches_networkx_on_random_networks():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(2718)
+    for _ in range(150):
+        n = int(rng.integers(3, 9))
+        nodes = tuple(f"v{k}" for k in range(n))
+        s, t = nodes[0], nodes[-1]
+        arcs = []
+        for _ in range(int(rng.integers(1, 4 * n))):
+            u, v = (int(k) for k in rng.choice(n, size=2, replace=False))
+            # integer capacities keep both solvers' arithmetic exact; inner
+            # arcs may be infinite (source and sink arcs stay finite)
+            if u != 0 and v != n - 1 and rng.random() < 0.2:
+                cap = math.inf
+            else:
+                cap = float(rng.integers(0, 6))
+            arcs.append((nodes[u], nodes[v], cap))  # repeats make parallel arcs
+        res = max_flow(FlowNetwork(nodes=nodes, source=s, sink=t, arcs=tuple(arcs)))
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(nodes)
+        for u, v, c in arcs:
+            if graph.has_edge(u, v):
+                if "capacity" in graph[u][v]:
+                    if math.isinf(c):
+                        del graph[u][v]["capacity"]  # no attribute: infinite
+                    else:
+                        graph[u][v]["capacity"] += c
+            elif math.isinf(c):
+                graph.add_edge(u, v)
+            else:
+                graph.add_edge(u, v, capacity=c)
+        value, source_side, sink_side = _networkx_cut_sides(nx, graph, s, t)
+        assert res.value == value
+        assert res.source_side == source_side
+        assert res.sink_side == sink_side

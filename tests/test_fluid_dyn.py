@@ -3,9 +3,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gmsr import fluid_dyn
+from gmsr.flownet import TransportNetwork
 from gmsr.fluid_dyn import (
     IntegratorConfig,
+    KernelStats,
     gmsr_routing_set,
     integrate_fluid,
     modes_agree,
@@ -15,7 +20,12 @@ from gmsr.fluid_opt import solve_fluid_optimum
 from gmsr.model import hill, make_system, validate_routing
 from gmsr.tiers import compute_tiers
 
-from support import feasible_random_system, fig1_system, random_system
+from support import (
+    feasible_random_system,
+    fig1_system,
+    random_system,
+    square_feasible_system,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -364,3 +374,140 @@ def test_modes_agree_symmetric_system():
 
 def test_modes_agree_n_model():
     assert modes_agree(_n_model_04_06(), [0.0, 0.0], 50.0) <= 0.05
+
+
+# -- kernel work counts -----------------------------------------------------------
+
+
+def _counting(monkeypatch, owner, name, counts, key, pred):
+    """Wrap owner.name so each call whose result satisfies pred bumps counts[key]."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if pred(out):
+            counts[key] += 1
+        return out
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_kernel_stats_count_the_work_on_a_16x16_system(monkeypatch):
+    rng = np.random.default_rng(7)
+    sys = square_feasible_system(rng, 16)
+    n0 = rng.uniform(0.0, 10.0, size=16)
+    plain = integrate_fluid(sys, n0, 0.5)
+
+    counts = dict.fromkeys(
+        ("tree_misses", "hall_rejections", "maxflow_witnesses", "patterns",
+         "evicting_flows", "failed_witnesses"), 0)
+    kernel = fluid_dyn._Kernel
+    _counting(monkeypatch, kernel, "tree_witness", counts, "tree_misses", lambda ok: not ok)
+    _counting(monkeypatch, kernel, "hall_ok", counts, "hall_rejections", lambda ok: not ok)
+    _counting(monkeypatch, TransportNetwork, "solve", counts, "maxflow_witnesses",
+              lambda out: True)
+    _counting(monkeypatch, fluid_dyn, "_build_pattern", counts, "patterns", lambda out: True)
+    _counting(monkeypatch, kernel, "tier_flows", counts, "evicting_flows", lambda j: j >= 0)
+    _counting(monkeypatch, kernel, "exact_witness", counts, "failed_witnesses",
+              lambda ok: not ok)
+    traj = integrate_fluid(sys, n0, 0.5)
+
+    stats = traj.stats
+    assert stats == plain.stats
+    assert traj.states.tobytes() == plain.states.tobytes()
+    assert stats.tree_misses == counts["tree_misses"]
+    assert stats.hall_rejections == counts["hall_rejections"]
+    assert stats.maxflow_witnesses == counts["maxflow_witnesses"]
+    assert stats.patterns == counts["patterns"]
+    # every miss is either rejected by a Hall table or sent to max flow
+    assert stats.tree_misses == stats.hall_rejections + stats.maxflow_witnesses
+    # every tier found bad is resolved by one eviction or one forced step
+    assert stats.evictions + stats.forced_steps == (
+        counts["evicting_flows"] + counts["failed_witnesses"])
+    # this system exercises every path but the forced strict-argmax step
+    assert stats.tree_misses > 0 and stats.hall_rejections > 0
+    assert stats.maxflow_witnesses > 0 and stats.evictions > 0
+    assert sum(1 for ev in traj.events if ev.kind == "split") <= stats.evictions
+
+
+def test_kernel_stats_in_strict_argmax_mode_count_patterns_only():
+    traj = integrate_fluid(fig1_system(), [0.0] * 5, 2.0, IntegratorConfig(mode="strict-argmax"))
+    assert traj.stats.patterns > 0
+    assert traj.stats == KernelStats(patterns=traj.stats.patterns)
+
+
+# -- covered-set Hall tables --------------------------------------------------------
+
+
+def _full_hall_verdict(sys, tier, w) -> bool:
+    """Hall's condition over all 2^|F| - 1 frontend subsets of a tier: λ(P)
+    summed in frontend order against the demand of its covered backends
+    (original edges inside the tier) summed in index order, 1e-12 slack."""
+    b_in = set(tier.b_idx)
+    for pick in range(1, 1 << len(tier.f_idx)):
+        lam_p = 0.0
+        covered = set()
+        for k, i in enumerate(tier.f_idx):
+            if pick >> k & 1:
+                lam_p += sys.lambdas[i]
+                covered.update(j for j in sys.backends_of_frontend[i] if j in b_in)
+        supply = 0.0
+        for j in sorted(covered):
+            supply += w[j]
+        if lam_p > supply + 1e-12:
+            return False
+    return True
+
+
+_RATES = st.one_of(
+    st.floats(0.0, 2.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 0.7]),
+)
+
+
+@st.composite
+def _hall_cases(draw):
+    nf = draw(st.integers(2, 7))
+    nb = draw(st.integers(2, 7))
+    edge = [[draw(st.booleans()) for _ in range(nb)] for _ in range(nf)]
+    for i in range(nf):
+        edge[i][i % nb] = True
+    for j in range(nb):
+        edge[j % nf][j] = True
+    sys = make_system(
+        frontends=[(f"f{i}", draw(_RATES)) for i in range(nf)],
+        backends=[(f"b{j}", hill(1.0, 1.0)) for j in range(nb)],
+        edges=[(f"f{i}", f"b{j}") for i in range(nf) for j in range(nb) if edge[i][j]],
+    )
+    # tie masks: a nonempty subset of each frontend's edges
+    masks = []
+    for i in range(nf):
+        nbrs = sorted(sys.backends_of_frontend[i])
+        keep = draw(st.lists(st.sampled_from(nbrs), min_size=1, max_size=len(nbrs)))
+        masks.append(sum(1 << j for j in set(keep)))
+    # demands at the Hall boundary: each frontend's whole rate on one tied
+    # backend, so some subsets meet their supply exactly, then nudged by
+    # whole ulps, and optionally by the table's 1e-12 slack
+    w = [0.0] * nb
+    for i in range(nf):
+        tied = [j for j in range(nb) if masks[i] >> j & 1]
+        w[draw(st.sampled_from(tied))] += sys.lambdas[i]
+    shift = draw(st.sampled_from([0.0, 1e-12, -1e-12]))
+    for j in range(nb):
+        w[j] = max(0.0, w[j] + shift)
+        for _ in range(abs(ulps := draw(st.integers(-2, 2)))):
+            w[j] = max(0.0, math.nextafter(w[j], math.copysign(math.inf, ulps)))
+    return sys, tuple(masks), w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hall_cases())
+def test_covered_set_hall_table_matches_full_enumeration(case):
+    sys, masks, w = case
+    pattern = fluid_dyn._build_pattern(sys, masks)
+    kernel = fluid_dyn._Kernel(sys, IntegratorConfig())
+    kernel.wbuf[:] = w
+    for tier in pattern.tiers:
+        if tier.hall:
+            assert len(tier.hall) < 1 << min(len(tier.f_idx), len(tier.b_idx))
+            assert kernel.hall_ok(tier) is _full_hall_verdict(sys, tier, w)

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from gmsr.flownet import feasibility_check
 from gmsr.fluid_opt import (
+    CapacityMarginError,
+    ConvergenceError,
     InfeasibleSystemError,
     brute_force_optimum,
     equilibrium_rates,
@@ -62,6 +65,26 @@ def test_solve_raises_with_witness_on_overload():
 def test_solve_raises_on_boundary_saturation():
     with pytest.raises(InfeasibleSystemError):
         solve_fluid_optimum(_single_pair(1.0))
+
+
+def test_solve_raises_convergence_error_when_iterations_run_out():
+    # the README's N-model: three mirror-descent steps leave KKT near 0.49
+    with pytest.raises(ConvergenceError) as exc:
+        solve_fluid_optimum(_n_model_04_06(), max_iter=3)
+    assert exc.value.iterations == 3
+    assert exc.value.residual > 0.1
+    assert "after 3 iterations" in str(exc.value)
+    assert solve_fluid_optimum(_n_model_04_06()).kkt_residual <= 1e-8
+
+
+def test_solve_near_capacity_fails_with_named_error():
+    # feasible, but the only routing puts the inflow above (1 - 1e-9)·cap
+    sys = _single_pair(1.0 - 1e-10)
+    assert feasibility_check(sys) is True
+    with pytest.raises(CapacityMarginError) as exc:
+        solve_fluid_optimum(sys)
+    assert exc.value.backends == ("b1",)
+    assert "capacity" in str(exc.value)
 
 
 def test_solver_flow_balance_and_kkt_structure():
