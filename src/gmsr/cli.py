@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gmsr.diagnostics import certify_trajectory
+from gmsr.diagnostics import capacity_slack, certify_trajectory
 from gmsr.fluid_dyn import IntegratorConfig, integrate_fluid
 from gmsr.fluid_opt import InfeasibleSystemError, equilibrium_rates, solve_fluid_optimum
 from gmsr.flownet import feasibility_check, opt_tp
@@ -425,8 +425,9 @@ def _cmd_certify(args) -> int:
     scn = load_scenario(args.scenario)
     sys_ = scn.system
     cfg = _effective_config(scn, args)
+    slack = capacity_slack(sys_)  # raises on infeasible -> 2, before integrating
     traj = integrate_fluid(sys_, scn.initial, scn.horizon, cfg)
-    cert = certify_trajectory(sys_, traj)  # slack solve raises on infeasible -> 2
+    cert = certify_trajectory(sys_, traj, slack)
     out = _out_dir(args, scn)
     _write_json(out / "certificate.json", {
         "v": [float(v) for v in cert.v],

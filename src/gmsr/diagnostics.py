@@ -22,7 +22,7 @@ measuring how far a state sits outside K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,11 +55,14 @@ class SlackConstants:
     delta:   spare capacity — every frontend subset P can absorb λ(P) + Δ
              at the inflated workloads Ñ.
     n_tilde: per-backend workload levels with μ′_b(Ñ_b) = κ.
+    n_star:  the fluid optimum N* that κ was read from, or None when the
+             constants were built without it.
     """
 
     kappa: float
     delta: float
     n_tilde: np.ndarray
+    n_star: np.ndarray | None = None
 
 
 def _check_state(sys: BipartiteSystem, n: np.ndarray, x: np.ndarray) -> None:
@@ -153,7 +156,8 @@ def _subset_slack_by_mincut(sys: BipartiteSystem, rate_tilde: np.ndarray) -> flo
 
 
 def capacity_slack(sys: BipartiteSystem) -> SlackConstants:
-    """Slack constants (κ, Δ, Ñ) of a feasible system.
+    """Slack constants (κ, Δ, Ñ) of a feasible system, with the fluid
+    optimum N* they were read from.
 
     κ is half the smallest gradient at the fluid optimum, Ñ_b inverts each
     gradient curve at κ, and Δ is the minimum spare capacity
@@ -176,7 +180,8 @@ def capacity_slack(sys: BipartiteSystem) -> SlackConstants:
         delta = _subset_slack_by_enumeration(lam, masks, rate_tilde)
     else:
         delta = _subset_slack_by_mincut(sys, rate_tilde)
-    return SlackConstants(kappa=kappa, delta=float(delta), n_tilde=n_tilde)
+    return SlackConstants(kappa=kappa, delta=float(delta), n_tilde=n_tilde,
+                          n_star=opt.n_star)
 
 
 def in_invariant_set(n, slack: SlackConstants) -> bool:
@@ -271,9 +276,12 @@ def certify_trajectory(
         raise ValueError("trajectory must be sampled on a uniform time grid")
 
     if slack is None:
-        slack = capacity_slack(sys)
-    opt = solve_fluid_optimum(sys)
-    n_star_sum = float(opt.n_star.sum())
+        # The N* this slack computes is not reused yet: the benchmark's
+        # test_wrapped_calls_give_the_unwrapped_values pins two optimum
+        # solves for a certify without a slack (ROADMAP item 3).
+        slack = replace(capacity_slack(sys), n_star=None)
+    n_star = slack.n_star if slack.n_star is not None else solve_fluid_optimum(sys).n_star
+    n_star_sum = float(n_star.sum())
 
     rates = sys.rates_at(traj.states)
     v = np.abs(traj.inflows - rates).sum(axis=1)

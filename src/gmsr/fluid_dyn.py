@@ -23,12 +23,26 @@ dynamics with fixed-step explicit Euler in two modes:
 
 The integrator records states, routings, realized inflows, tier-change
 events, and boundary clamps, at every step.  One step is a pure function of
-the workload vector, so once an Euler update leaves every workload unchanged
-bit for bit (and clamps nothing), every later step would repeat it: the
-remaining rows are filled as copies of the last computed one instead of
-being recomputed.  A tier-change event keeps the tie pattern and gradient
-row it was seen at and builds its ``TierPartition`` only when ``tiers`` is
-read.
+the workload vector, and the integrator uses that twice, without changing a
+single output bit:
+
+* Incremental steps.  The Euler update notes which backends' workloads
+  changed bits.  Only those backends' curves are re-evaluated; when no
+  gradient changed, the tie masks and pattern are reused (and, under strict
+  argmax, the routing and inflows too).  In sliding mode, when the tie
+  pattern is the previous step's and that step needed no repair (no
+  eviction, forced step or tree miss), only the tiers holding a moved
+  backend are recomputed; any failure there proceeds exactly as a full
+  step would.
+* Exact orbits.  A Brent checkpoint (R. P. Brent, BIT 20, 1980) holds the
+  workload vector at power-of-two rows.  Once a row repeats an earlier one
+  bit for bit with period P (P = 1 is a fixed point, caught at once), every
+  later row, event and boundary clamp is a copy of the one P rows before
+  it, with its own time.  Only the first repeated row's event depends on
+  the row before it; it is found by replaying the earlier row's pattern.
+
+A tier-change event keeps the tie pattern and gradient row it was seen at
+and builds its ``TierPartition`` only when ``tiers`` is read.
 
 The inner loop is scalar Python tuned for small systems (a handful of
 nodes): per-backend curve evaluations are unrolled by curve kind, and
@@ -75,6 +89,7 @@ __all__ = [
 ]
 
 _MODES = ("sliding", "strict-argmax")
+_MAX_STEPS = 10**8  # round(horizon / h) above this is refused before recording
 
 
 class IntegrationError(RuntimeError):
@@ -134,10 +149,24 @@ class TierEvent:
     tiers: TierPartition = _TiersOnRead()
 
 
+def _lazy_event(time: float, kind: str, tiers: tuple) -> TierEvent:
+    """TierEvent(time, kind, tiers) for an integrator triple, without the
+    frozen-dataclass __init__ (which costs three times as much): the same
+    three entries in the instance dict."""
+    ev = object.__new__(TierEvent)
+    fields = ev.__dict__
+    fields["time"] = time
+    fields["kind"] = kind
+    fields["tiers"] = tiers
+    return ev
+
+
 @dataclass(frozen=True)
 class KernelStats:
     """Work the sliding kernel did on one run, counted over computed steps
-    (rows copied after a bitwise fixed point add nothing).
+    (rows copied after a bitwise fixed point or along an exact orbit add
+    nothing).  A step that reuses tiers of the previous one counts exactly
+    what recomputing them would.
 
     tree_misses:       tier spanning-tree witnesses that came out negative.
     hall_rejections:   of those, tiers the Hall table proved infeasible.
@@ -270,7 +299,7 @@ class _TierStruct:
     """Everything about one tier that only depends on the tie pattern."""
 
     __slots__ = (
-        "f_idx", "b_idx", "lam_sum", "needs_hall", "hall",
+        "f_idx", "b_idx", "b_mask", "lam_sum", "needs_hall", "hall",
         "schedule", "root", "fallback_backend", "node_set", "transport",
     )
 
@@ -278,6 +307,7 @@ class _TierStruct:
                  fallback_backend, node_set):
         self.f_idx = f_idx                    # tuple of frontend indices
         self.b_idx = b_idx                    # tuple of backend indices
+        self.b_mask = sum(1 << j for j in b_idx)  # b_idx as a bitmask
         self.lam_sum = lam_sum
         self.needs_hall = needs_hall          # ≥2 frontends and ≥2 backends
         self.hall = hall                      # (λ(P_C), C) per closed covered set C
@@ -439,22 +469,25 @@ class _Kernel:
         self.nf = len(sys.frontends)
         self.nb = len(sys.backends)
         self.lam = [float(v) for v in sys.lambdas]
-        # per-kind unrolled curve parameters
-        hill_idx, sx_idx = [], []
-        hill_par, sx_par = [], []
-        for j, fn in enumerate(sys.services):
-            if fn.kind == HILL:
-                hill_idx.append(j)
-                hill_par.append((fn.cap, fn.half, 2.0 * fn.cap * fn.half))
-            else:
-                sx_idx.append(j)
-                sx_par.append((fn.cap, fn.rate, fn.cap * fn.rate,
-                               fn.cap * fn.rate * fn.rate))
-        self.hill = list(zip(hill_idx, hill_par))
-        self.sx = list(zip(sx_idx, sx_par))
+        # per-backend curve parameters, unrolled by kind
+        self.par = [
+            (True, fn.cap, fn.half, 2.0 * fn.cap * fn.half, 0.0) if fn.kind == HILL
+            else (False, fn.cap, fn.rate, fn.cap * fn.rate, fn.cap * fn.rate * fn.rate)
+            for fn in sys.services
+        ]
+        self.every = (1 << self.nb) - 1  # the bitmask of all backends
+        self.bits: dict[int, tuple[int, ...]] = {}  # bitmask -> its set bits, ascending
         self.neighbors = [tuple(sorted(t)) for t in sys.backends_of_frontend]
         self.patterns: dict[tuple[int, ...], _Pattern] = {}
+        # state carried from one step to the next: the routing rows, the
+        # last computed tie masks and their pattern, and whether the last
+        # step solved that pattern with no eviction, forced step or tree miss
+        self.xbuf = [0.0] * (self.nf * self.nb)
+        self.masks: tuple[int, ...] | None = None
+        self.pattern: _Pattern | None = None
+        self.clean = False
         # reusable per-step buffers
+        self.zero_row = [0.0] * self.nb
         self.mu = [0.0] * self.nb
         self.g = [0.0] * self.nb
         self.ic = [0.0] * self.nb          # 1/μ″ (negative)
@@ -478,21 +511,39 @@ class _Kernel:
             patterns=len(self.patterns),
         )
 
-    def curves(self, n: list[float]) -> None:
-        mu, g, ic = self.mu, self.g, self.ic
-        for j, (a, b, two_ab) in self.hill:
-            t = n[j] + b
-            t2 = t * t
-            mu[j] = a * n[j] / t
-            g[j] = a * b / t2
-            ic[j] = -(t2 * t) / two_ab
-        for j, (a, r, ar, arr_) in self.sx:
-            e = math.exp(-r * n[j])
-            if e < 1e-300:  # numerically flat: keep weights finite
-                e = 1e-300
-            mu[j] = a - a * e
-            g[j] = ar * e
-            ic[j] = -1.0 / (arr_ * e)
+    def members(self, mask: int) -> tuple[int, ...]:
+        """The backend indices in a bitmask, ascending."""
+        out = self.bits.get(mask)
+        if out is None:
+            out = tuple(j for j in range(self.nb) if mask >> j & 1)
+            if len(self.bits) < 4096:
+                self.bits[mask] = out
+        return out
+
+    def curves(self, n: list[float], backends) -> bool:
+        """Re-evaluate the given backends; True when one of their gradients
+        changed."""
+        mu, g, ic, par = self.mu, self.g, self.ic, self.par
+        moved = False
+        for j in backends:
+            is_hill, a, b, c, d = par[j]
+            if is_hill:  # b: half, c: 2·cap·half
+                t = n[j] + b
+                t2 = t * t
+                mu[j] = a * n[j] / t
+                gj = a * b / t2
+                ic[j] = -(t2 * t) / c
+            else:  # b: rate, c: cap·rate, d: cap·rate²
+                e = math.exp(-b * n[j])
+                if e < 1e-300:  # numerically flat: keep weights finite
+                    e = 1e-300
+                mu[j] = a - a * e
+                gj = c * e
+                ic[j] = -1.0 / (d * e)
+            if gj != g[j]:  # gradients are never -0.0 or NaN
+                moved = True
+                g[j] = gj
+        return moved
 
     def masks_at(self, band: float) -> tuple[int, ...]:
         g = self.g
@@ -665,6 +716,94 @@ class _Kernel:
         for j in range(nb):
             v[j] = w[j] - mu[j]
 
+    # -- whole steps ----------------------------------------------------------
+    # Both take the workload vector and the bitmask of backends whose
+    # workload changed bits since the last call, fill vbuf/wbuf/xbuf, and
+    # return (tie pattern used, forced, bitmask of backends whose drift was
+    # computed afresh).  A step reuses what its inputs leave unchanged bit
+    # for bit, so it gives the same bits as computing everything.
+
+    def sliding_step(self, n: list[float], dirty: int) -> tuple[_Pattern, bool, int]:
+        every = self.every
+        if self.curves(n, self.bits.get(dirty) or self.members(dirty)) or self.masks is None:
+            fresh = self.masks_at(self.cfg.tie_band)
+            if fresh != self.masks:
+                self.masks, self.pattern, self.clean = fresh, self.pattern_for(fresh), False
+        pattern = self.pattern
+        if self.clean and dirty != every:
+            # the last step solved this pattern outright; a tier none of
+            # whose backends moved would repeat its flows and rows
+            xbuf, nb = self.xbuf, self.nb
+            todo = [tier for tier in pattern.tiers if tier.b_mask & dirty]
+            active = 0
+            for tier in todo:
+                active |= tier.b_mask
+                for i in tier.f_idx:
+                    xbuf[i * nb:(i + 1) * nb] = self.zero_row
+        else:
+            xbuf = self.xbuf = [0.0] * len(self.xbuf)
+            todo = pattern.tiers
+            active = every
+        used, cur = pattern, self.masks
+        misses = self.tree_misses
+        forced = False
+        while True:
+            bad_tier = None
+            evict = -1
+            for tier in todo:
+                evict = self.tier_flows(tier)
+                if evict >= 0:
+                    bad_tier = tier
+                    break
+                if tier.f_idx and not self.tree_witness(tier, xbuf):
+                    # an unlucky tree is not proof of infeasibility:
+                    # decide exactly, then fetch a max-flow witness
+                    self.tree_misses += 1
+                    if not self.exact_witness(tier, xbuf):
+                        bad_tier = tier
+                        break
+            if bad_tier is None:
+                break
+            if evict < 0:
+                evict = self.most_marginal(bad_tier)
+            changed = False
+            if evict >= 0:
+                bit = ~(1 << evict)
+                cut = list(cur)
+                for i in bad_tier.f_idx:
+                    m = cut[i] & bit
+                    if m and m != cut[i]:  # never strand a frontend
+                        cut[i] = m
+                        changed = True
+                cur = tuple(cut)
+            forced = True
+            active = every
+            xbuf = self.xbuf = [0.0] * len(xbuf)
+            if not changed:
+                # exact tie with unrealizable drift: one strict-argmax step
+                self.strict_step(xbuf)
+                self.forced_steps += 1
+                break
+            self.evictions += 1
+            used = self.pattern_for(cur)
+            todo = used.tiers
+        self.clean = not forced and self.tree_misses == misses
+        return used, forced, active
+
+    def argmax_step(self, n: list[float], dirty: int) -> tuple[_Pattern, bool, int]:
+        if self.curves(n, self.bits.get(dirty) or self.members(dirty)) or self.masks is None:
+            self.xbuf = [0.0] * len(self.xbuf)
+            self.strict_step(self.xbuf)
+            fresh = self.masks_at(self.cfg.tie_band)
+            if fresh != self.masks:
+                self.masks, self.pattern = fresh, self.pattern_for(fresh)
+            return self.pattern, False, self.every
+        # the argmax, the routing and the inflows follow the gradients alone
+        v, w, mu = self.vbuf, self.wbuf, self.mu
+        for j in self.members(dirty):
+            v[j] = w[j] - mu[j]
+        return self.pattern, False, dirty
+
 
 def _classify(prev_sets: frozenset | None, new_sets: frozenset, forced: bool) -> str:
     if forced:
@@ -708,11 +847,17 @@ def integrate_fluid(
     clamped at zero (recorded as boundary events).  Raises IntegrationError
     if the state leaves the finite range.
 
-    A step depends on nothing but the workload vector.  When an update
-    leaves it unchanged in every bit and clamps no backend, the rows after
-    that point are copies of the last computed row (times stay k·h), which
-    is exactly what computing them would give.  Recorded events build their
+    A step depends on nothing but the workload vector, so it is computed
+    incrementally from the previous one where that gives the same bits (see
+    the module docstring).  Once the workload vector repeats an earlier row
+    bit for bit, the run continues the orbit by copying: every later row,
+    event and boundary clamp repeats the one a period before it, at its own
+    time (events at q·h, clamps at q·h + h), exactly as computing it would.
+    Copied rows add nothing to ``stats``.  Recorded events build their
     ``tiers`` when it is first read.
+
+    Raises ValueError before recording anything when round(horizon/h)
+    exceeds the step budget of 10**8 steps.
     """
     cfg = cfg or IntegratorConfig()
     n_arr = np.asarray(n0, dtype=float)
@@ -724,10 +869,15 @@ def integrate_fluid(
         raise ValueError("initial state must be finite and nonnegative")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    h = cfg.h
+    ratio = horizon / h
+    if ratio > _MAX_STEPS + 1 or round(ratio) > _MAX_STEPS:  # the first test catches inf
+        raise ValueError(
+            f"step budget exceeded: horizon/h = {ratio:.6g} > {_MAX_STEPS} steps"
+        )
 
     k = _Kernel(sys, cfg)
-    h = cfg.h
-    steps = max(1, int(round(horizon / h)))
+    steps = max(1, int(round(ratio)))
     n = [float(v) for v in n_arr]
 
     states = array("d")
@@ -737,115 +887,131 @@ def integrate_fluid(
     boundary: list[tuple[float, str]] = []
     prev_sets: frozenset | None = None
     kinds: dict[tuple, str] = {}  # _classify memo on (prev_sets, used_sets, forced)
-    sliding = cfg.mode == "sliding"
+    step = k.sliding_step if cfg.mode == "sliding" else k.argmax_step
     v, w = k.vbuf, k.wbuf
+    bits, members = k.bits, k.members
+    dirty = k.every  # backends whose workload changed bits: all, at first
+    clamped = 0  # backends the last update clamped
+    # Brent checkpoint: the workload row at power-of-two index ckpt_row; once
+    # that row is computed, its (pattern, forced, gradients) and the lengths
+    # of events and boundary before its update
+    ckpt_row, ckpt = 0, n[:]
+    ckpt_bytes = array("d", n).tobytes()
+    period = 0  # set once the workload row repeats an earlier one
 
     for step_no in range(steps + 1):
         t = step_no * h
-        k.curves(n)
-        xbuf = [0.0] * (nf * nb)
-        forced = False
-
-        if sliding:
-            masks = list(k.masks_at(cfg.tie_band))
-            while True:
-                pattern = k.pattern_for(tuple(masks))
-                bad_tier = None
-                evict = -1
-                for tier in pattern.tiers:
-                    evict = k.tier_flows(tier)
-                    if evict >= 0:
-                        bad_tier = tier
-                        break
-                    if tier.f_idx and not k.tree_witness(tier, xbuf):
-                        # an unlucky tree is not proof of infeasibility:
-                        # decide exactly, then fetch a max-flow witness
-                        k.tree_misses += 1
-                        if not k.exact_witness(tier, xbuf):
-                            bad_tier = tier
-                            break
-                if bad_tier is None:
-                    break
-                if evict < 0:
-                    evict = k.most_marginal(bad_tier)
-                changed = False
-                if evict >= 0:
-                    bit = ~(1 << evict)
-                    for i in bad_tier.f_idx:
-                        m = masks[i] & bit
-                        if m and m != masks[i]:  # never strand a frontend
-                            masks[i] = m
-                            changed = True
-                if not changed:
-                    # exact tie with unrealizable drift: one strict-argmax step
-                    xbuf = [0.0] * (nf * nb)
-                    k.strict_step(xbuf)
-                    k.forced_steps += 1
-                    forced = True
-                    break
-                k.evictions += 1
-                forced = True
-                xbuf = [0.0] * (nf * nb)
+        if period:
+            # this row repeats row step_no − period bit for bit; only its
+            # event depends on the row before, so replay that row's pattern
+            used, forced, g = replay
         else:
-            k.strict_step(xbuf)
-            pattern = k.pattern_for(k.masks_at(cfg.tie_band))
-        used_sets = pattern.sets
+            used, forced, active = step(n, dirty)
+            g = k.g
+        used_sets = used.sets
 
-        if used_sets != prev_sets:
+        if used_sets is not prev_sets and used_sets != prev_sets:
             if prev_sets is not None or forced:
                 key = (prev_sets, used_sets, forced)
                 kind = kinds.get(key)
                 if kind is None:
                     kind = kinds[key] = _classify(*key)
-                events.append(
-                    TierEvent(time=t, kind=kind, tiers=(sys, pattern, k.g[:]))
-                )
+                events.append(_lazy_event(t, kind, (sys, used, g[:])))
             prev_sets = used_sets
+        if period:
+            break  # the rest of the run is copied
 
         states.extend(n)
         inflows.extend(w)
-        routings.extend(xbuf)
+        routings.extend(k.xbuf)
+        if step_no == ckpt_row:
+            ckpt_marks = (len(events), len(boundary))
+            ckpt_step = (used, forced, g[:])
 
         if step_no == steps:
             break
-        moved = False
-        for j in range(nb):
+        # a backend whose workload and drift are both unchanged since an
+        # update that did not clamp it would not move now either
+        update = active | clamped
+        dirty = clamped = 0
+        for j in bits.get(update) or members(update):
             nj = n[j] + h * v[j]
             if 0.0 <= nj <= 1e300:
-                if nj != n[j]:
-                    moved = True
-                n[j] = nj
+                pass
             elif nj < 0.0:
-                n[j] = 0.0
-                moved = True  # a clamp would repeat at every later step
+                nj = 0.0
+                clamped |= 1 << j
                 boundary.append((t + h, sys.backend_ids[j]))
             else:
                 raise IntegrationError(
                     f"non-finite workload for backend {sys.backend_ids[j]!r} "
                     f"at t={t + h:.6g} (value {nj!r}); state {n!r}"
                 )
-        # `!=` cannot tell -0.0 from 0.0, so confirm on the bits
-        if not moved and states[-nb:].tobytes() == array("d", n).tobytes():
-            break  # bitwise fixed point: all later rows repeat this one
+            # `!=` cannot tell -0.0 from 0.0, so a zero compares signs too
+            if nj != n[j] or (nj == 0.0 and math.copysign(1.0, nj) != math.copysign(1.0, n[j])):
+                n[j] = nj
+                dirty |= 1 << j
+        if not dirty:  # a fixed point: period 1 from this row
+            period, replay = 1, (used, forced, g)
+            marks = (len(events), len(boundary) - clamped.bit_count())
+        elif n == ckpt and array("d", n).tobytes() == ckpt_bytes:
+            period, replay, marks = step_no + 1 - ckpt_row, ckpt_step, ckpt_marks
+        elif not (step_no + 1) & step_no:
+            ckpt_row, ckpt = step_no + 1, n[:]
+            ckpt_bytes = array("d", n).tobytes()
 
     rows = len(states) // nb
+    if rows <= steps:
+        # rows `rows`.. repeat the rows `period` before them, and so do the
+        # events and clamps recorded since the first row of the orbit
+        events.extend(
+            _lazy_event(q * h, ev.kind, ev.__dict__["tiers"])
+            for q, ev in _tile(events[marks[0]:], lambda ev: round(ev.time / h),
+                               period, steps)
+        )
+        boundary.extend(
+            (q * h + h, bid)
+            for q, (_, bid) in _tile(boundary[marks[1]:], lambda b: round(b[0] / h) - 1,
+                                     period, steps - 1)
+        )
     return FluidTrajectory(
         times=np.arange(steps + 1) * h,
-        states=_fill_rows(states, rows, steps + 1, (nb,)),
-        routings=_fill_rows(routings, rows, steps + 1, (nf, nb)),
-        inflows=_fill_rows(inflows, rows, steps + 1, (nb,)),
+        states=_tile_rows(states, rows, steps + 1, (nb,), period),
+        routings=_tile_rows(routings, rows, steps + 1, (nf, nb), period),
+        inflows=_tile_rows(inflows, rows, steps + 1, (nb,), period),
         events=tuple(events),
         boundary_events=tuple(boundary),
         stats=k.stats(),
     )
 
 
-def _fill_rows(buf: array, rows: int, total: int, shape: tuple[int, ...]) -> np.ndarray:
-    """The `rows` rows recorded in buf, then copies of the last one up to `total`."""
-    head = np.frombuffer(buf, dtype=float).reshape((rows, *shape))
+def _tile(templates: list, row_of, period: int, last: int):
+    """(q, item) for q = row_of(item) + m·period, m = 1, 2, ..., while q ≤ last,
+    in row order (templates are in row order and span less than a period)."""
+    if not templates:
+        return
+    rows = [row_of(item) for item in templates]
+    shift = period
+    while True:
+        for row, item in zip(rows, templates):
+            q = row + shift
+            if q > last:
+                return
+            yield q, item
+        shift += period
+
+
+def _tile_rows(buf: array, rows: int, total: int, shape: tuple[int, ...],
+               period: int) -> np.ndarray:
+    """The `rows` rows recorded in buf, then rows up to `total` that repeat
+    the row `period` before them, copied in doubling blocks."""
     out = np.empty((total, *shape))
-    out[:rows] = head
-    out[rows:] = head[-1]
+    out[:rows] = np.frombuffer(buf, dtype=float).reshape((rows, *shape))
+    start, filled = rows - period, rows
+    while filled < total:
+        span = min(filled - start, total - filled)  # a whole number of periods
+        out[filled:filled + span] = out[start:start + span]
+        filled += span
     return out
 
 

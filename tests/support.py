@@ -3,6 +3,7 @@ and small brute-force oracles used to cross-check the library's algorithms."""
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations
 
 import numpy as np
@@ -152,3 +153,15 @@ def frontend_subsets(sys: BipartiteSystem):
     idx = range(len(sys.frontends))
     for r in range(1, len(sys.frontends) + 1):
         yield from (set(c) for c in combinations(idx, r))
+
+
+def trajectory_digest(traj) -> str:
+    """SHA-256 over everything integrate_fluid returns: the bytes of times,
+    states, inflows and routings, then repr of events (which builds every
+    tier partition, gradients included), boundary events and stats."""
+    digest = hashlib.sha256()
+    for name in ("times", "states", "inflows", "routings"):
+        digest.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
+    for part in (traj.events, traj.boundary_events, traj.stats):
+        digest.update(repr(part).encode())
+    return digest.hexdigest()

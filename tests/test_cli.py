@@ -298,6 +298,21 @@ def test_overload_on_feasible_system(tmp_path, scenario_file):
     assert all(v is not None for v in doc["equilibrium_workloads"].values())
 
 
+def test_certify_refuses_an_infeasible_system_before_integrating(tmp_path, monkeypatch, capsys):
+    import gmsr.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrate_fluid called on an infeasible system")
+
+    monkeypatch.setattr(cli, "integrate_fluid", never)
+    for name in ("overload_disjoint", "overload_nmodel"):
+        capsys.readouterr()
+        assert run_command(["certify", str(SCENARIOS / f"{name}.json"),
+                            "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("infeasible: ")
+    assert not (tmp_path / "certificate.json").exists()
+
+
 def test_certify_output(tmp_path, scenario_file):
     scn_path = scenario_file(horizon=20.0)
     assert run_command(["certify", scn_path, "--out", str(tmp_path)]) == 0

@@ -348,6 +348,36 @@ def test_certificate_random_sliding_trajectories_are_clean():
         assert cert.entry_time is not None
 
 
+def test_certify_reuses_the_optimum_of_a_given_slack(monkeypatch):
+    import gmsr.diagnostics as dg
+
+    sys = _n_model_04_06()
+    traj = integrate_fluid(sys, [3.0, 0.0], 20.0)
+    slack = capacity_slack(sys)
+    assert np.array_equal(slack.n_star, solve_fluid_optimum(sys).n_star)
+    reference = certify_trajectory(sys, traj, replace(slack, n_star=None))
+
+    calls = []
+    original = dg.solve_fluid_optimum
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dg, "solve_fluid_optimum", counting)
+    certs = {}
+    for label, arg, solves in (("given slack", slack, 0),
+                               ("slack without N*", replace(slack, n_star=None), 1)):
+        calls.clear()
+        certs[label] = certify_trajectory(sys, traj, arg)
+        assert len(calls) == solves, label
+    certs["own slack"] = certify_trajectory(sys, traj)
+    for cert in certs.values():
+        assert cert.v.tobytes() == reference.v.tobytes()
+        assert (cert.entry_time, cert.fitted_rate, cert.violations) == (
+            reference.entry_time, reference.fitted_rate, reference.violations)
+
+
 def test_certificate_validates_trajectory_shape():
     sys, slack = _certify_setup()
     other = _single_pair()

@@ -25,6 +25,7 @@ from support import (
     fig1_system,
     random_system,
     square_feasible_system,
+    trajectory_digest,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -211,11 +212,18 @@ def _fixed_from(states: np.ndarray) -> int:
     return int(moved[-1]) + 1 if len(moved) else 0
 
 
-@pytest.mark.parametrize("mode", ["sliding", "strict-argmax"])
-def test_rows_after_a_bitwise_fixed_point_are_what_stepping_gives(mode):
+@pytest.mark.parametrize("mode, digest", [
+    ("sliding", "2c842f7a1d416d6ff61f394dd52916b0797847c5da8aa1f46496f82589ec42d4"),
+    ("strict-argmax", "2983be59b577367a58a1e8031a3510e5efebb44c2ee2a7b82b939f41f23d6af5"),
+], ids=["sliding", "strict-argmax"])
+def test_rows_after_a_bitwise_fixed_point_are_what_stepping_gives(mode, digest):
     sys = fig1_system()
     cfg = IntegratorConfig(mode=mode)
     traj = integrate_fluid(sys, np.zeros(5), 20.0, cfg)
+    # recorded from the integrator that recomputed every step up to the
+    # fixed point; fig1's Hill curves use only correctly rounded arithmetic,
+    # so the digest does not depend on the platform's libm
+    assert trajectory_digest(traj) == digest
     last = len(traj) - 1
     fixed = _fixed_from(traj.states)
     assert 0 < fixed < last - 1000  # the run settles well before its end
@@ -256,6 +264,192 @@ def test_signed_zero_start_is_not_a_fixed_point():
         assert np.all(traj.states[:, 0] == 1.0)
         assert np.signbit(traj.states[0, 1])
         assert not np.any(np.signbit(traj.states[1:, 1]))
+
+
+def _orbit(states: np.ndarray, max_period: int = 1000) -> tuple[int, int] | None:
+    """(P, c): the least period P of the run's tail, and the first row c with
+    states[k + P] == states[k] bit for bit for every k >= c; None when the
+    last two rows repeat no earlier pair at most max_period rows back."""
+    bits = np.ascontiguousarray(states).view(np.int64)
+    last = len(bits) - 1
+    for p in range(1, min(max_period, last - 1) + 1):
+        if np.array_equal(bits[last - 1:], bits[last - 1 - p:last + 1 - p]):
+            same = np.all(bits[p:] == bits[:-p], axis=1)
+            differ = np.nonzero(~same)[0]
+            return p, int(differ[-1]) + 1 if len(differ) else 0
+    return None
+
+
+def _repeat_row(period: int, start: int) -> int:
+    """The first row the integrator copies rather than computes, for an orbit
+    entered at `start`: the row after a fixed point, or one period after the
+    first Brent checkpoint (rows 1, 2, 4, ...) at or past both the start and
+    the period."""
+    if period == 1:
+        return start + 1
+    return (1 << (max(start, period) - 1).bit_length()) + period
+
+
+def _assert_rows_match_one_step_runs(sys, traj, cfg, rows):
+    """Check row k, and the step out of it, against a fresh run of one step
+    from states[k]: its first row gives inflows and routings, its second the
+    next state, and it records the event (at h) and the clamps (at 0·h + h)
+    that the long run records at (k+1)·h and k·h + h."""
+    h = cfg.h
+    last = len(traj) - 1
+    events: dict[float, list] = {}
+    for ev in traj.events:
+        events.setdefault(ev.time, []).append((ev.kind, ev.tiers))
+    clamps: dict[float, list] = {}
+    for t, b in traj.boundary_events:
+        clamps.setdefault(t, []).append(b)
+    for k in sorted(set(rows)):
+        one = integrate_fluid(sys, traj.states[k], h, cfg)
+        assert one.states[0].tobytes() == traj.states[k].tobytes()
+        assert one.inflows[0].tobytes() == traj.inflows[k].tobytes(), k
+        assert one.routings[0].tobytes() == traj.routings[k].tobytes(), k
+        if k == last:
+            continue
+        assert one.states[1].tobytes() == traj.states[k + 1].tobytes(), k
+        assert [(ev.kind, ev.tiers) for ev in one.events if ev.time == h] == events.get(
+            (k + 1) * h, []), k
+        assert [b for _, b in one.boundary_events] == clamps.get(k * h + h, []), k
+
+
+def _acceptance_system(index: int):
+    """System `index` of the acceptance battery (seed 424242), first start."""
+    rng = np.random.default_rng(424242)
+    for _ in range(index + 1):
+        sys = feasible_random_system(rng)
+        starts = [rng.uniform(0.0, 10.0, size=len(sys.backends)) for _ in range(10)]
+    return sys, starts[0]
+
+
+def test_exact_orbit_is_continued_as_stepping_would():
+    # acceptance system 0 under strict argmax enters an exact period-253 orbit
+    sys, n0 = _acceptance_system(0)
+    cfg = IntegratorConfig(mode="strict-argmax")
+    traj = integrate_fluid(sys, n0, 200.0, cfg)
+    last = len(traj) - 1
+    period, start = _orbit(traj.states)
+    assert period == 253 and 15000 < start < 25000
+    repeat = _repeat_row(period, start)
+    rows = [1, start - 2, start - 1, start, start + 1, start + period,
+            *range(repeat - 3, repeat + period + 3), (repeat + last) // 2,
+            *range(last - period - 1, last + 1), *range(0, last, 997)]
+    _assert_rows_match_one_step_runs(sys, traj, cfg, rows)
+    # copied events keep their kind and tiers, at their own times
+    assert np.array_equal(traj.times, np.arange(last + 1) * cfg.h)
+    by_row = {int(round(ev.time / cfg.h)): ev for ev in traj.events}
+    assert all(ev.time == traj.times[q] for q, ev in by_row.items())
+    template = [q for q in by_row if start < q <= start + period]
+    assert len(template) > 100
+    for q in template:
+        for later in range(q + period, last + 1, 40 * period):
+            assert by_row[later].kind == by_row[q].kind
+            assert by_row[later].tiers == by_row[q].tiers
+    assert sum(1 for q in by_row if q > start) == sum(
+        len(range(q, last + 1, period)) for q in template)
+
+
+@pytest.mark.parametrize("mode", ["sliding", "strict-argmax"])
+def test_partly_frozen_steps_are_what_stepping_gives(mode):
+    # acceptance system 4 drains b1 forever while b2 and b3 freeze bit for bit
+    sys, n0 = _acceptance_system(4)
+    cfg = IntegratorConfig(mode=mode)
+    traj = integrate_fluid(sys, n0, 40.0, cfg)
+    bits = traj.states.view(np.int64)
+    moved = bits[1:] != bits[:-1]
+    partial = np.nonzero(moved.any(axis=1) & ~moved.all(axis=1))[0]
+    assert len(partial) > 20000 and moved[-1].tolist() == [True, False, False]
+    rows = [*partial[:5], *partial[::150], *partial[-5:], len(traj) - 1]
+    _assert_rows_match_one_step_runs(sys, traj, cfg, rows)
+
+
+@st.composite
+def _small_runs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sys = feasible_random_system(rng)
+    n0 = rng.uniform(0.0, 3.0, size=len(sys.backends))
+    # long steps make many runs end in a fixed point or an exact orbit
+    h = draw(st.sampled_from([1e-3, 0.05, 0.1, 0.25]))
+    mode = draw(st.sampled_from(["sliding", "strict-argmax"]))
+    return sys, n0, IntegratorConfig(h=h, mode=mode), draw(st.integers(200, 3000))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_runs())
+def test_incremental_steps_match_one_step_runs(run):
+    sys, n0, cfg, steps = run
+    traj = integrate_fluid(sys, n0, steps * cfg.h, cfg)
+    assert len(traj) == steps + 1
+    rows = [0, 1, 2, *range(3, steps, max(1, steps // 40)), steps - 1, steps]
+    orbit = _orbit(traj.states)
+    if orbit is not None:
+        period, start = orbit
+        repeat = _repeat_row(period, start)
+        rows += [r for r in (start - 1, start, start + 1, *range(repeat - 2, repeat + 3))
+                 if 0 <= r <= steps]
+    _assert_rows_match_one_step_runs(sys, traj, cfg, rows)
+
+
+def test_orbit_through_boundary_clamps_is_continued_with_its_clamps():
+    # two steep Hill backends (h·cap/half = 2) share one frontend: under
+    # strict argmax the backend left without inflow undershoots zero, so the
+    # run alternates (hλ, 0), (0, hλ) with a clamp at every step from t = 2h
+    sys = make_system(
+        [("f1", 0.5)],
+        [("b1", hill(2000.0, 1.0)), ("b2", hill(2000.0, 1.0))],
+        [("f1", "b1"), ("f1", "b2")],
+    )
+    cfg = IntegratorConfig(mode="strict-argmax")
+    traj = integrate_fluid(sys, [0.0, 0.0], 1.0, cfg)
+    last = len(traj) - 1
+    assert _orbit(traj.states) == (2, 1)
+    assert len(traj.boundary_events) == last - 1
+    assert traj.boundary_events[-1] == ((last - 1) * cfg.h + cfg.h, "b1")
+    assert len(traj.events) == last
+    _assert_rows_match_one_step_runs(sys, traj, cfg, range(last + 1))
+    # recorded from the integrator before orbits were continued by copying;
+    # Hill curves use only correctly rounded arithmetic, so these digests
+    # do not depend on the platform's libm
+    assert trajectory_digest(traj) == (
+        "9ac55e0c97c417bc0e87d521b762df9a663371ffa4150f7878eff8450a02b807")
+
+
+def test_steps_that_reuse_tiers_count_the_tree_misses_of_a_full_step():
+    # a sliding run that alternates steps reusing the previous step's tiers
+    # with tree misses that max flow resolves: a step after a miss must be
+    # computed in full, or the misses of its unmoved tiers go uncounted.
+    # Counts and digest recorded from the integrator that recomputed every
+    # step; Hill curves only, so they do not depend on the platform's libm
+    sys = make_system(
+        frontends=[("f0", 0.1637412074158224), ("f1", 0.117948418019704),
+                   ("f2", 0.49317825783393143)],
+        backends=[("b0", hill(1.5810962117474014, 1.0884453302068537)),
+                  ("b1", hill(2.8849777241903425, 0.8192172848028245)),
+                  ("b2", hill(1.3293978583043047, 1.7767917121373873)),
+                  ("b3", hill(2.4122918048722357, 0.7031447877454471)),
+                  ("b4", hill(2.8752568888321415, 1.0568457410061893))],
+        edges=[("f0", "b0"), ("f0", "b1"), ("f0", "b2"), ("f0", "b3"), ("f1", "b0"),
+               ("f1", "b1"), ("f1", "b4"), ("f2", "b0"), ("f2", "b1"), ("f2", "b2"),
+               ("f2", "b4")],
+    )
+    n0 = [2.0304793594370336, 0.008353006846236077, 2.0675929897014598,
+          2.79637694974464, 1.544059960203668]
+    traj = integrate_fluid(sys, n0, 1017 * 0.05, IntegratorConfig(h=0.05))
+    assert traj.stats == KernelStats(tree_misses=986, maxflow_witnesses=986, patterns=4)
+    assert trajectory_digest(traj) == (
+        "86cb714aa368d67518ce35c83cbbd3cf2ab4e29adecb36e0c5307db12e79c6ef")
+
+
+def test_step_budget_is_refused_before_recording():
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="step budget"):
+        integrate_fluid(_single_pair(0.5), [0.0], 1e9)
+    with pytest.raises(ValueError, match="step budget"):
+        integrate_fluid(_single_pair(0.5), [0.0], 1e300, IntegratorConfig(h=1e-300))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_lazy_event_tiers_match_compute_tiers():
