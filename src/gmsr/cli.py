@@ -42,9 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from gmsr.diagnostics import capacity_slack, certify_trajectory
-from gmsr.fluid_dyn import IntegratorConfig, integrate_fluid
+from gmsr.fluid_dyn import _MODES, IntegratorConfig, integrate_fluid
 from gmsr.fluid_opt import InfeasibleSystemError, equilibrium_rates, solve_fluid_optimum
-from gmsr.flownet import feasibility_check, opt_tp
+from gmsr.flownet import feasibility_check
 from gmsr.model import (
     HILL,
     BipartiteSystem,
@@ -53,12 +53,9 @@ from gmsr.model import (
     saturating_exponential,
     validate_system,
 )
-from gmsr.stochastic import simulate
+from gmsr.stochastic import _POLICIES, simulate
 
 __all__ = ["Scenario", "ScenarioError", "load_scenario", "run_command", "main"]
-
-_POLICIES = ("gmsr", "random")
-_MODES = ("sliding", "strict-argmax")
 
 
 class ScenarioError(ValueError):
@@ -358,6 +355,8 @@ def _cmd_simulate(args) -> int:
     scales = args.scales if args.scales is not None else scn.scales
     seeds = args.seeds if args.seeds is not None else scn.seeds
     policy = args.policy if args.policy is not None else scn.policy
+    _require(args.seed_base + seeds <= 2**64, "--seed-base",
+             f"runs use seeds up to seed_base + {seeds - 1}, which must be below 2^64")
     out = _out_dir(args, scn)
 
     runs = []
@@ -402,7 +401,7 @@ def _cmd_overload(args) -> int:
     scn = load_scenario(args.scenario)
     sys_ = scn.system
     eq = equilibrium_rates(sys_)
-    feasible = feasibility_check(sys_)
+    feasible = eq.feasible
     out = _out_dir(args, scn)
     _write_json(out / "overload.json", {
         "feasible": feasible,
@@ -414,7 +413,7 @@ def _cmd_overload(args) -> int:
             b: (None if math.isinf(v) else float(v))
             for b, v in zip(sys_.backend_ids, eq.workloads)
         },
-        "opt_tp": float(opt_tp(sys_)),
+        "opt_tp": float(eq.throughput),
         "total_equilibrium_rate": float(eq.rates.sum()),
     })
     print(f"wrote {out / 'overload.json'} ({'feasible' if feasible else 'overloaded'})")
@@ -536,6 +535,26 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _positive_real(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError("must be positive and finite")
+    return v
+
+
+def _seed(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    if not 0 <= v < 2**64:
+        raise argparse.ArgumentTypeError("must be an integer in [0, 2^64)")
+    return v
+
+
 def _positive_int(text: str) -> int:
     try:
         v = int(text)
@@ -559,8 +578,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="output directory (default: scenario 'out' or '.')")
         if integrator:
-            p.add_argument("--h", type=float, help="integrator step size")
-            p.add_argument("--tie-tol", type=float, dest="tie_tol",
+            p.add_argument("--h", type=_positive_real, help="integrator step size")
+            p.add_argument("--tie-tol", type=_positive_real, dest="tie_tol",
                            help="gradient tie tolerance")
             p.add_argument("--mode", choices=_MODES, help="integrator mode")
         if sim:
@@ -568,7 +587,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="comma-separated scale factors, e.g. 20,100")
             p.add_argument("--seeds", type=_positive_int, help="seeds per scale")
             p.add_argument("--policy", choices=_POLICIES, help="routing policy")
-            p.add_argument("--seed-base", type=int, dest="seed_base", default=0,
+            p.add_argument("--seed-base", type=_seed, dest="seed_base", default=0,
                            help="first seed; run k uses seed_base + k")
         if thin:
             p.add_argument("--thin", type=_positive_int, default=1,

@@ -262,6 +262,22 @@ def augmented_network(sys: BipartiteSystem) -> FlowNetwork:
     return FlowNetwork(nodes=nodes, source=_SOURCE, sink=_SINK, arcs=tuple(arcs))
 
 
+def _augmented_cut(sys: BipartiteSystem) -> tuple[bool, StabilityDecomposition, float]:
+    """Feasibility, the stability decomposition and the peak throughput, all
+    read off one max flow of the augmented network."""
+    res = max_flow(augmented_network(sys))
+    total = sys.total_arrival_rate
+    saturated = not res.value < total - 1e-9 * (1.0 + total)
+    feasible = saturated and all(f in res.sink_side for f in sys.frontend_ids)
+    f_stable = frozenset(f for f in sys.frontend_ids if f in res.sink_side)
+    b_stable = frozenset(
+        sys.backend_ids[j]
+        for j in range(len(sys.backends))
+        if all(sys.frontend_ids[i] in f_stable for i in sys.frontends_of_backend[j])
+    )
+    return feasible, StabilityDecomposition(frontends=f_stable, backends=b_stable), res.value
+
+
 def feasibility_check(sys: BipartiteSystem) -> bool:
     """True iff every frontend subset's arrivals fall strictly below the
     capacity of its neighborhood.
@@ -272,11 +288,7 @@ def feasibility_check(sys: BipartiteSystem) -> bool:
     arrivals AND every frontend keeps a residual path to the sink (the flow
     could absorb a strictly larger λ_f for every f).
     """
-    res = max_flow(augmented_network(sys))
-    total = sys.total_arrival_rate
-    if res.value < total - 1e-9 * (1.0 + total):
-        return False
-    return all(f in res.sink_side for f in sys.frontend_ids)
+    return _augmented_cut(sys)[0]
 
 
 def stability_decomposition(sys: BipartiteSystem) -> StabilityDecomposition:
@@ -287,20 +299,13 @@ def stability_decomposition(sys: BipartiteSystem) -> StabilityDecomposition:
     arrivals exactly match their capacity are classified unstable, matching
     the smallest-sink-side min cut.
     """
-    res = max_flow(augmented_network(sys))
-    f_stable = frozenset(f for f in sys.frontend_ids if f in res.sink_side)
-    b_stable = frozenset(
-        sys.backend_ids[j]
-        for j in range(len(sys.backends))
-        if all(sys.frontend_ids[i] in f_stable for i in sys.frontends_of_backend[j])
-    )
-    return StabilityDecomposition(frontends=f_stable, backends=b_stable)
+    return _augmented_cut(sys)[1]
 
 
 def opt_tp(sys: BipartiteSystem) -> float:
     """Peak long-run throughput: the max-flow value of the augmented network
     (equivalently Σ_{f stable} λ_f + Σ_{b unstable} cap_b)."""
-    return max_flow(augmented_network(sys)).value
+    return _augmented_cut(sys)[2]
 
 
 def transportation_feasible(

@@ -41,15 +41,19 @@ single output bit:
   it, with its own time.  Only the first repeated row's event depends on
   the row before it; it is found by replaying the earlier row's pattern.
 
-A tier-change event keeps the tie pattern and gradient row it was seen at
-and builds its ``TierPartition`` only when ``tiers`` is read.
+A tier-change event keeps the tier groups of the tie pattern and the
+gradient row it was seen at, and builds its ``TierPartition`` only when
+``tiers`` is read.
 
 The inner loop is scalar Python tuned for small systems (a handful of
-nodes): per-backend curve evaluations are unrolled by curve kind, and
-everything derivable from the tie pattern alone — tier membership,
-Hall-condition tables, spanning-tree elimination schedules for
-transportation witnesses — is computed once per distinct pattern and
-cached.
+nodes): per-backend curve evaluations are unrolled by curve kind.  The tie
+pattern is the tuple of per-frontend tied-best bitmasks that
+``tiers.tie_masks`` gives, the representation the tiers module and the
+optimizer use as well.  Everything derivable from the pattern alone is
+computed once per distinct pattern and cached: tier membership (from
+``tiers.tie_components``), Hall-condition tables, and spanning-tree
+elimination schedules for transportation witnesses.  An event's partition
+is built by ``tiers.tier_partition`` from the pattern's components.
 
 A tier's routing normally comes from its spanning tree.  When a tree flow
 comes out negative, feasibility is decided exactly.  A tier with at most
@@ -74,7 +78,7 @@ import numpy as np
 
 from gmsr.flownet import TransportNetwork, transportation_feasible
 from gmsr.model import HILL, BipartiteSystem
-from gmsr.tiers import Tier, TierPartition
+from gmsr.tiers import TierPartition, tie_components, tie_masks, tier_partition
 
 __all__ = [
     "IntegratorConfig",
@@ -115,7 +119,7 @@ class IntegratorConfig:
 
 class _TiersOnRead:
     """The ``TierEvent.tiers`` field.  It holds a TierPartition, or the
-    integrator's (system, tie pattern, gradient row) triple, which becomes a
+    integrator's (system, tier groups, gradient row) triple, which becomes a
     TierPartition on first read and is replaced by it."""
 
     def __get__(self, obj, owner=None):
@@ -123,7 +127,7 @@ class _TiersOnRead:
             raise AttributeError("tiers")  # a required field: no class default
         tiers = obj.__dict__["tiers"]
         if type(tiers) is tuple:
-            tiers = obj.__dict__["tiers"] = _snapshot(*tiers)
+            tiers = obj.__dict__["tiers"] = tier_partition(*tiers)
         return tiers
 
     def __set__(self, obj, value) -> None:
@@ -138,7 +142,7 @@ class TierEvent:
     tie-band refinement, "slide" when tiers merged onto a common
     equal-gradient surface, and "reconfigure" for any other change.
 
-    Events recorded by ``integrate_fluid`` keep the tie pattern and gradient
+    Events recorded by ``integrate_fluid`` keep the tier groups and gradient
     row of their step and build ``tiers`` when it is first read (equality,
     hashing and repr read it too), so a run that records many events pays
     for the ``TierPartition`` objects only of those that are inspected.
@@ -223,16 +227,13 @@ def gmsr_routing_set(
 
     S_f = {b ∈ B(f) : μ′_b(N_b) ≥ max_{j∈B(f)} μ′_j(N_j) − tie_band}.
     """
-    n = np.asarray(n, dtype=float)
-    grads = sys.gradients_at(n)
-    out: dict[str, frozenset[str]] = {}
-    for i, f in enumerate(sys.frontend_ids):
-        nbrs = sys.backends_of_frontend[i]
-        top = max(grads[j] for j in nbrs)
-        out[f] = frozenset(
-            sys.backend_ids[j] for j in nbrs if grads[j] >= top - tie_band
-        )
-    return out
+    grads = sys.gradients_at(np.asarray(n, dtype=float)).tolist()
+    masks = tie_masks(sys.backends_of_frontend, grads, tie_band)
+    bids = sys.backend_ids
+    return {
+        f: frozenset(bids[j] for j in nbrs if masks[i] >> j & 1)
+        for i, (f, nbrs) in enumerate(zip(sys.frontend_ids, sys.backends_of_frontend))
+    }
 
 
 def sliding_drift(
@@ -319,11 +320,12 @@ class _TierStruct:
 
 
 class _Pattern:
-    __slots__ = ("tiers", "sets")
+    __slots__ = ("tiers", "sets", "groups")
 
-    def __init__(self, tiers, sets):
-        self.tiers = tiers  # tuple[_TierStruct, ...]
-        self.sets = sets    # frozenset of per-tier node_set (for event diffs)
+    def __init__(self, tiers, sets, groups):
+        self.tiers = tiers    # tuple[_TierStruct, ...]
+        self.sets = sets      # frozenset of per-tier node_set (for event diffs)
+        self.groups = groups  # per tier (f_idx, b_idx), as tie_components gives them
 
 
 def _hall_rows(nbr: list[int], lams: list[float], bs: list[int]) -> tuple:
@@ -363,44 +365,9 @@ def _hall_rows(nbr: list[int], lams: list[float], bs: list[int]) -> tuple:
 
 def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
     """Derive tier structures from per-frontend tied-best bitmasks."""
-    nf, nb = len(sys.frontends), len(sys.backends)
+    nf = len(sys.frontends)
     lam = sys.lambdas
-    # flood fill over the tie edges; frontends first for deterministic order
-    comp = [-1] * (nf + nb)
-    groups: list[tuple[list[int], list[int]]] = []
-    for start in range(nf):
-        if comp[start] >= 0:
-            continue
-        gi = len(groups)
-        fs: list[int] = []
-        bs: list[int] = []
-        queue = [start]
-        comp[start] = gi
-        while queue:
-            node = queue.pop()
-            if node < nf:
-                fs.append(node)
-                m = masks[node]
-                j = 0
-                while m:
-                    if m & 1 and comp[nf + j] < 0:
-                        comp[nf + j] = gi
-                        queue.append(nf + j)
-                    m >>= 1
-                    j += 1
-            else:
-                bs.append(node - nf)
-                bit = 1 << (node - nf)
-                for i in range(nf):
-                    if masks[i] & bit and comp[i] < 0:
-                        comp[i] = gi
-                        queue.append(i)
-        groups.append((sorted(fs), sorted(bs)))
-    for j in range(nb):  # untouched backends become singleton tiers
-        if comp[nf + j] < 0:
-            comp[nf + j] = len(groups)
-            groups.append(([], [j]))
-
+    groups = tie_components(sys, masks)
     tiers = []
     sets = []
     for fs, bs in groups:
@@ -448,11 +415,11 @@ def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
             )
         node_set = frozenset(fs) | frozenset(nf + j for j in bs)
         tiers.append(
-            _TierStruct(tuple(fs), tuple(bs), lam_sum, needs_hall, hall,
+            _TierStruct(fs, bs, lam_sum, needs_hall, hall,
                         tuple(schedule), root, fallback, node_set)
         )
         sets.append(node_set)
-    return _Pattern(tuple(tiers), frozenset(sets))
+    return _Pattern(tuple(tiers), frozenset(sets), groups)
 
 
 # ---------------------------------------------------------------------------
@@ -544,23 +511,6 @@ class _Kernel:
                 moved = True
                 g[j] = gj
         return moved
-
-    def masks_at(self, band: float) -> tuple[int, ...]:
-        g = self.g
-        out = []
-        for nbrs in self.neighbors:
-            top = -1.0
-            for j in nbrs:
-                gj = g[j]
-                if gj > top:
-                    top = gj
-            cut = top - band
-            m = 0
-            for j in nbrs:
-                if g[j] >= cut:
-                    m |= 1 << j
-            out.append(m)
-        return tuple(out)
 
     def pattern_for(self, masks: tuple[int, ...]) -> _Pattern:
         pat = self.patterns.get(masks)
@@ -726,7 +676,7 @@ class _Kernel:
     def sliding_step(self, n: list[float], dirty: int) -> tuple[_Pattern, bool, int]:
         every = self.every
         if self.curves(n, self.bits.get(dirty) or self.members(dirty)) or self.masks is None:
-            fresh = self.masks_at(self.cfg.tie_band)
+            fresh = tie_masks(self.neighbors, self.g, self.cfg.tie_band)
             if fresh != self.masks:
                 self.masks, self.pattern, self.clean = fresh, self.pattern_for(fresh), False
         pattern = self.pattern
@@ -794,7 +744,7 @@ class _Kernel:
         if self.curves(n, self.bits.get(dirty) or self.members(dirty)) or self.masks is None:
             self.xbuf = [0.0] * len(self.xbuf)
             self.strict_step(self.xbuf)
-            fresh = self.masks_at(self.cfg.tie_band)
+            fresh = tie_masks(self.neighbors, self.g, self.cfg.tie_band)
             if fresh != self.masks:
                 self.masks, self.pattern = fresh, self.pattern_for(fresh)
             return self.pattern, False, self.every
@@ -814,20 +764,6 @@ def _classify(prev_sets: frozenset | None, new_sets: frozenset, forced: bool) ->
         any(old <= new for new in new_sets) for old in prev_sets
     ) and len(new_sets) < len(prev_sets)
     return "slide" if merged else "reconfigure"
-
-
-def _snapshot(sys: BipartiteSystem, pattern: _Pattern, g: list[float]) -> TierPartition:
-    tiers = []
-    for ts in pattern.tiers:
-        grad = sum(g[j] for j in ts.b_idx) / len(ts.b_idx)
-        tiers.append(
-            Tier(
-                frontends=tuple(sys.frontend_ids[i] for i in ts.f_idx),
-                backends=tuple(sys.backend_ids[j] for j in ts.b_idx),
-                gradient=float(grad),
-            )
-        )
-    return TierPartition(tiers=tuple(tiers))
 
 
 def integrate_fluid(
@@ -916,7 +852,7 @@ def integrate_fluid(
                 kind = kinds.get(key)
                 if kind is None:
                     kind = kinds[key] = _classify(*key)
-                events.append(_lazy_event(t, kind, (sys, used, g[:])))
+                events.append(_lazy_event(t, kind, (sys, used.groups, g[:])))
             prev_sets = used_sets
         if period:
             break  # the rest of the run is copied

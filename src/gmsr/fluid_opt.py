@@ -19,11 +19,13 @@ import numpy as np
 from gmsr.flownet import (
     FlowNetwork,
     StabilityDecomposition,
+    _augmented_cut,
     augmented_network,
     max_flow,
-    stability_decomposition,
+    transportation_feasible,
 )
 from gmsr.model import HILL, BipartiteSystem
+from gmsr.tiers import tie_components, tie_masks
 
 __all__ = [
     "FluidOptimum",
@@ -91,11 +93,16 @@ class FluidOptimum:
 @dataclass(frozen=True)
 class OverloadEquilibrium:
     """Long-run service rates: finite-workload balance on the stable part,
-    full caps (infinite workload) on the unstable part."""
+    full caps (infinite workload) on the unstable part.  ``decomposition``,
+    ``feasible`` and ``throughput`` are what ``stability_decomposition``,
+    ``feasibility_check`` and ``opt_tp`` return, read off the same max
+    flow."""
 
     rates: np.ndarray
     workloads: np.ndarray  # np.inf marks backends that grow without bound
     decomposition: StabilityDecomposition
+    feasible: bool
+    throughput: float
 
 
 def _infeasibility_witness(sys: BipartiteSystem) -> frozenset[str] | None:
@@ -215,51 +222,23 @@ def _equal_gradient_finish(
     """Try to finish a nearly-converged iterate exactly.
 
     Guess the optimal support (edges whose backend gradient is within
-    `band` of the frontend's best), solve each support component's scalar
-    balance equation — its backends share one gradient level γ, so
-    Σ_b μ_b(N_b(γ)) = Σ_f λ_f pins γ by bisection — then recover a routing
-    by transportation.  Returns the finished optimum only if its true KKT
+    `band` of the frontend's best, for frontends with positive rate), solve
+    each support component's scalar balance equation — its backends share
+    one gradient level γ, so Σ_b μ_b(N_b(γ)) = Σ_f λ_f pins γ by bisection —
+    then recover a routing by transportation.  Returns the finished optimum only if its true KKT
     residual meets tol; any wrong guess fails that gate and we keep
     iterating instead.
     """
-    from gmsr.flownet import transportation_feasible
-
-    nf, nb = len(sys.frontends), len(sys.backends)
     lam = np.asarray(sys.lambdas)
-    grads = sys.gradients_at(n_est)
+    masks = tie_masks(sys.backends_of_frontend, sys.gradients_at(n_est).tolist(), band)
+    # a zero-rate frontend routes nothing and joins no component
+    masks = [m if lam_i > 0 else 0 for m, lam_i in zip(masks, lam)]
 
-    support: list[tuple[int, int]] = []
-    for i in range(nf):
-        if lam[i] <= 0:
-            continue
-        nbrs = sys.backends_of_frontend[i]
-        top = max(grads[j] for j in nbrs)
-        support.extend((i, j) for j in nbrs if grads[j] >= top - band)
-
-    # connected components over the candidate support
-    parent = list(range(nf + nb))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, j in support:
-        ra, rb = find(i), find(nf + j)
-        if ra != rb:
-            parent[ra] = rb
-
-    comps: dict[int, tuple[list[int], list[int]]] = {}
-    for i in range(nf):
-        if lam[i] > 0:
-            comps.setdefault(find(i), ([], []))[0].append(i)
-    for j in range(nb):
-        comps.setdefault(find(nf + j), ([], []))[1].append(j)
-
-    n_new = np.zeros(nb)
+    n_new = np.zeros(len(sys.backends))
     x_new = x_est.copy()
-    for fr, ba in comps.values():
+    # components write disjoint entries and any failure returns None, so
+    # their order does not matter
+    for fr, ba in tie_components(sys, masks):
         lam_c = sum(lam[i] for i in fr)
         if lam_c <= 0:
             continue  # untouched backends keep N = 0
@@ -517,7 +496,7 @@ def equilibrium_rates(sys: BipartiteSystem, tol: float = 1e-8) -> OverloadEquili
     system; every unstable backend is driven to its cap.  Total equals the
     peak achievable throughput.
     """
-    dec = stability_decomposition(sys)
+    feasible, dec, throughput = _augmented_cut(sys)
     nb = len(sys.backends)
     rates = np.array([fn.cap for fn in sys.services])
     workloads = np.full(nb, np.inf)
@@ -535,4 +514,5 @@ def equilibrium_rates(sys: BipartiteSystem, tol: float = 1e-8) -> OverloadEquili
             j = sys.backend_index[b]
             rates[j] = sub_rates[k]
             workloads[j] = opt.n_star[k]
-    return OverloadEquilibrium(rates=rates, workloads=workloads, decomposition=dec)
+    return OverloadEquilibrium(rates=rates, workloads=workloads, decomposition=dec,
+                               feasible=feasible, throughput=throughput)

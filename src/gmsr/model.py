@@ -110,26 +110,6 @@ class ServiceRateFn:
         return math.log(self.cap * self.rate / g) / self.rate
 
 
-def eval_rate(fn: ServiceRateFn, n: float) -> float:
-    """mu(N) for a nonnegative workload N."""
-    return fn.value(n)
-
-
-def eval_gradient(fn: ServiceRateFn, n: float) -> float:
-    """mu'(N) for a nonnegative workload N."""
-    return fn.gradient(n)
-
-
-def invert_rate(fn: ServiceRateFn, y: float) -> float:
-    """The workload achieving service level y (raises SaturationError at/above cap)."""
-    return fn.inverse(y)
-
-
-def invert_gradient(fn: ServiceRateFn, g: float) -> float:
-    """The workload at which the curve's gradient equals g."""
-    return fn.gradient_inverse(g)
-
-
 def hill(cap: float, half: float) -> ServiceRateFn:
     return ServiceRateFn(kind=HILL, cap=cap, half=half)
 

@@ -9,10 +9,19 @@ which is what makes the partition useful as a convergence diagnostic.
 
 Operations here take an abstract per-backend gradient vector rather than a
 workload, so callers (and tests) can inject gradient values directly.
+
+Ties have one representation: per-frontend bitmasks of the tied-best
+backends (``tie_masks``).  The best-backend graph, the tier partition, the
+fluid integrator's tie patterns and the optimizer's equal-gradient finish
+all start from such masks, ``tie_components`` is the one search for their
+connected components, and ``tier_partition`` turns components and gradients
+into a ``TierPartition``.  These three helpers serve the package's other
+modules and are not exported.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -77,11 +86,91 @@ class TierGraph:
     arcs: frozenset[tuple[int, int]]
 
 
-def _check_grads(sys: BipartiteSystem, grads: np.ndarray) -> np.ndarray:
+def _check_args(sys: BipartiteSystem, grads: np.ndarray, tie_tol: float) -> list[float]:
     g = np.asarray(grads, dtype=float)
     if g.shape != (len(sys.backends),):
         raise ValueError(f"gradient vector has shape {g.shape}, expected ({len(sys.backends)},)")
-    return g
+    if not tie_tol > 0:
+        raise ValueError("tie_tol must be positive")
+    return g.tolist()
+
+
+def tie_masks(neighbors, grads, band: float) -> tuple[int, ...]:
+    """Per-frontend bitmask of the tied-best neighbours: bit j of mask i is
+    set when backend j is a neighbour of frontend i and grads[j] ≥ top − band,
+    top being the frontend's best neighbour gradient.  A frontend without
+    neighbours gets the empty mask."""
+    out = []
+    neg_inf = -math.inf
+    for nbrs in neighbors:
+        top = neg_inf
+        for j in nbrs:
+            gj = grads[j]
+            if gj > top:
+                top = gj
+        cut = top - band
+        m = 0
+        for j in nbrs:
+            if grads[j] >= cut:
+                m |= 1 << j
+        out.append(m)
+    return tuple(out)
+
+
+def tie_components(
+    sys: BipartiteSystem, masks
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Connected components of the tie graph (frontend i joined to every
+    backend in masks[i]) as (frontend indices, backend indices) pairs, each
+    sorted.  Components are found from frontends in index order; backends
+    no mask touches follow as singletons, in index order."""
+    nf, nb = len(masks), len(sys.backends)
+    seen = [False] * (nf + nb)
+    groups = []
+    for start in range(nf):
+        if seen[start]:
+            continue
+        fs: list[int] = []
+        bs: list[int] = []
+        seen[start] = True
+        queue = [start]
+        while queue:
+            node = queue.pop()
+            if node < nf:
+                fs.append(node)
+                m = masks[node]
+                while m:
+                    low = m & -m
+                    m ^= low
+                    u = nf + low.bit_length() - 1
+                    if not seen[u]:
+                        seen[u] = True
+                        queue.append(u)
+            else:
+                bs.append(node - nf)
+                bit = 1 << (node - nf)
+                for i in range(nf):
+                    if masks[i] & bit and not seen[i]:
+                        seen[i] = True
+                        queue.append(i)
+        groups.append((tuple(sorted(fs)), tuple(sorted(bs))))
+    groups.extend(((), (j,)) for j in range(nb) if not seen[nf + j])
+    return tuple(groups)
+
+
+def tier_partition(sys: BipartiteSystem, groups, grads) -> TierPartition:
+    """The TierPartition of (frontend indices, backend indices) groups; a
+    tier's gradient is the mean of its backends' grads, summed in index
+    order (NaN for a tier without backends)."""
+    fids, bids = sys.frontend_ids, sys.backend_ids
+    return TierPartition(tiers=tuple(
+        Tier(
+            frontends=tuple(fids[i] for i in fs),
+            backends=tuple(bids[j] for j in bs),
+            gradient=float(sum(grads[j] for j in bs) / len(bs)) if bs else math.nan,
+        )
+        for fs, bs in groups
+    ))
 
 
 def best_backend_graph(
@@ -91,18 +180,14 @@ def best_backend_graph(
 
     Superset-monotone in tie_tol: widening the band only adds edges.
     """
-    g = _check_grads(sys, grads)
-    if not tie_tol > 0:
-        raise ValueError("tie_tol must be positive")
-    best: list[tuple[str, str]] = []
-    for i, nbrs in enumerate(sys.backends_of_frontend):
-        if not nbrs:
-            continue
-        top = max(g[j] for j in nbrs)
-        for j in nbrs:
-            if g[j] >= top - tie_tol:
-                best.append((sys.frontend_ids[i], sys.backend_ids[j]))
-    return frozenset(best)
+    masks = tie_masks(sys.backends_of_frontend, _check_args(sys, grads, tie_tol), tie_tol)
+    fids, bids = sys.frontend_ids, sys.backend_ids
+    return frozenset(
+        (fids[i], bids[j])
+        for i, nbrs in enumerate(sys.backends_of_frontend)
+        for j in nbrs
+        if masks[i] >> j & 1
+    )
 
 
 def compute_tiers(sys: BipartiteSystem, grads: np.ndarray, tie_tol: float) -> TierPartition:
@@ -112,50 +197,9 @@ def compute_tiers(sys: BipartiteSystem, grads: np.ndarray, tie_tol: float) -> Ti
     tiers.  A tier's gradient is the mean over its member backends (members
     can differ by up to a few tie_tol across a long tie chain).
     """
-    g = _check_grads(sys, grads)
-    best = best_backend_graph(sys, grads, tie_tol)
-    nf, nb = len(sys.frontends), len(sys.backends)
-    # adjacency over the node set F ∪ B, frontends numbered 0..nf-1,
-    # backends nf..nf+nb-1
-    adj: list[list[int]] = [[] for _ in range(nf + nb)]
-    fi, bi = sys.frontend_index, sys.backend_index
-    for f, b in best:
-        u, v = fi[f], nf + bi[b]
-        adj[u].append(v)
-        adj[v].append(u)
-
-    comp = [-1] * (nf + nb)
-    tiers: list[Tier] = []
-
-    def _flood(start: int) -> None:
-        kth = len(tiers)
-        queue = deque([start])
-        comp[start] = kth
-        members: list[int] = []
-        while queue:
-            u = queue.popleft()
-            members.append(u)
-            for v in adj[u]:
-                if comp[v] < 0:
-                    comp[v] = kth
-                    queue.append(v)
-        fr = sorted(u for u in members if u < nf)
-        ba = sorted(u - nf for u in members if u >= nf)
-        tiers.append(
-            Tier(
-                frontends=tuple(sys.frontend_ids[u] for u in fr),
-                backends=tuple(sys.backend_ids[j] for j in ba),
-                gradient=float(np.mean([g[j] for j in ba])) if ba else float("nan"),
-            )
-        )
-
-    for u in range(nf):
-        if comp[u] < 0:
-            _flood(u)
-    for j in range(nb):
-        if comp[nf + j] < 0:
-            _flood(nf + j)
-    return TierPartition(tiers=tuple(tiers))
+    g = _check_args(sys, grads, tie_tol)
+    masks = tie_masks(sys.backends_of_frontend, g, tie_tol)
+    return tier_partition(sys, tie_components(sys, masks), g)
 
 
 def tier_graph(sys: BipartiteSystem, partition: TierPartition) -> TierGraph:

@@ -153,6 +153,29 @@ def test_exit_codes(tmp_path, scenario_file, capsys):
     assert run_command(["report", "--out", str(empty)]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["fluid", "--h", "-1"],
+    ["fluid", "--h", "0"],
+    ["fluid", "--h", "nan"],
+    ["certify", "--h", "0"],
+    ["fluid", "--tie-tol", "-1"],
+    ["fluid", "--tie-tol", "0"],
+    ["fluid", "--tie-tol", "nan"],
+    ["certify", "--tie-tol", "nan"],
+    ["simulate", "--seed-base", "-1"],
+    ["simulate", "--seed-base", str(2**64)],
+    ["simulate", "--seed-base", str(2**64 - 1), "--seeds", "2"],
+])
+def test_bad_flags_exit_1(tmp_path, capsys, argv):
+    command, *flags = argv
+    code = run_command([command, str(SCENARIOS / "n_model.json"), "--out", str(tmp_path),
+                        *flags])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:")
+    assert not any(tmp_path.iterdir())  # refused before writing anything
+
+
 def test_optimum_exits_3_when_the_solver_does_not_converge(tmp_path, monkeypatch, capsys):
     import gmsr.cli
 

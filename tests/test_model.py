@@ -8,11 +8,7 @@ from gmsr.model import (
     BipartiteSystem,
     SaturationError,
     as_workload,
-    eval_gradient,
-    eval_rate,
     hill,
-    invert_gradient,
-    invert_rate,
     make_system,
     saturating_exponential,
     validate_routing,
@@ -36,81 +32,81 @@ def _n_model():
     )
 
 
-# -- eval_rate ---------------------------------------------------------------
+# -- ServiceRateFn.value -------------------------------------------------------
 
 
 def test_eval_rate_hill_examples():
-    assert eval_rate(hill(1, 1), 2.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert eval_rate(hill(1, 2), 1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert hill(1, 1).value(2.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert hill(1, 2).value(1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
 def test_eval_rate_zero_workload_is_zero():
-    assert eval_rate(hill(2.5, 0.7), 0.0) == 0.0
-    assert eval_rate(saturating_exponential(1.3, 2.0), 0.0) == 0.0
+    assert hill(2.5, 0.7).value(0.0) == 0.0
+    assert saturating_exponential(1.3, 2.0).value(0.0) == 0.0
 
 
 def test_eval_rate_rejects_negative_workload():
     with pytest.raises(ValueError):
-        eval_rate(hill(1, 1), -0.1)
+        hill(1, 1).value(-0.1)
 
 
 def test_eval_rate_stays_below_cap():
     fn = saturating_exponential(2.0, 1.5)
     for n in (0.0, 1.0, 10.0, 20.0):  # e^{-rN} must stay above float eps for strictness
-        assert 0.0 <= eval_rate(fn, n) < 2.0
-    assert eval_rate(hill(2.0, 0.5), 1e9) < 2.0
+        assert 0.0 <= fn.value(n) < 2.0
+    assert hill(2.0, 0.5).value(1e9) < 2.0
 
 
-# -- eval_gradient -------------------------------------------------------------
+# -- ServiceRateFn.gradient ----------------------------------------------------
 
 
 def test_eval_gradient_examples():
-    assert eval_gradient(hill(1, 1), 0.0) == pytest.approx(1.0, abs=1e-15)
-    assert eval_gradient(saturating_exponential(1, 1), 0.0) == pytest.approx(1.0, abs=1e-15)
+    assert hill(1, 1).gradient(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert saturating_exponential(1, 1).gradient(0.0) == pytest.approx(1.0, abs=1e-15)
     # frozen from a central finite difference with step 1e-6 (agrees to <1e-8)
-    assert eval_gradient(hill(1, 2), 1.0) == pytest.approx(2.0 / 9.0, abs=1e-8)
+    assert hill(1, 2).gradient(1.0) == pytest.approx(2.0 / 9.0, abs=1e-8)
 
 
 def test_eval_gradient_rejects_negative_workload():
     with pytest.raises(ValueError):
-        eval_gradient(saturating_exponential(1, 1), -1e-9)
+        saturating_exponential(1, 1).gradient(-1e-9)
 
 
-# -- invert_rate ---------------------------------------------------------------
+# -- ServiceRateFn.inverse -----------------------------------------------------
 
 
 def test_invert_rate_examples():
-    assert invert_rate(hill(1, 1), 0.5) == pytest.approx(1.0, abs=1e-12)
-    assert invert_rate(hill(1, 2), 1.0 / 3.0) == pytest.approx(1.0, abs=1e-12)
-    assert invert_rate(saturating_exponential(3, 2), 0.0) == 0.0
+    assert hill(1, 1).inverse(0.5) == pytest.approx(1.0, abs=1e-12)
+    assert hill(1, 2).inverse(1.0 / 3.0) == pytest.approx(1.0, abs=1e-12)
+    assert saturating_exponential(3, 2).inverse(0.0) == 0.0
 
 
 def test_invert_rate_saturation_and_domain_errors():
     with pytest.raises(SaturationError):
-        invert_rate(hill(1, 1), 1.0)
+        hill(1, 1).inverse(1.0)
     with pytest.raises(SaturationError):
-        invert_rate(saturating_exponential(2, 1), 2.5)
+        saturating_exponential(2, 1).inverse(2.5)
     with pytest.raises(ValueError):
-        invert_rate(hill(1, 1), -0.5)
+        hill(1, 1).inverse(-0.5)
 
 
-# -- invert_gradient -----------------------------------------------------------
+# -- ServiceRateFn.gradient_inverse --------------------------------------------
 
 
 def test_invert_gradient_examples():
-    assert invert_gradient(hill(1, 1), 1.0) == pytest.approx(0.0, abs=1e-12)
+    assert hill(1, 1).gradient_inverse(1.0) == pytest.approx(0.0, abs=1e-12)
     # frozen from bisection on 1/(N+1)^2 = g and 2/(N+2)^2 = g respectively
-    assert invert_gradient(hill(1, 1), KAPPA_NMODEL) == pytest.approx(2.414214, abs=1e-6)
-    assert invert_gradient(hill(1, 2), KAPPA_NMODEL) == pytest.approx(2.828427, abs=1e-6)
+    assert hill(1, 1).gradient_inverse(KAPPA_NMODEL) == pytest.approx(2.414214, abs=1e-6)
+    assert hill(1, 2).gradient_inverse(KAPPA_NMODEL) == pytest.approx(2.828427, abs=1e-6)
 
 
 def test_invert_gradient_errors():
     with pytest.raises(ValueError):
-        invert_gradient(hill(1, 1), 1.0 + 1e-9)  # above mu'(0)
+        hill(1, 1).gradient_inverse(1.0 + 1e-9)  # above mu'(0)
     with pytest.raises(ValueError):
-        invert_gradient(hill(1, 1), 0.0)
+        hill(1, 1).gradient_inverse(0.0)
     with pytest.raises(ValueError):
-        invert_gradient(saturating_exponential(1, 2), -0.3)
+        saturating_exponential(1, 2).gradient_inverse(-0.3)
 
 
 # -- curve invariants ----------------------------------------------------------
@@ -126,14 +122,14 @@ def test_curves_increasing_concave_and_derivatives_match():
         # resolvably below its cap in double precision
         hi = 10.0 if fn.kind == "hill" else min(10.0, 5.0 / fn.rate)
         n = rng.uniform(0.0, hi)
-        assert eval_rate(fn, n + h) > eval_rate(fn, n)
+        assert fn.value(n + h) > fn.value(n)
         assert fn.curvature(n) < 0.0
-        fd = (eval_rate(fn, n + fd_step) - eval_rate(fn, max(n - fd_step, 0.0))) / (
+        fd = (fn.value(n + fd_step) - fn.value(max(n - fd_step, 0.0))) / (
             fd_step + min(n, fd_step)
         )
-        grad = eval_gradient(fn, n)
+        grad = fn.gradient(n)
         assert abs(grad - fd) <= 1e-6 * abs(grad)
-        cd = (eval_gradient(fn, n + fd_step) - eval_gradient(fn, max(n - fd_step, 0.0))) / (
+        cd = (fn.gradient(n + fd_step) - fn.gradient(max(n - fd_step, 0.0))) / (
             fd_step + min(n, fd_step)
         )
         assert abs(fn.curvature(n) - cd) <= 1e-4 * abs(fn.curvature(n))
@@ -147,10 +143,10 @@ def test_curves_increasing_concave_and_derivatives_match():
 )
 def test_rate_round_trip(kind, cap, shape, n):
     fn = hill(cap, shape) if kind == "hill" else saturating_exponential(cap, shape)
-    y = eval_rate(fn, n)
+    y = fn.value(n)
     if cap - y <= 1e-5 * cap:  # near saturation the workload is not float-recoverable
         return
-    assert abs(invert_rate(fn, y) - n) <= 1e-9 * (1.0 + n)
+    assert abs(fn.inverse(y) - n) <= 1e-9 * (1.0 + n)
 
 
 @given(
@@ -161,8 +157,8 @@ def test_rate_round_trip(kind, cap, shape, n):
 )
 def test_gradient_round_trip(kind, cap, shape, n):
     fn = hill(cap, shape) if kind == "hill" else saturating_exponential(cap, shape)
-    g = eval_gradient(fn, n)
-    assert abs(invert_gradient(fn, g) - n) <= 1e-9 * (1.0 + n)
+    g = fn.gradient(n)
+    assert abs(fn.gradient_inverse(g) - n) <= 1e-9 * (1.0 + n)
 
 
 def test_round_trip_band_matches_tolerance_contract():
@@ -173,7 +169,7 @@ def test_round_trip_band_matches_tolerance_contract():
         # exponential family only while e^{-rN} is comfortably above eps
         hi = 1000.0 if fn.kind == "hill" else 14.0 / fn.rate
         n = rng.uniform(0.0, hi)
-        assert abs(invert_rate(fn, eval_rate(fn, n)) - n) <= 1e-10 * (1.0 + n)
+        assert abs(fn.inverse(fn.value(n)) - n) <= 1e-10 * (1.0 + n)
 
 
 # -- constructor validation ----------------------------------------------------
@@ -254,7 +250,7 @@ def test_vectorized_rates_match_scalar():
     np.testing.assert_allclose(sys.rates_at(n), [2.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
     np.testing.assert_allclose(
         sys.gradients_at(n),
-        [eval_gradient(sys.services[0], 2.0), eval_gradient(sys.services[1], 1.0)],
+        [sys.services[0].gradient(2.0), sys.services[1].gradient(1.0)],
         rtol=1e-15,
     )
     assert np.all(sys.curvatures_at(n) < 0)

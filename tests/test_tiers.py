@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
+from gmsr.fluid_dyn import gmsr_routing_set
 from gmsr.model import hill, make_system
-from gmsr.tiers import Tier, best_backend_graph, compute_tiers, reach, tier_graph
+from gmsr.tiers import (
+    Tier,
+    best_backend_graph,
+    compute_tiers,
+    reach,
+    tie_components,
+    tie_masks,
+    tier_graph,
+)
 
 from support import FIG1_GRADS, fig1_system, random_system
 
@@ -174,3 +183,85 @@ def test_random_states_give_acyclic_ordered_partitions():
             for j in range(tg.n):
                 if i != j and reach(tg, i, j):
                     assert part.tiers[i].gradient > part.tiers[j].gradient - 2 * tie_tol
+
+
+# -- tie masks and tie components ------------------------------------------------
+
+
+def _networkx_groups(nx, nf, nb, masks):
+    """tie_components' groups from networkx connected components: components
+    holding a frontend ordered by their lowest frontend, then lone backends."""
+    graph = nx.Graph()
+    graph.add_nodes_from(("f", i) for i in range(nf))
+    graph.add_nodes_from(("b", j) for j in range(nb))
+    graph.add_edges_from(
+        (("f", i), ("b", j)) for i in range(nf) for j in range(nb) if masks[i] >> j & 1
+    )
+    groups = []
+    for comp in nx.connected_components(graph):
+        fs = tuple(sorted(k for side, k in comp if side == "f"))
+        bs = tuple(sorted(k for side, k in comp if side == "b"))
+        groups.append((fs, bs))
+    with_f = sorted((g for g in groups if g[0]), key=lambda g: g[0][0])
+    lone_b = sorted((g for g in groups if not g[0]), key=lambda g: g[1][0])
+    return tuple(with_f + lone_b)
+
+
+def test_tie_components_match_networkx_components():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(5150)
+    for _ in range(400):
+        sys = random_system(rng, max_frontends=8, max_backends=8)
+        nf, nb = len(sys.frontends), len(sys.backends)
+        masks = []
+        for nbrs in sys.backends_of_frontend:
+            if rng.random() < 0.2:
+                masks.append(0)  # a frontend with no tied backend
+                continue
+            masks.append(sum(1 << j for j in nbrs if rng.random() < 0.6))
+        assert tie_components(sys, tuple(masks)) == _networkx_groups(nx, nf, nb, masks)
+
+
+def _reference_sets(sys, g, band):
+    return {
+        i: {j for j in nbrs if g[j] >= max(g[k] for k in nbrs) - band}
+        for i, nbrs in enumerate(sys.backends_of_frontend)
+    }
+
+
+def test_tied_best_sets_agree_across_entry_points():
+    rng = np.random.default_rng(8086)
+    levels = np.array([0.0, 0.25, 0.5, 1.0, 3.0])  # repeated workloads: exact ties
+    boundary_hits = 0
+    for _ in range(300):
+        shape = random_system(rng, max_frontends=6, max_backends=6)
+        sys = make_system(  # one curve for all, so equal workloads tie exactly
+            frontends=[(f.id, f.lam) for f in shape.frontends],
+            backends=[(b.id, hill(1.0, 1.0)) for b in shape.backends],
+            edges=shape.edges,
+        )
+        n = rng.choice(levels, size=len(sys.backends))
+        g = sys.gradients_at(n)
+        # a band that puts some backend exactly at top - band: for gradients
+        # within a factor 2, top - g[b] and top - (top - g[b]) are exact
+        i = int(rng.integers(len(sys.frontends)))
+        nbrs = sys.backends_of_frontend[i]
+        top = max(g[j] for j in nbrs)
+        below = [j for j in nbrs if top / 2 <= g[j] < top]
+        band = 1e-9
+        if below and rng.random() < 0.7:
+            j = below[int(rng.integers(len(below)))]
+            band = float(top - g[j])
+            assert top - band == g[j]
+            boundary_hits += 1
+        expected = _reference_sets(sys, g, band)
+
+        masks = tie_masks(sys.backends_of_frontend, g.tolist(), band)
+        edges = best_backend_graph(sys, g, band)
+        routing = gmsr_routing_set(sys, n, band)
+        for k, f in enumerate(sys.frontend_ids):
+            from_masks = {j for j in range(len(sys.backends)) if masks[k] >> j & 1}
+            from_graph = {sys.backend_index[b] for ff, b in edges if ff == f}
+            from_routing = {sys.backend_index[b] for b in routing[f]}
+            assert from_masks == from_graph == from_routing == expected[k]
+    assert boundary_hits > 50
