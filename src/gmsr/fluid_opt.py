@@ -4,28 +4,40 @@ The problem: choose a routing matrix x (simplex row per frontend, supported
 on edges) and workloads N so that each backend's inflow Σ_f λ_f x_{f,b}
 balances its service rate μ_b(N_b), minimizing Σ_b N_b.  Substituting the
 inflow w_b for N_b = μ_b⁻¹(w_b) turns it into minimizing Σ_b μ_b⁻¹(w_b)
-over a transportation polytope — convex, because each μ_b⁻¹ is convex —
-so per-frontend mirror descent with multiplicative simplex updates finds
-the unique optimum without any projection step.
+over the realizable inflow vectors.  Those form the base polytope of the
+coverage function B′ ↦ λ(frontends with a neighbour in B′), and each μ_b⁻¹
+is convex, so this is separable convex minimization over a polymatroid
+base.  The decomposition algorithm (Fujishige 1980, Math. Oper. Res. 5;
+Groenevelt 1991, EJOR 54) solves it exactly with at most |B| splits.
+
+A block (F′, B′) starts as all positive-rate frontends and all backends.
+Its backends share one gradient level γ: N_b(γ) = (μ_b′)⁻¹(γ), or 0 when
+γ ≥ μ_b′(0), and bisection picks γ so that Σ_b μ_b(N_b(γ)) = λ(F′).  One
+transportation max flow with demands μ_b(N_b(γ)) then either saturates,
+and its flow is the block's routing, or leaves a residual source side P
+with λ(P) > Σ_{N(P)} μ_b(N_b(γ)).  P then needs more service than γ
+allows: (P, N(P) ∩ B′) becomes a lower-gradient block and
+(F′ ∖ P, B′ ∖ N(P)) a higher-gradient one.  The finished blocks are the
+tiers of the optimum, up to ties between disconnected parts.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from gmsr.flownet import (
-    FlowNetwork,
     StabilityDecomposition,
+    TransportNetwork,
     _augmented_cut,
     augmented_network,
     max_flow,
     transportation_feasible,
 )
 from gmsr.model import HILL, BipartiteSystem
-from gmsr.tiers import tie_components, tie_masks
 
 __all__ = [
     "FluidOptimum",
@@ -56,22 +68,26 @@ class InfeasibleSystemError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The solver stopped with its KKT residual still above tolerance;
-    `.residual` and `.iterations` say where it stopped."""
+    """The solver stopped without a certified optimum: its decomposition
+    rounds ran out (`.residual` is inf), a min cut failed to split a block
+    (inf as well), or the assembled optimum's KKT residual exceeds tol.
+    `.iterations` is the number of rounds used."""
 
     def __init__(self, residual: float, iterations: int, tol: float):
         self.residual = residual
         self.iterations = iterations
         super().__init__(
             f"fluid optimum not converged: KKT residual {residual:.3g} > tol {tol:.3g} "
-            f"after {iterations} iterations"
+            f"after {iterations} rounds"
         )
 
 
 class CapacityMarginError(RuntimeError):
-    """Feasible arrivals that no routing keeps below (1 − 1e-9)·cap on
-    every backend: the optimum's workloads lie outside what the solver
-    resolves.  `.backends` names the backends at the margin."""
+    """Feasible arrivals whose optimum puts some inflows at or past
+    (1 − 1e-9)·cap, outside what the solver resolves.  `.backends` names
+    them: the backends of a finished block that reach the margin, or every
+    backend of a block whose gradient level lies below the bisection
+    bracket."""
 
     def __init__(self, backends: tuple[str, ...]):
         self.backends = backends
@@ -84,10 +100,25 @@ class CapacityMarginError(RuntimeError):
 
 @dataclass(frozen=True)
 class FluidOptimum:
+    """The optimum and the work that found it.
+
+    blocks: the finished decomposition blocks, as (frontend indices,
+        backend indices); a block's backends share one gradient level, and
+        those with μ_b′(0) at or below it stay at N = 0.
+    rounds: blocks examined (level bisection plus transportation flow).
+    max_flows: every max flow run, the feasibility witness included.
+    bisection_steps: total-service evaluations over all level bisections.
+    The counts are 0 and blocks empty for optima found another way.
+    """
+
     n_star: np.ndarray
     x_star: np.ndarray
     objective: float
     kkt_residual: float
+    blocks: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = ()
+    rounds: int = 0
+    max_flows: int = 0
+    bisection_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -169,120 +200,39 @@ def kkt_residual(sys: BipartiteSystem, n: np.ndarray, x: np.ndarray) -> float:
     return worst_gap + worst_excess + balance
 
 
-def _interior_routing(sys: BipartiteSystem) -> np.ndarray:
-    """A routing matrix whose inflows sit strictly inside every cap.
+def _level(curves, g_zero, lam_c: float) -> tuple[float, bool, int]:
+    """A block's common gradient level γ, whether the bracket holds it, and
+    the bisection steps spent.
 
-    Found by max flow against shrunk sink capacities (1−δ)·cap, then mixed
-    with a sliver of the uniform routing so every edge keeps positive mass
-    (multiplicative updates can never revive an exactly-zero entry).
+    Backend b takes N_b(γ) = (μ_b′)⁻¹(γ), or 0 when γ ≥ μ_b′(0), so the
+    block's total service Σ_b μ_b(N_b(γ)) falls as γ rises; bisection on
+    [1e-18·max μ′(0), max μ′(0)] finds where it meets lam_c.  It stops once
+    the bracket's midpoint rounds onto an end, which leaves γ as the full
+    200 halvings would.  When the total service at the low end is still at
+    or below lam_c, the low end is returned, unbracketed.
     """
-    nf, nb = len(sys.frontends), len(sys.backends)
-    edge = sys.edge_matrix
-    uniform = np.where(edge, 1.0, 0.0)
-    uniform /= np.maximum(edge.sum(axis=1), 1)[:, None]
-    lam = np.asarray(sys.lambdas)
-    total = sys.total_arrival_rate
-    if total <= 0:
-        return uniform
-    caps = np.array([fn.cap for fn in sys.services])
-    for delta in (1e-2, 1e-4, 1e-6, 1e-9, 1e-12):
-        nodes = ("__s__",) + sys.frontend_ids + sys.backend_ids + ("__t__",)
-        arcs = (
-            [("__s__", f.id, f.lam) for f in sys.frontends]
-            + [(f, b, math.inf) for f, b in sys.edges]
-            + [(b.id, "__t__", (1.0 - delta) * b.service.cap) for b in sys.backends]
-        )
-        res = max_flow(FlowNetwork(nodes, "__s__", "__t__", tuple(arcs)))
-        if res.value < total - 1e-9 * (1.0 + total):
-            continue
-        x = np.zeros((nf, nb))
-        for (u, v), fl in res.flows.items():
-            if u in sys.frontend_index and v in sys.backend_index:
-                x[sys.frontend_index[u], sys.backend_index[v]] = fl
-        rows = x.sum(axis=1, keepdims=True)
-        x = np.where(rows > 0, x / np.maximum(rows, 1e-300), uniform)
-        w_flow = lam @ x
-        w_unif = lam @ uniform
-        excess = np.maximum(w_unif - w_flow, 0.0)
-        eps = 1e-3
-        tight = excess > 0
-        if np.any(tight):
-            eps = min(eps, 0.25 * float(np.min(delta * caps[tight] / excess[tight])))
-        return (1.0 - eps) * x + eps * uniform
-    return uniform
+    def total_rate(gamma: float) -> float:
+        out = 0.0
+        for fn, g0 in zip(curves, g_zero):
+            if gamma < g0:
+                out += fn.value(fn.gradient_inverse(gamma))
+        return out
 
-
-def _equal_gradient_finish(
-    sys: BipartiteSystem,
-    n_est: np.ndarray,
-    x_est: np.ndarray,
-    band: float,
-    tol: float,
-) -> FluidOptimum | None:
-    """Try to finish a nearly-converged iterate exactly.
-
-    Guess the optimal support (edges whose backend gradient is within
-    `band` of the frontend's best, for frontends with positive rate), solve
-    each support component's scalar balance equation — its backends share
-    one gradient level γ, so Σ_b μ_b(N_b(γ)) = Σ_f λ_f pins γ by bisection —
-    then recover a routing by transportation.  Returns the finished optimum only if its true KKT
-    residual meets tol; any wrong guess fails that gate and we keep
-    iterating instead.
-    """
-    lam = np.asarray(sys.lambdas)
-    masks = tie_masks(sys.backends_of_frontend, sys.gradients_at(n_est).tolist(), band)
-    # a zero-rate frontend routes nothing and joins no component
-    masks = [m if lam_i > 0 else 0 for m, lam_i in zip(masks, lam)]
-
-    n_new = np.zeros(len(sys.backends))
-    x_new = x_est.copy()
-    # components write disjoint entries and any failure returns None, so
-    # their order does not matter
-    for fr, ba in tie_components(sys, masks):
-        lam_c = sum(lam[i] for i in fr)
-        if lam_c <= 0:
-            continue  # untouched backends keep N = 0
-        curves = [sys.services[j] for j in ba]
-        g0 = max(fn.gradient(0.0) for fn in curves)
-
-        def total_rate(gamma: float) -> float:
-            out = 0.0
-            for fn in curves:
-                if gamma < fn.gradient(0.0):
-                    out += fn.value(fn.gradient_inverse(gamma))
-            return out
-
-        lo, hi = 1e-18 * g0, g0
-        if total_rate(lo) <= lam_c:
-            return None  # guessed support can't absorb these arrivals
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if total_rate(mid) > lam_c:
-                lo = mid
-            else:
-                hi = mid
-        gamma = 0.5 * (lo + hi)
-        demand = {}
-        for j, fn in zip(ba, curves):
-            n_new[j] = fn.gradient_inverse(gamma) if gamma < fn.gradient(0.0) else 0.0
-            demand[sys.backend_ids[j]] = fn.value(n_new[j])
-        ok, witness = transportation_feasible(
-            sys,
-            {sys.frontend_ids[i] for i in fr},
-            {sys.backend_ids[j] for j in ba},
-            demand,
-        )
-        if not ok:
-            return None
-        for i in fr:
-            x_new[i] = witness[i]
-
-    residual = kkt_residual(sys, n_new, x_new)
-    if residual > tol:
-        return None
-    return FluidOptimum(
-        n_star=n_new, x_star=x_new, objective=float(n_new.sum()), kkt_residual=residual
-    )
+    g_max = max(g_zero)
+    lo, hi = 1e-18 * g_max, g_max
+    steps = 1
+    if total_rate(lo) <= lam_c:
+        return lo, False, steps
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        steps += 1
+        if total_rate(mid) > lam_c:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), True, steps
 
 
 def solve_fluid_optimum(
@@ -294,106 +244,96 @@ def solve_fluid_optimum(
     """Minimize total workload subject to per-backend flow balance.
 
     Raises InfeasibleSystemError (with a witness subset) when some frontend
-    group saturates its neighborhood, and CapacityMarginError when the
-    system is feasible but no routing keeps every inflow below
-    (1 − 1e-9)·cap.  Otherwise iterates multiplicative
-    (exponentiated-gradient) updates on each frontend's simplex row until
-    the KKT residual drops to tol.  Steps adapt to a per-frontend curvature
-    bound, grow while the monotone line search keeps accepting, and any
-    proposal pushing an inflow to its cap counts as infinitely costly, so
-    iterates stay strictly interior (the true objective is +∞ there; a
-    clamped evaluation would fake a local minimum on the boundary).  If
-    neither the iterations (at most max_iter) nor the exact finish reach
-    tol, raises ConvergenceError with the last residual.
+    group saturates its neighborhood.  Otherwise runs the decomposition
+    algorithm (module docstring): each round takes one block, finds its
+    gradient level (a lone backend's inflow is the block's arrival rate)
+    and runs a transportation max flow, which either routes the block or,
+    with a second flow for the min cut, splits it.  After max_iter rounds,
+    or if the assembled optimum's KKT residual exceeds tol, it raises
+    ConvergenceError.  A finished block whose inflows reach
+    (1 − 1e-9)·cap, or whose level lies below the bisection bracket, raises
+    CapacityMarginError naming its backends.
+
+    A frontend with zero arrival rate routes nothing and joins no block; its
+    routing row is uniform over its neighbours.  ``x0`` is not used (the
+    algorithm needs no starting routing); it is still shape-checked and
+    draws a DeprecationWarning.
     """
+    nf, nb = len(sys.frontends), len(sys.backends)
+    if x0 is not None:
+        if np.shape(x0) != (nf, nb):
+            raise ValueError(f"x0 has shape {np.shape(x0)}, expected {(nf, nb)}")
+        warnings.warn("solve_fluid_optimum ignores x0: the decomposition algorithm "
+                      "needs no starting routing", DeprecationWarning, stacklevel=2)
     witness = _infeasibility_witness(sys)
     if witness is not None:
         raise InfeasibleSystemError(witness)
 
-    nf, nb = len(sys.frontends), len(sys.backends)
-    lam = np.asarray(sys.lambdas)
-    caps = np.array([fn.cap for fn in sys.services])
+    lam = sys.lambdas
+    fids, bids = sys.frontend_ids, sys.backend_ids
+    services = sys.services
+    g_zero = [fn.gradient(0.0) for fn in services]
     edge = sys.edge_matrix
+    x = np.where(edge, 1.0, 0.0)
+    x /= np.maximum(edge.sum(axis=1), 1)[:, None]
+    n = np.zeros(nb)
+    rounds = steps = 0
+    flows = 1  # the feasibility witness
+    blocks = []
+    todo = [(tuple(i for i in range(nf) if lam[i] > 0), tuple(range(nb)))]
+    while todo:
+        fr, ba = todo.pop()
+        lam_c = sum(lam[i] for i in fr)
+        if lam_c <= 0:
+            continue  # backends no arrivals reach keep N = 0
+        if rounds == max_iter:
+            raise ConvergenceError(math.inf, rounds, tol)
+        rounds += 1
+        if len(ba) == 1:  # the balance pins a lone backend's inflow
+            level, bracketed = [services[ba[0]].inverse(lam_c)], True
+        else:
+            gamma, bracketed, used = _level(
+                [services[j] for j in ba], [g_zero[j] for j in ba], lam_c)
+            steps += used
+            level = [services[j].gradient_inverse(gamma) if gamma < g_zero[j] else 0.0
+                     for j in ba]
+        demand = {bids[j]: services[j].value(nj) for j, nj in zip(ba, level)}
+        f_set, b_set = {fids[i] for i in fr}, {bids[j] for j in ba}
+        if bracketed:
+            ok, flow = transportation_feasible(sys, f_set, b_set, demand)
+            flows += 1
+            if ok:
+                at_margin = tuple(bids[j] for j in ba
+                                  if demand[bids[j]] >= _CAP_MARGIN * services[j].cap)
+                if at_margin:
+                    raise CapacityMarginError(at_margin)
+                n[list(ba)] = level
+                x[list(fr)] = flow[list(fr)]
+                blocks.append((fr, ba))
+                continue
+        # the frontends whose block neighbours all lie on the min cut's source
+        # side overload them at this level: they form the lower-gradient block
+        net = TransportNetwork(sys, f_set, b_set)
+        low = set(net.short_side([demand[bids[j]] for j in net.b_idx]))
+        flows += 1
+        if not low or len(low) == len(ba):
+            if not bracketed:  # the whole block needs a level below the bracket
+                raise CapacityMarginError(tuple(bids[j] for j in ba))
+            raise ConvergenceError(math.inf, rounds, tol)  # the cut does not split
+        inside = set(ba)
+        lower = {i for i in fr
+                 if all(j in low for j in sys.backends_of_frontend[i] if j in inside)}
+        todo.append((tuple(i for i in fr if i not in lower),
+                     tuple(j for j in ba if j not in low)))
+        todo.append((tuple(sorted(lower)), tuple(sorted(low))))
 
-    if x0 is None:
-        x = _interior_routing(sys)
-    else:
-        x = np.asarray(x0, dtype=float).copy()
-        if x.shape != (nf, nb):
-            raise ValueError(f"x0 has shape {x.shape}, expected {(nf, nb)}")
-        x[~edge] = 0.0
-        x /= np.maximum(x.sum(axis=1, keepdims=True), 1e-300)
-
-    w_max = _CAP_MARGIN * caps
-
-    def eval_state(xm: np.ndarray):
-        w = lam @ xm
-        if np.any(w >= w_max):
-            return w, None, math.inf
-        n = _invert_rates(sys, w)
-        return w, n, float(n.sum())
-
-    w, n, obj = eval_state(x)
-    if n is None:
-        # a caller-supplied start outside the caps: retreat to the interior
-        x = _interior_routing(sys)
-        w, n, obj = eval_state(x)
-    if n is None:
-        raise CapacityMarginError(
-            tuple(b for b, wb, cap in zip(sys.backend_ids, w, w_max) if wb >= cap)
-        )
-    scale = 1.0
     residual = kkt_residual(sys, n, x)
-    next_finish = 16
-    iterations = 0
-    for it in range(max_iter):
-        if residual <= tol:
-            break
-        iterations = it + 1
-        if it >= next_finish:
-            # mirror descent identifies the optimal support long before its
-            # sublinear tail meets tol; periodically try to finish exactly
-            next_finish *= 2
-            for band in (1e-9, 1e-6, 1e-3):
-                finished = _equal_gradient_finish(sys, n, x, band, tol)
-                if finished is not None:
-                    return finished
-        grads = sys.gradients_at(n)
-        curv = -sys.curvatures_at(n) / grads**3  # (μ⁻¹)″, the objective's curvature
-        lipschitz = np.where(
-            lam > 0, lam**2 * np.max(np.where(edge, curv[None, :], 0.0), axis=1), np.inf
-        )
-        eta = 0.5 / lipschitz  # zero step for zero-rate frontends
-
-        d = lam[:, None] / grads[None, :]  # ∂objective/∂x on edges
-        stalled = False
-        while True:
-            step = scale * eta[:, None] * d
-            shift = np.min(np.where(edge, step, np.inf), axis=1, keepdims=True)
-            y = np.where(edge, x * np.exp(-(step - shift)), 0.0)
-            y /= y.sum(axis=1, keepdims=True)
-            w2, n2, obj2 = eval_state(y)
-            if n2 is not None and obj2 <= obj + 1e-15 * (1.0 + abs(obj)):
-                x, w, n, obj = y, w2, n2, obj2
-                # the curvature bound is only a local guess; let the accepted
-                # scale climb past 1 when the landscape allows bigger moves
-                scale = min(scale * 1.5, 1e12)
-                break
-            scale *= 0.5
-            if scale < 1e-18:  # no direction improves: numerically stationary
-                stalled = True
-                break
-        if stalled:
-            break
-        residual = kkt_residual(sys, n, x)
-
     if residual > tol:
-        for band in (1e-9, 1e-6, 1e-3):
-            finished = _equal_gradient_finish(sys, n, x, band, tol)
-            if finished is not None:
-                return finished
-        raise ConvergenceError(residual, iterations, tol)
-    return FluidOptimum(n_star=n, x_star=x, objective=obj, kkt_residual=residual)
+        raise ConvergenceError(residual, rounds, tol)
+    return FluidOptimum(
+        n_star=n, x_star=x, objective=float(n.sum()), kkt_residual=residual,
+        blocks=tuple(blocks), rounds=rounds, max_flows=flows, bisection_steps=steps,
+    )
 
 
 def brute_force_optimum(sys: BipartiteSystem, grid_step: float) -> FluidOptimum:

@@ -179,11 +179,12 @@ def test_bad_flags_exit_1(tmp_path, capsys, argv):
 def test_optimum_exits_3_when_the_solver_does_not_converge(tmp_path, monkeypatch, capsys):
     import gmsr.cli
 
+    # fig1 needs three decomposition rounds
     monkeypatch.setattr(gmsr.cli, "solve_fluid_optimum",
-                        functools.partial(solve_fluid_optimum, max_iter=3))
-    assert run_command(["optimum", str(SCENARIOS / "n_model.json"), "--out", str(tmp_path)]) == 3
+                        functools.partial(solve_fluid_optimum, max_iter=2))
+    assert run_command(["optimum", str(SCENARIOS / "fig1.json"), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "ConvergenceError" in err and "after 3 iterations" in err
+    assert "ConvergenceError" in err and "after 2 rounds" in err
     assert not (tmp_path / "optimum.json").exists()
 
 
@@ -215,6 +216,10 @@ def test_optimum_output_matches_solver(tmp_path, scenario_file):
     }
     assert doc["objective"] == float(opt.objective)
     assert doc["kkt_residual"] <= 1e-8
+    assert set(doc) == {"n_star", "x_star", "objective", "kkt_residual",
+                        "rounds", "max_flows", "bisection_steps"}
+    assert (doc["rounds"], doc["max_flows"], doc["bisection_steps"]) == (
+        opt.rounds, opt.max_flows, opt.bisection_steps)
     for fid, row in doc["x_star"].items():
         assert math.isclose(sum(row.values()), 1.0, abs_tol=1e-9), fid
     assert np.allclose(list(doc["n_star"].values()), math.sqrt(2))

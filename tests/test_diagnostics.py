@@ -16,7 +16,7 @@ from gmsr.diagnostics import (
 )
 from gmsr.fluid_dyn import IntegratorConfig, integrate_fluid
 from gmsr.fluid_opt import InfeasibleSystemError, solve_fluid_optimum
-from gmsr.flownet import feasibility_check, stability_decomposition
+from gmsr.flownet import FlowNetwork, feasibility_check, max_flow, stability_decomposition
 from gmsr.model import hill, make_system
 from gmsr.tiers import Tier
 
@@ -28,6 +28,7 @@ from support import (
     frontend_subsets,
     random_system,
     scaled_system,
+    square_feasible_system,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -195,6 +196,41 @@ def test_slack_many_frontends_uses_mincut_and_matches_enumeration():
         np.asarray(sys.lambdas), masks, rate_tilde
     )
     assert slack.delta == pytest.approx(brute, rel=1e-9)
+
+
+def _slack_by_string_keyed_flows(sys, rate_tilde):
+    """Reference for _subset_slack_by_mincut: one string-keyed FlowNetwork
+    and max_flow per forced frontend, arcs in the same order."""
+    src, snk = "__slack_source__", "__slack_sink__"
+    lam = np.asarray(sys.lambdas)
+    nodes = (src,) + sys.frontend_ids + sys.backend_ids + (snk,)
+    tail = tuple((f, b, math.inf) for f, b in sys.edges) + tuple(
+        (b, snk, float(rate_tilde[j])) for j, b in enumerate(sys.backend_ids))
+    best = math.inf
+    for forced in range(len(sys.frontends)):
+        head = tuple((src, f, math.inf if i == forced else float(lam[i]))
+                     for i, f in enumerate(sys.frontend_ids))
+        res = max_flow(FlowNetwork(nodes=nodes, source=src, sink=snk, arcs=head + tail))
+        best = min(best, res.value - float(lam.sum()))
+    return best
+
+
+def test_slack_mincut_on_one_network_matches_string_keyed_flows_bitwise():
+    rng = np.random.default_rng(2718)
+    nf = 13
+    systems = [make_system(
+        [(f"f{i}", 0.1) for i in range(nf)],
+        [(f"b{j}", hill(2.0, 1.0)) for j in range(3)],
+        [(f"f{i}", f"b{i % 3}") for i in range(nf)]
+        + [(f"f{i}", f"b{(i + 1) % 3}") for i in range(nf)],
+    )] + [square_feasible_system(rng, n) for n in (13, 16, 16, 32)]
+    for sys in systems:
+        slack = capacity_slack(sys)
+        rate_tilde = sys.rates_at(slack.n_tilde)
+        want = _slack_by_string_keyed_flows(sys, rate_tilde)
+        assert slack.delta == want  # bit for bit
+        other = rng.uniform(0.05, 2.0, size=len(sys.backends))
+        assert _subset_slack_by_mincut(sys, other) == _slack_by_string_keyed_flows(sys, other)
 
 
 # -- invariant set and overshoot ---------------------------------------------------

@@ -1,7 +1,10 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmsr.flownet import feasibility_check
 from gmsr.fluid_opt import (
@@ -13,10 +16,11 @@ from gmsr.fluid_opt import (
     kkt_residual,
     solve_fluid_optimum,
 )
-from gmsr.model import hill, make_system, validate_routing
+from gmsr.model import hill, make_system, saturating_exponential, validate_routing
+from gmsr.tiers import compute_tiers
 
 from support import feasible_random_system as _feasible_random_system
-from support import n_model, random_system
+from support import fig1_system, n_model, random_system
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,13 +72,14 @@ def test_solve_raises_on_boundary_saturation():
 
 
 def test_solve_raises_convergence_error_when_iterations_run_out():
-    # the README's N-model: three mirror-descent steps leave KKT near 0.49
+    # fig1 decomposes into two blocks: one split round and two finishing rounds
     with pytest.raises(ConvergenceError) as exc:
-        solve_fluid_optimum(_n_model_04_06(), max_iter=3)
-    assert exc.value.iterations == 3
-    assert exc.value.residual > 0.1
-    assert "after 3 iterations" in str(exc.value)
-    assert solve_fluid_optimum(_n_model_04_06()).kkt_residual <= 1e-8
+        solve_fluid_optimum(fig1_system(), max_iter=2)
+    assert exc.value.iterations == 2
+    assert math.isinf(exc.value.residual)
+    assert "after 2 rounds" in str(exc.value)
+    opt = solve_fluid_optimum(fig1_system())
+    assert opt.rounds == 3 and opt.kkt_residual <= 1e-8
 
 
 def test_solve_near_capacity_fails_with_named_error():
@@ -85,6 +90,24 @@ def test_solve_near_capacity_fails_with_named_error():
         solve_fluid_optimum(sys)
     assert exc.value.backends == ("b1",)
     assert "capacity" in str(exc.value)
+
+
+def test_solve_near_capacity_names_the_backends_past_the_margin():
+    # a block whose level lies below the bisection bracket names all its backends
+    both = make_system([("f1", 2.0 * (1.0 - 1e-10))],
+                       [("b1", hill(1, 1)), ("b2", hill(1, 1))],
+                       [("f1", "b1"), ("f1", "b2")])
+    with pytest.raises(CapacityMarginError) as exc:
+        solve_fluid_optimum(both)
+    assert exc.value.backends == ("b1", "b2")
+    # at 1 - 1e-6 of capacity the shared level γ ≈ 4e-12 keeps the hill
+    # backend at 1 - 2e-6 of its cap but puts the exponential one at 1 - 4e-12
+    mixed = make_system([("f1", 2.0 * (1.0 - 1e-6))],
+                        [("b1", hill(1, 1)), ("b2", saturating_exponential(1, 1))],
+                        [("f1", "b1"), ("f1", "b2")])
+    with pytest.raises(CapacityMarginError) as exc:
+        solve_fluid_optimum(mixed)
+    assert exc.value.backends == ("b2",)
 
 
 def test_solver_flow_balance_and_kkt_structure():
@@ -115,8 +138,11 @@ def test_solver_unique_from_different_starts():
     for _ in range(5):
         x0 = np.where(sys.edge_matrix, rng.random(sys.edge_matrix.shape), 0.0)
         opt_a = solve_fluid_optimum(sys)
-        opt_b = solve_fluid_optimum(sys, x0=x0)
+        with pytest.warns(DeprecationWarning, match="ignores x0"):
+            opt_b = solve_fluid_optimum(sys, x0=x0)
         np.testing.assert_allclose(opt_a.n_star, opt_b.n_star, atol=1e-6)
+    with pytest.raises(ValueError, match="x0 has shape"):
+        solve_fluid_optimum(sys, x0=np.ones((2, 3)))
 
 
 def test_solver_objective_matches_grid_oracle_on_random_systems():
@@ -132,6 +158,133 @@ def test_solver_objective_matches_grid_oracle_on_random_systems():
         assert opt.objective <= grid.objective + 1e-6
         assert grid.objective - opt.objective <= 5e-3 * (1 + abs(grid.objective))
         checked += 1
+
+
+def test_solver_counts_its_work():
+    opt = solve_fluid_optimum(fig1_system())
+    # one split round and one finishing round per block; every round runs a
+    # transportation flow, a split round one more for its cut, and the
+    # feasibility witness runs first
+    assert len(opt.blocks) == 2
+    assert opt.rounds == 2 * len(opt.blocks) - 1
+    assert opt.max_flows == 1 + opt.rounds + (opt.rounds - len(opt.blocks))
+    assert 0 < opt.bisection_steps <= 201 * opt.rounds
+    grid = brute_force_optimum(_single_pair(0.5), grid_step=0.25)
+    assert (grid.blocks, grid.rounds, grid.max_flows, grid.bisection_steps) == ((), 0, 0, 0)
+
+
+def test_zero_rate_frontend_rows_are_uniform():
+    sys = make_system(
+        frontends=[("f1", 0.5), ("f0", 0.0)],
+        backends=[("b1", hill(1.0, 1.0)), ("b2", hill(2.0, 1.0)), ("b3", hill(1.0, 1.0))],
+        edges=[("f1", "b1"), ("f1", "b2"), ("f0", "b1"), ("f0", "b2"), ("f0", "b3")],
+    )
+    opt = solve_fluid_optimum(sys)
+    assert opt.x_star[1] == pytest.approx([1 / 3, 1 / 3, 1 / 3], abs=1e-15)
+    assert all(1 not in fr for fr, _ in opt.blocks)
+    assert opt.n_star[2] == 0.0
+    assert opt.kkt_residual <= 1e-12
+
+
+def _subset_ratio(lam, nbr_masks, caps):
+    """min over frontend subsets P with λ(P) > 0 of cap(N(P)) / λ(P)."""
+    best = math.inf
+    for pick in range(1, 1 << len(lam)):
+        members = [i for i in range(len(lam)) if pick >> i & 1]
+        lam_p = sum(lam[i] for i in members)
+        if lam_p <= 0:
+            continue
+        covered = 0
+        for i in members:
+            covered |= nbr_masks[i]
+        best = min(best, sum(c for j, c in enumerate(caps) if covered >> j & 1) / lam_p)
+    return best
+
+
+@st.composite
+def _optimizer_draws(draw):
+    """Systems up to 8x8 (some frontends at rate 0) with arrivals scaled to
+    a drawn fraction of the critical scale: well inside, within 1e-6 of
+    capacity, or beyond it."""
+    nf, nb = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    pos = st.floats(0.2, 3.0, allow_nan=False, allow_infinity=False)
+    edges = {(i, draw(st.integers(0, nb - 1))) for i in range(nf)}
+    edges |= {(draw(st.integers(0, nf - 1)), j) for j in range(nb)}
+    edges |= set(draw(st.lists(st.tuples(st.integers(0, nf - 1), st.integers(0, nb - 1)),
+                               max_size=nf * nb)))
+    lams = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+                         min_size=nf, max_size=nf))
+    if sum(lams) == 0:
+        lams[0] = 0.5
+    curves = [hill(draw(pos), draw(pos)) if draw(st.booleans())
+              else saturating_exponential(draw(pos), draw(pos)) for _ in range(nb)]
+    masks = [sum(1 << j for i2, j in edges if i2 == i) for i in range(nf)]
+    crit = _subset_ratio(lams, masks, [fn.cap for fn in curves])
+    regime = draw(st.sampled_from(["inside", "near", "beyond"]))
+    scale = {"inside": draw(st.floats(0.05, 0.9)), "near": 1.0 - 1e-6,
+             "beyond": draw(st.floats(1.0 + 1e-6, 3.0))}[regime]
+    sys = make_system(
+        frontends=[(f"f{i}", lam * crit * scale) for i, lam in enumerate(lams)],
+        backends=[(f"b{j}", fn) for j, fn in enumerate(curves)],
+        edges=[(f"f{i}", f"b{j}") for i, j in sorted(edges)],
+    )
+    return sys, regime
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_optimizer_draws())
+def test_decomposition_is_exact_on_random_systems(draw):
+    sys, regime = draw
+    lam = np.asarray(sys.lambdas)
+    if regime == "beyond":
+        with pytest.raises(InfeasibleSystemError) as exc:
+            solve_fluid_optimum(sys)
+        members = [sys.frontend_index[f] for f in exc.value.subset]
+        covered = {j for i in members for j in sys.backends_of_frontend[i]}
+        lam_p = float(sum(lam[i] for i in members))
+        cap_p = sum(sys.services[j].cap for j in covered)
+        assert members and lam_p >= cap_p * (1.0 - 1e-9)
+        return
+    try:
+        opt = solve_fluid_optimum(sys)
+    except CapacityMarginError:
+        # a block at 1 - 1e-6 of its capacity can put a steep backend past
+        # the 1e-9 margin; well inside the capacity it must not happen
+        assert regime == "near"
+        return
+    assert opt.kkt_residual <= 1e-12
+    assert kkt_residual(sys, opt.n_star, opt.x_star) <= 1e-12
+    assert validate_routing(sys, opt.x_star) == []
+
+    # the tiers at N* are the connected pieces of the blocks: positive-rate
+    # frontends and backends with work, joined by edges inside one block
+    graph = nx.Graph()
+    for fr, ba in opt.blocks:
+        busy = {j for j in ba if opt.n_star[j] > 0}
+        graph.add_nodes_from(("f", i) for i in fr)
+        graph.add_nodes_from(("b", j) for j in busy)
+        graph.add_edges_from((("f", i), ("b", j)) for i in fr
+                             for j in sys.backends_of_frontend[i] if j in busy)
+    pieces = {
+        (frozenset(i for kind, i in comp if kind == "f"),
+         frozenset(j for kind, j in comp if kind == "b"))
+        for comp in nx.connected_components(graph)
+    }
+    part = compute_tiers(sys, sys.gradients_at(opt.n_star), tie_tol=1e-9)
+    tiers = set()
+    for tier in part:
+        fr = frozenset(sys.frontend_index[f] for f in tier.frontends if lam[sys.frontend_index[f]] > 0)
+        ba = frozenset(sys.backend_index[b] for b in tier.backends
+                       if opt.n_star[sys.backend_index[b]] > 0)
+        if fr:
+            tiers.add((fr, ba))
+    assert tiers == pieces
+
+    dims = sum(len(n) - 1 for n in sys.backends_of_frontend if len(n) > 1)
+    if regime == "inside" and 0 < dims <= 2:
+        grid = brute_force_optimum(sys, grid_step=1e-2)
+        assert opt.objective <= grid.objective + 1e-9 * (1.0 + grid.objective)
 
 
 # -- kkt_residual ----------------------------------------------------------------
