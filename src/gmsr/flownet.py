@@ -326,7 +326,8 @@ def transportation_feasible(
         if d < 0:
             raise ValueError(f"negative demand {d} for backend {b!r}")
     net = TransportNetwork(sys, frontends, backends)
-    return net.solve([demand.get(sys.backend_ids[j], 0.0) for j in net.b_idx], tol)
+    witness, _ = net.solve([demand.get(sys.backend_ids[j], 0.0) for j in net.b_idx], tol)
+    return witness is not None, witness
 
 
 class TransportNetwork:
@@ -337,6 +338,10 @@ class TransportNetwork:
     edges inside the pair in system order (infinite capacity), then sink
     arcs (the demands) in sorted backend-id order; ``b_idx`` lists the
     backend indices in that sink-arc order.
+
+    One max flow gives both the verdict and, when it fails, the min cut: the
+    backends reachable from the source in its residual graph are the
+    neighbourhood of the frontend set P that maximizes λ(P) − demand(N(P)).
     """
 
     __slots__ = ("sys", "f_idx", "b_idx", "core", "lam", "mid")
@@ -360,37 +365,28 @@ class TransportNetwork:
         self.lam = [sys.lambdas[i] for i in self.f_idx]
         self.core = _FlowCore(sink + 1, pairs)
 
-    def _flow(self, demand):
-        core = self.core
-        return core.solve(self.lam + [math.inf] * len(self.mid) + list(demand), 0, core.n - 1)
+    def solve(self, demand, tol: float = 1e-9) -> tuple[np.ndarray | None, list[int] | None]:
+        """One max flow for demands given in ``b_idx`` order.
 
-    def short_side(self, demand) -> list[int]:
-        """Backend indices on the source side of the minimal min cut for
-        demands given in ``b_idx`` order.
-
-        They are the backends reachable from the source in the residual
-        graph of a max flow.  When the flow does not meet the demands, the
-        frontends whose neighbours inside the pair all lie among them carry
-        more arrivals than these backends demand.
+        Returns (witness, None) when the demand total matches λ to tol
+        (relative) and the flow meets it; the witness is what
+        ``transportation_feasible`` returns.  Otherwise returns (None, low):
+        the backend indices on the source side of the minimal min cut,
+        ascending.  The frontends whose neighbours inside the pair all lie in
+        low carry more arrivals than low demands, by the most any frontend
+        set does; low may be empty or hold every backend when no set does.
+        A frontend with no edge into the backend set gives (None, []).
         """
-        core = self.core
-        _, _, res = self._flow(demand)
-        first = 1 + len(self.f_idx)
-        return sorted(self.b_idx[u - first] for u in core._closure(res, 0, None)
-                      if first <= u < core.n - 1)
-
-    def solve(self, demand, tol: float = 1e-9) -> tuple[bool, np.ndarray | None]:
-        """``transportation_feasible`` for demands given in ``b_idx`` order."""
-        sys = self.sys
+        sys, core = self.sys, self.core
         lam_total = sum(self.lam)
         d_total = sum(demand)
         scale = 1.0 + abs(lam_total)
-        if abs(d_total - lam_total) > tol * scale:
-            return False, None
-        core = self.core
-        value, flow, _ = self._flow(demand)
-        if value < d_total - tol * scale:
-            return False, None
+        value, flow, res = core.solve(
+            self.lam + [math.inf] * len(self.mid) + list(demand), 0, core.n - 1)
+        if abs(d_total - lam_total) > tol * scale or value < d_total - tol * scale:
+            first = 1 + len(self.f_idx)
+            return None, sorted(self.b_idx[u - first] for u in core._closure(res, 0, None)
+                                if first <= u < core.n - 1)
 
         x = np.zeros((len(sys.frontends), len(sys.backends)))
         lam = sys.lambdas
@@ -409,7 +405,7 @@ class TransportNetwork:
                         x[i, j] = 1.0
                         break
                 else:
-                    return False, None  # no edge into the backend set at all
+                    return None, []  # no edge into the backend set at all
                 total = x[i].sum()
             x[i] /= total  # wash out augmentation round-off
-        return True, x
+        return x, None

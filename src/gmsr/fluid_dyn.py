@@ -11,12 +11,20 @@ dynamics with fixed-step explicit Euler in two modes:
   equalizes d/dt μ′_b across its backends while absorbing the tier's total
   flow imbalance, provided a routing realizing that drift exists (a
   transportation-feasibility question).  A tier whose equalized drift is
-  unrealizable is split by evicting one backend at a time — the one whose
-  implied inflow went negative (it is leaving through the w ≥ 0 face), or
-  failing that the one furthest from the tier's top gradient (it entered
-  the tie band last) — until every tier's drift is realizable.  Evicting
-  exactly the marginal member keeps the realized inflows continuous in
-  time, which the Lyapunov certificate relies on.
+  unrealizable is split until every tier's drift is realizable.  A backend
+  whose implied inflow went negative leaves the tier with w = 0 (it exits
+  through the w ≥ 0 face).  Otherwise the tier's transportation max flow
+  falls short, and its min cut names the frontend set P that most overloads
+  its neighbourhood N(P) at the equalized drift: (P, N(P)) becomes a
+  lower sub-tier, and every other frontend of the tier drops only its band
+  edges into N(P).  This is the principal-partition step of the
+  decomposition algorithm for separable convex minimization over a
+  polymatroid base (S. Fujishige, Submodular Functions and Optimization,
+  2nd ed., 2005), the step ``fluid_opt.solve_fluid_optimum`` takes too.
+  A cut keeps every band edge that can still carry flow, so the Lyapunov
+  function V = Σ_b |inflow_b − μ_b(N_b)| does not rise at it.  A backend
+  that leaves with w = 0 takes all its band edges with it, and that split
+  can still raise V.
 * ``strict-argmax`` — each frontend routes its whole rate to its single
   best backend (lowest index on exact ties).  This is the noisy
   discretization that the sliding mode idealizes; the two agree to O(h + ε).
@@ -31,9 +39,10 @@ single output bit:
   gradient changed, the tie masks and pattern are reused (and, under strict
   argmax, the routing and inflows too).  In sliding mode, when the tie
   pattern is the previous step's and that step needed no repair (no
-  eviction, forced step or tree miss), only the tiers holding a moved
-  backend are recomputed; any failure there proceeds exactly as a full
-  step would.
+  split, forced step or tree miss), only the tiers holding a moved
+  backend are recomputed.  After a split, only the split tier's pieces
+  and the tiers not reached yet are recomputed; the others keep their
+  rows.
 * Exact orbits.  A Brent checkpoint (R. P. Brent, BIT 20, 1980) holds the
   workload vector at power-of-two rows.  Once a row repeats an earlier one
   bit for bit with period P (P = 1 is a fixed point, caught at once), every
@@ -51,21 +60,16 @@ pattern is the tuple of per-frontend tied-best bitmasks that
 ``tiers.tie_masks`` gives, the representation the tiers module and the
 optimizer use as well.  Everything derivable from the pattern alone is
 computed once per distinct pattern and cached: tier membership (from
-``tiers.tie_components``), Hall-condition tables, and spanning-tree
-elimination schedules for transportation witnesses.  An event's partition
-is built by ``tiers.tier_partition`` from the pattern's components.
+``tiers.tie_components``) and spanning-tree elimination schedules for
+transportation witnesses.  An event's partition is built by
+``tiers.tier_partition`` from the pattern's components.
 
 A tier's routing normally comes from its spanning tree.  When a tree flow
-comes out negative, feasibility is decided exactly.  A tier with at most
-16 frontends has a Hall table with one row per closed covered set C (a
-backend set that is the neighbourhood of some frontend set): λ of the
-largest frontend set whose neighbourhood lies inside C, against the demand
-of C.  Rounding is monotone and rates are nonnegative, so these at most
-2^min(|F|,|B|) − 1 rows give the verdict of all 2^|F| − 1 frontend subsets
-bit for bit.  A tier the table accepts, or one with more than 16 frontends,
-takes its rows from a max flow on a network cached with the tier
+comes out negative, one max flow on a network cached with the tier
 (``flownet.TransportNetwork``, the computation ``transportation_feasible``
-runs).  ``FluidTrajectory.stats`` counts these steps.
+runs) decides: its flow is the tier's routing when it meets the demands,
+and its min cut splits the tier when it does not.  ``FluidTrajectory.stats``
+counts these steps.
 """
 
 from __future__ import annotations
@@ -138,9 +142,11 @@ class _TiersOnRead:
 class TierEvent:
     """A change of the tier partition between consecutive steps.
 
-    kind is "split" when a transportation-infeasible tier was broken up by
-    tie-band refinement, "slide" when tiers merged onto a common
-    equal-gradient surface, and "reconfigure" for any other change.
+    kind is "split" when a tier could not realize its equalized drift, so
+    the step split it (a backend leaving with zero inflow, or the tier's
+    min cut) or fell back to strict argmax; "slide" when tiers merged onto
+    a common equal-gradient surface; and "reconfigure" for any other
+    change.
 
     Events recorded by ``integrate_fluid`` keep the tier groups and gradient
     row of their step and build ``tiers`` when it is first read (equality,
@@ -170,23 +176,24 @@ class KernelStats:
     """Work the sliding kernel did on one run, counted over computed steps
     (rows copied after a bitwise fixed point or along an exact orbit add
     nothing).  A step that reuses tiers of the previous one counts exactly
-    what recomputing them would.
+    what recomputing them would; a tier solved before a split in the same
+    step is not solved, or counted, again.
 
     tree_misses:       tier spanning-tree witnesses that came out negative.
-    hall_rejections:   of those, tiers the Hall table proved infeasible.
-    maxflow_witnesses: max-flow solves for the others (one per miss that
-                       the table did not reject, or per miss on a tier with
-                       more than 16 frontends, where max flow alone decides).
-    evictions:         backends evicted from a tier to split it.
-    forced_steps:      steps that fell back to one strict-argmax step.
+    maxflow_witnesses: max-flow solves, one per tree miss.
+    cuts:              tiers split by the min cut of a failed max flow.
+    evictions:         tiers split by a backend whose implied inflow went
+                       negative (it leaves with zero inflow).
+    forced_steps:      steps that fell back to one strict-argmax step
+                       because a split changed no tie mask.
     patterns:          distinct tie patterns whose tier structures were built.
 
     In strict-argmax mode only ``patterns`` can be nonzero.
     """
 
     tree_misses: int = 0
-    hall_rejections: int = 0
     maxflow_witnesses: int = 0
+    cuts: int = 0
     evictions: int = 0
     forced_steps: int = 0
     patterns: int = 0
@@ -300,18 +307,15 @@ class _TierStruct:
     """Everything about one tier that only depends on the tie pattern."""
 
     __slots__ = (
-        "f_idx", "b_idx", "b_mask", "lam_sum", "needs_hall", "hall",
-        "schedule", "root", "fallback_backend", "node_set", "transport",
+        "f_idx", "b_idx", "b_mask", "lam_sum", "schedule", "root",
+        "fallback_backend", "node_set", "transport",
     )
 
-    def __init__(self, f_idx, b_idx, lam_sum, needs_hall, hall, schedule, root,
-                 fallback_backend, node_set):
+    def __init__(self, f_idx, b_idx, lam_sum, schedule, root, fallback_backend, node_set):
         self.f_idx = f_idx                    # tuple of frontend indices
         self.b_idx = b_idx                    # tuple of backend indices
         self.b_mask = sum(1 << j for j in b_idx)  # b_idx as a bitmask
         self.lam_sum = lam_sum
-        self.needs_hall = needs_hall          # ≥2 frontends and ≥2 backends
-        self.hall = hall                      # (λ(P_C), C) per closed covered set C
         self.schedule = schedule              # tree-elimination steps
         self.root = root                      # root node id (f: i, b: nf+j)
         self.fallback_backend = fallback_backend  # per f_idx: one-hot target
@@ -326,41 +330,6 @@ class _Pattern:
         self.tiers = tiers    # tuple[_TierStruct, ...]
         self.sets = sets      # frozenset of per-tier node_set (for event diffs)
         self.groups = groups  # per tier (f_idx, b_idx), as tie_components gives them
-
-
-def _hall_rows(nbr: list[int], lams: list[float], bs: list[int]) -> tuple:
-    """Hall rows of one tier: (λ(P_C), C) for each closed covered set C.
-
-    nbr[k] is the neighbourhood of the tier's k-th frontend as a bitmask over
-    positions in bs, lams[k] its rate.  A covered set C is closed when it is
-    the neighbourhood of some frontend set; P_C is the largest such set (every
-    frontend whose neighbourhood lies inside C), and λ(P_C) is summed in
-    frontend order from 0.0.  Rounding to nearest is monotone and rates are
-    nonnegative, so λ(P_C) is the largest λ(P) summed that way over all P with
-    N(P) = C: testing these rows alone gives the same verdict as testing all
-    2^|F| - 1 frontend subsets.  The closed sets are found from whichever side
-    is smaller: all backend subsets, or the neighbourhoods of all frontend
-    subsets.
-    """
-    if len(bs) <= len(nbr):
-        covers = range(1, 1 << len(bs))
-    else:
-        cov = [0] * (1 << len(nbr))
-        for pick in range(1, len(cov)):
-            top = pick.bit_length() - 1
-            cov[pick] = cov[pick ^ (1 << top)] | nbr[top]
-        covers = sorted(set(cov[1:]))
-    rows = []
-    for c in covers:
-        lam_p = 0.0
-        got = 0
-        for m, lam_k in zip(nbr, lams):
-            if not m & ~c:
-                lam_p += lam_k
-                got |= m
-        if got == c:
-            rows.append((lam_p, tuple(j for k, j in enumerate(bs) if c >> k & 1)))
-    return tuple(rows)
 
 
 def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
@@ -382,14 +351,6 @@ def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
                 if j in b_in:
                     adj[i].append(nf + j)
                     adj[nf + j].append(i)
-        needs_hall = len(fs) >= 2 and len(bs) >= 2
-        hall: tuple | None = ()
-        if needs_hall and len(fs) <= 16:
-            pos = {nf + j: k for k, j in enumerate(bs)}
-            nbr = [sum(1 << pos[node] for node in adj[i]) for i in fs]
-            hall = _hall_rows(nbr, [lam[i] for i in fs], bs)
-        elif needs_hall:
-            hall = None  # too many frontends: fall back to max-flow checks
 
         # spanning tree + leaf-to-root elimination schedule for witnesses
         schedule: list[tuple[int, int]] = []
@@ -415,8 +376,7 @@ def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
             )
         node_set = frozenset(fs) | frozenset(nf + j for j in bs)
         tiers.append(
-            _TierStruct(fs, bs, lam_sum, needs_hall, hall,
-                        tuple(schedule), root, fallback, node_set)
+            _TierStruct(fs, bs, lam_sum, tuple(schedule), root, fallback, node_set)
         )
         sets.append(node_set)
     return _Pattern(tuple(tiers), frozenset(sets), groups)
@@ -448,7 +408,7 @@ class _Kernel:
         self.patterns: dict[tuple[int, ...], _Pattern] = {}
         # state carried from one step to the next: the routing rows, the
         # last computed tie masks and their pattern, and whether the last
-        # step solved that pattern with no eviction, forced step or tree miss
+        # step solved that pattern with no split, forced step or tree miss
         self.xbuf = [0.0] * (self.nf * self.nb)
         self.masks: tuple[int, ...] | None = None
         self.pattern: _Pattern | None = None
@@ -463,16 +423,16 @@ class _Kernel:
         self.wbuf = [0.0] * self.nb
         # work counters, returned as KernelStats
         self.tree_misses = 0
-        self.hall_rejections = 0
         self.maxflow_witnesses = 0
+        self.cuts = 0
         self.evictions = 0
         self.forced_steps = 0
 
     def stats(self) -> KernelStats:
         return KernelStats(
             tree_misses=self.tree_misses,
-            hall_rejections=self.hall_rejections,
             maxflow_witnesses=self.maxflow_witnesses,
+            cuts=self.cuts,
             evictions=self.evictions,
             forced_steps=self.forced_steps,
             patterns=len(self.patterns),
@@ -520,14 +480,14 @@ class _Kernel:
         return pat
 
     # -- sliding-mode step pieces -------------------------------------------
-    # tier_flows/tree_witness/hall_ok all read and write the shared
+    # tier_flows/tree_witness/exact_witness all read and write the shared
     # per-backend buffers vbuf/wbuf, indexed globally.
 
     def tier_flows(self, tier: _TierStruct) -> int:
         """Drift and implied inflows for one tier.
 
         Returns -1 on success; otherwise the global index of the backend
-        whose implied inflow is most negative (the member to evict).
+        whose implied inflow is most negative (the member that leaves).
         """
         mu, ic, v, w = self.mu, self.ic, self.vbuf, self.wbuf
         b_idx = tier.b_idx
@@ -555,30 +515,6 @@ class _Kernel:
             v[j] = vj
             w[j] = wj
         return bad_j
-
-    def most_marginal(self, tier: _TierStruct) -> int:
-        """Tier member furthest below the tier's top gradient; -1 on exact tie."""
-        g = self.g
-        top = max(g[j] for j in tier.b_idx)
-        bad_j = -1
-        bad_gap = 0.0
-        for j in tier.b_idx:
-            gap = top - g[j]
-            if gap > bad_gap:
-                bad_gap = gap
-                bad_j = j
-        return bad_j
-
-    def hall_ok(self, tier: _TierStruct) -> bool:
-        """Hall's condition for the demands in wbuf (tiers with a table)."""
-        w = self.wbuf
-        for lam_p, covered in tier.hall:
-            supply = 0.0
-            for j in covered:
-                supply += w[j]
-            if lam_p > supply + 1e-12:
-                return False
-        return True
 
     def tree_witness(self, tier: _TierStruct, xbuf: list[float]) -> bool:
         """Fill routing rows from the tier's spanning tree; False on negatives.
@@ -617,16 +553,13 @@ class _Kernel:
                     xbuf[base + j] /= total
         return True
 
-    def exact_witness(self, tier: _TierStruct, xbuf: list[float]) -> bool:
-        """After a tree miss: decide feasibility exactly, and on success fill
-        the tier's rows from a max-flow witness.
+    def exact_witness(self, tier: _TierStruct, xbuf: list[float]) -> int:
+        """After a tree miss: one max flow for the demands in wbuf.
 
-        The Hall table decides when the tier has one; a tier with more than
-        16 frontends has none, and the max flow decides by itself.
+        When it meets them, fills the tier's rows from its flow and returns
+        -1.  Otherwise returns the bitmask of the backends on the source
+        side of its min cut, which may be 0 or the whole tier.
         """
-        if tier.hall is not None and not self.hall_ok(tier):
-            self.hall_rejections += 1
-            return False
         net = tier.transport
         if net is None:
             sys = self.sys
@@ -637,15 +570,15 @@ class _Kernel:
             )
         self.maxflow_witnesses += 1
         w = self.wbuf
-        ok, witness = net.solve([w[j] for j in net.b_idx])
-        if not ok:
-            return False
+        witness, low = net.solve([w[j] for j in net.b_idx])
+        if witness is None:
+            return sum(1 << j for j in low)
         nb = self.nb
         for i in tier.f_idx:
             base = i * nb
             for j in tier.b_idx:
                 xbuf[base + j] = witness[i, j]
-        return True
+        return -1
 
     def strict_step(self, xbuf: list[float]) -> None:
         """Whole-rate argmax routing; fills vbuf/wbuf."""
@@ -674,7 +607,7 @@ class _Kernel:
     # for bit, so it gives the same bits as computing everything.
 
     def sliding_step(self, n: list[float], dirty: int) -> tuple[_Pattern, bool, int]:
-        every = self.every
+        every, nb = self.every, self.nb
         if self.curves(n, self.bits.get(dirty) or self.members(dirty)) or self.masks is None:
             fresh = tie_masks(self.neighbors, self.g, self.cfg.tie_band)
             if fresh != self.masks:
@@ -683,7 +616,7 @@ class _Kernel:
         if self.clean and dirty != every:
             # the last step solved this pattern outright; a tier none of
             # whose backends moved would repeat its flows and rows
-            xbuf, nb = self.xbuf, self.nb
+            xbuf = self.xbuf
             todo = [tier for tier in pattern.tiers if tier.b_mask & dirty]
             active = 0
             for tier in todo:
@@ -698,45 +631,52 @@ class _Kernel:
         misses = self.tree_misses
         forced = False
         while True:
-            bad_tier = None
-            evict = -1
             for tier in todo:
                 evict = self.tier_flows(tier)
-                if evict >= 0:
-                    bad_tier = tier
+                if evict >= 0:  # that backend leaves the tier with w = 0
+                    drop = 1 << evict
                     break
                 if tier.f_idx and not self.tree_witness(tier, xbuf):
-                    # an unlucky tree is not proof of infeasibility:
-                    # decide exactly, then fetch a max-flow witness
+                    # an unlucky tree is not proof of infeasibility: one max
+                    # flow gives the rows, or the min cut that splits the tier
                     self.tree_misses += 1
-                    if not self.exact_witness(tier, xbuf):
-                        bad_tier = tier
+                    drop = self.exact_witness(tier, xbuf)
+                    if drop >= 0:
                         break
-            if bad_tier is None:
+            else:
                 break
-            if evict < 0:
-                evict = self.most_marginal(bad_tier)
+            # the tier's frontends lose their band edges into `drop`, but
+            # never their last one: a frontend whose band edges all lie in
+            # `drop` keeps them (after a cut, it joins the lower sub-tier)
+            cut = list(cur)
             changed = False
-            if evict >= 0:
-                bit = ~(1 << evict)
-                cut = list(cur)
-                for i in bad_tier.f_idx:
-                    m = cut[i] & bit
-                    if m and m != cut[i]:  # never strand a frontend
-                        cut[i] = m
-                        changed = True
-                cur = tuple(cut)
+            for i in tier.f_idx:
+                m = cut[i] & ~drop
+                if m and m != cut[i]:
+                    cut[i] = m
+                    changed = True
             forced = True
-            active = every
-            xbuf = self.xbuf = [0.0] * len(xbuf)
             if not changed:
                 # exact tie with unrealizable drift: one strict-argmax step
+                active = every
+                xbuf = self.xbuf = [0.0] * len(xbuf)
                 self.strict_step(xbuf)
                 self.forced_steps += 1
                 break
-            self.evictions += 1
+            if evict >= 0:
+                self.evictions += 1
+            else:
+                self.cuts += 1
+            # recompute the split tier's pieces and the tiers not reached yet;
+            # every other tier of the new pattern is unchanged and solved
+            redo = 0
+            for later in todo[todo.index(tier):]:
+                redo |= later.b_mask
+            for i in tier.f_idx:
+                xbuf[i * nb:(i + 1) * nb] = self.zero_row
+            cur = tuple(cut)
             used = self.pattern_for(cur)
-            todo = used.tiers
+            todo = [t for t in used.tiers if t.b_mask & redo]
         self.clean = not forced and self.tree_misses == misses
         return used, forced, active
 
@@ -775,11 +715,12 @@ def integrate_fluid(
     """Integrate the fluid dynamics from n0 for `horizon` time units.
 
     Forward Euler on the grid t_k = k·h.  In sliding mode each step uses the
-    equal-gradient tier drift with a transportation witness; a tier that
-    cannot realize its drift is split by evicting its most marginal backend
-    (negative implied inflow first, then largest gradient gap) and re-tiering,
-    and if evictions cannot resolve it — an exact tie with an unrealizable
-    drift — the step falls back to strict argmax routing.  Workloads are
+    equal-gradient tier drift with a transportation witness.  A tier that
+    cannot realize its drift is split and re-tiered: a backend with negative
+    implied inflow leaves it, or else the min cut of its transportation max
+    flow separates the frontends that overload their neighbourhood (see the
+    module docstring).  If a split changes no tie mask — an exact tie with
+    an unrealizable drift — the step falls back to strict argmax routing.  Workloads are
     clamped at zero (recorded as boundary events).  Raises IntegrationError
     if the state leaves the finite range.
 

@@ -314,7 +314,8 @@ def solve_fluid_optimum(
         # the frontends whose block neighbours all lie on the min cut's source
         # side overload them at this level: they form the lower-gradient block
         net = TransportNetwork(sys, f_set, b_set)
-        low = set(net.short_side([demand[bids[j]] for j in net.b_idx]))
+        _, low = net.solve([demand[bids[j]] for j in net.b_idx])
+        low = set(low or ())  # None: the flow routes the block, so nothing splits
         flows += 1
         if not low or len(low) == len(ba):
             if not bracketed:  # the whole block needs a level below the bracket

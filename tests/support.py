@@ -57,6 +57,14 @@ def random_system(
     """A random connected-enough system: every node gets at least one edge."""
     nf = int(rng.integers(1, max_frontends + 1))
     nb = int(rng.integers(1, max_backends + 1))
+    return sized_random_system(rng, nf, nb, lam_range)
+
+
+def sized_random_system(
+    rng: np.random.Generator, nf: int, nb: int, lam_range: tuple[float, float]
+) -> BipartiteSystem:
+    """An nf x nb system: one edge per frontend and per backend at random,
+    plus each pair at chance 0.3."""
     fids = [f"f{i}" for i in range(1, nf + 1)]
     bids = [f"b{j}" for j in range(1, nb + 1)]
     edges: set[tuple[str, str]] = set()
@@ -82,20 +90,46 @@ def feasible_random_system(
     lam_range: tuple[float, float] = (0.05, 0.5),
 ) -> BipartiteSystem:
     """Random system scaled (by halving arrival rates) until strictly feasible."""
+    while True:
+        found = _halved_until_feasible(random_system(rng, max_frontends, max_backends,
+                                                     lam_range))
+        if found is not None:
+            return found
+
+
+def _halved_until_feasible(sys: BipartiteSystem) -> BipartiteSystem | None:
+    """sys with its arrival rates halved, at most 19 times, until strictly feasible."""
     from gmsr.flownet import feasibility_check
 
+    scale = 1.0
+    for _ in range(20):
+        trial = scaled_system(sys, scale)
+        if feasibility_check(trial):
+            return trial
+        scale *= 0.5
+    return None
+
+
+# The pinned (frontends, backends, system seed, start seed, horizon) tasks of
+# the benchmark's `wide` workload, rebuilt here from the same random streams.
+WIDE_TASKS = (
+    (16, 16, 1, 104, 1.5),
+    (16, 16, 1, 102, 2.0),
+    (32, 32, 0, 101, 0.5),
+)
+
+
+def wide_task(nf: int, nb: int, sys_seed: int, start_seed: int, horizon: float):
+    """(system, start, horizon) of one wide task: the first nf x nb system
+    from seed sys_seed (rates in [0.05, 0.5]) that halving makes strictly
+    feasible, and a start drawn uniformly in [0, 10]^nb from start_seed."""
+    rng = np.random.default_rng(sys_seed)
     while True:
-        sys = random_system(rng, max_frontends, max_backends, lam_range)
-        scale = 1.0
-        for _ in range(20):
-            trial = make_system(
-                frontends=[(f.id, f.lam * scale) for f in sys.frontends],
-                backends=[(b.id, b.service) for b in sys.backends],
-                edges=sys.edges,
-            )
-            if feasibility_check(trial):
-                return trial
-            scale *= 0.5
+        sys = _halved_until_feasible(sized_random_system(rng, nf, nb, (0.05, 0.5)))
+        if sys is not None:
+            break
+    start = np.random.default_rng(start_seed).uniform(0.0, 10.0, size=nb)
+    return sys, start, horizon
 
 
 def square_feasible_system(rng: np.random.Generator, n: int) -> BipartiteSystem:

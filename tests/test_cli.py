@@ -274,6 +274,7 @@ def test_simulate_file_count_and_content(tmp_path, scenario_file):
     assert summary["scales"] == [20, 100] and summary["seeds"] == 5
     assert len(summary["runs"]) == 10
     assert {r["file"] for r in summary["runs"]} == {p.name for p in run_files}
+    assert all(r["steps"] == 2 * r["scale"] for r in summary["runs"])  # horizon·c
 
     # spot-check one run file: conservation at the integer level
     rec = next(r for r in summary["runs"] if r["scale"] == 100 and r["seed"] == 3)
@@ -347,7 +348,7 @@ def test_certify_output(tmp_path, scenario_file):
     doc = json.loads((tmp_path / "certificate.json").read_text())
     assert set(doc) == {"v", "entry_time", "fitted_rate", "violations", "ok", "kernel"}
     assert doc["kernel"]["patterns"] >= 1
-    assert set(doc["kernel"]) == {"tree_misses", "hall_rejections", "maxflow_witnesses",
+    assert set(doc["kernel"]) == {"tree_misses", "maxflow_witnesses", "cuts",
                                   "evictions", "forced_steps", "patterns"}
     assert doc["ok"] is True and doc["violations"] == []
     assert doc["entry_time"] == 0.0  # the origin lies inside the invariant set
@@ -372,6 +373,7 @@ def test_report_copies_sources_exactly(tmp_path, scenario_file):
     assert report["optimum"] == json.loads((tmp_path / "optimum.json").read_text())
     assert report["overload"] == json.loads((tmp_path / "overload.json").read_text())
     assert report["simulate"] == json.loads((tmp_path / "summary.json").read_text())
+    assert [r["steps"] for r in report["simulate"]["runs"]] == [100, 100]
 
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert report["certificate"]["v_final"] == cert["v"][-1]

@@ -3,7 +3,7 @@ import math
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmsr.flownet import feasibility_check
@@ -234,6 +234,11 @@ def _optimizer_draws(draw):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(_optimizer_draws())
+@example(draw=(make_system(  # a zero-rate frontend ties two pieces of one block
+    frontends=[("f0", 0.5), ("f1", 0.0), ("f2", 0.5)],
+    backends=[("b0", saturating_exponential(1.0, 1.0)), ("b1", saturating_exponential(1.0, 1.0))],
+    edges=[("f0", "b0"), ("f1", "b0"), ("f1", "b1"), ("f2", "b1")],
+), "inside"))
 def test_decomposition_is_exact_on_random_systems(draw):
     sys, regime = draw
     lam = np.asarray(sys.lambdas)
@@ -266,6 +271,14 @@ def test_decomposition_is_exact_on_random_systems(draw):
         graph.add_nodes_from(("b", j) for j in busy)
         graph.add_edges_from((("f", i), ("b", j)) for i in fr
                              for j in sys.backends_of_frontend[i] if j in busy)
+    # a zero-rate frontend routes nothing, but its tie edges (neighbours
+    # within 1e-9 of its best gradient) join the backends with work it reaches
+    grads = sys.gradients_at(opt.n_star)
+    for i in np.flatnonzero(lam == 0):
+        nbrs = sys.backends_of_frontend[i]
+        top = max(grads[j] for j in nbrs)
+        graph.add_edges_from((("z", i), ("b", j)) for j in nbrs
+                             if grads[j] >= top - 1e-9 and graph.has_node(("b", j)))
     pieces = {
         (frozenset(i for kind, i in comp if kind == "f"),
          frozenset(j for kind, j in comp if kind == "b"))
