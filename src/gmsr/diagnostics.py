@@ -44,7 +44,6 @@ __all__ = [
     "certify_trajectory",
 ]
 
-_ENUMERATION_LIMIT = 12  # largest frontend count for exhaustive subset slack
 _V_FLOOR = 1e-13  # Lyapunov values below this are float noise: excluded from fits
 
 
@@ -106,27 +105,9 @@ def tier_absolute_drift(sys: BipartiteSystem, n, x, tier: Tier) -> float:
     return float(np.abs(inflow[cols] - rates[cols]).sum())
 
 
-def _subset_slack_by_enumeration(
-    lam: np.ndarray, neighbor_masks: list[int], rate_tilde: np.ndarray
-) -> float:
-    """min over nonempty frontend subsets P of  Σ_{b∈N(P)} μ_b(Ñ_b) − λ(P)."""
-    nf = len(lam)
-    nb = len(rate_tilde)
-    best = math.inf
-    for pick in range(1, 1 << nf):
-        lam_p = 0.0
-        covered = 0
-        for i in range(nf):
-            if pick >> i & 1:
-                lam_p += lam[i]
-                covered |= neighbor_masks[i]
-        supply = sum(rate_tilde[j] for j in range(nb) if covered >> j & 1)
-        best = min(best, supply - lam_p)
-    return best
-
-
 def _subset_slack_by_mincut(sys: BipartiteSystem, rate_tilde: np.ndarray) -> float:
-    """Same minimum via |F| max-flow computations on one network.
+    """min over nonempty frontend subsets P of  Σ_{b∈N(P)} μ_b(Ñ_b) − λ(P),
+    by |F| max-flow computations on one network.
 
     The slack of a subset P equals cut(P) − λ(F) in the network
     s →(λ_f)→ f →(∞)→ b →(μ_b(Ñ_b))→ t, where cut(P) keeps {s} ∪ P ∪ N(P)
@@ -162,25 +143,15 @@ def capacity_slack(sys: BipartiteSystem) -> SlackConstants:
 
     κ is half the smallest gradient at the fluid optimum, Ñ_b inverts each
     gradient curve at κ, and Δ is the minimum spare capacity
-    Σ_{b∈N(P)} μ_b(Ñ_b) − λ(P) over nonempty frontend subsets P — found by
-    enumeration for up to 12 frontends and by forced-frontend min cuts
-    beyond that.  Raises InfeasibleSystemError on infeasible systems.
+    Σ_{b∈N(P)} μ_b(Ñ_b) − λ(P) over nonempty frontend subsets P, found by
+    |F| forced-frontend min cuts on one flow network whatever the system's
+    size.  Raises InfeasibleSystemError on infeasible systems.
     """
     opt = solve_fluid_optimum(sys)
     grads = sys.gradients_at(opt.n_star)
     kappa = float(grads.min()) / 2.0
     n_tilde = np.array([fn.gradient_inverse(kappa) for fn in sys.services])
-    rate_tilde = sys.rates_at(n_tilde)
-    lam = np.asarray(sys.lambdas)
-
-    if len(sys.frontends) <= _ENUMERATION_LIMIT:
-        masks = [
-            sum(1 << j for j in sys.backends_of_frontend[i])
-            for i in range(len(sys.frontends))
-        ]
-        delta = _subset_slack_by_enumeration(lam, masks, rate_tilde)
-    else:
-        delta = _subset_slack_by_mincut(sys, rate_tilde)
+    delta = _subset_slack_by_mincut(sys, sys.rates_at(n_tilde))
     return SlackConstants(kappa=kappa, delta=float(delta), n_tilde=n_tilde,
                           n_star=opt.n_star)
 

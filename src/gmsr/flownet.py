@@ -262,20 +262,32 @@ def augmented_network(sys: BipartiteSystem) -> FlowNetwork:
     return FlowNetwork(nodes=nodes, source=_SOURCE, sink=_SINK, arcs=tuple(arcs))
 
 
-def _augmented_cut(sys: BipartiteSystem) -> tuple[bool, StabilityDecomposition, float]:
-    """Feasibility, the stability decomposition and the peak throughput, all
-    read off one max flow of the augmented network."""
+def _augmented_cut(
+    sys: BipartiteSystem,
+) -> tuple[frozenset[str] | None, StabilityDecomposition, float]:
+    """The infeasibility witness, the stability decomposition and the peak
+    throughput, all read off one max flow of the augmented network.
+
+    The witness is None exactly when the system is strictly feasible.
+    Otherwise it is a frontend subset whose arrivals meet or exceed the
+    capacity of its whole neighbourhood: the frontends on the min cut's
+    source side when the flow falls short of the arrivals, else (the flow
+    saturates, some subset sits exactly at capacity) the frontends with no
+    residual path to the sink.
+    """
     res = max_flow(augmented_network(sys))
     total = sys.total_arrival_rate
-    saturated = not res.value < total - 1e-9 * (1.0 + total)
-    feasible = saturated and all(f in res.sink_side for f in sys.frontend_ids)
     f_stable = frozenset(f for f in sys.frontend_ids if f in res.sink_side)
+    if res.value < total - 1e-9 * (1.0 + total):
+        witness = frozenset(f for f in sys.frontend_ids if f in res.source_side)
+    else:
+        witness = frozenset(sys.frontend_ids) - f_stable or None
     b_stable = frozenset(
         sys.backend_ids[j]
         for j in range(len(sys.backends))
         if all(sys.frontend_ids[i] in f_stable for i in sys.frontends_of_backend[j])
     )
-    return feasible, StabilityDecomposition(frontends=f_stable, backends=b_stable), res.value
+    return witness, StabilityDecomposition(frontends=f_stable, backends=b_stable), res.value
 
 
 def feasibility_check(sys: BipartiteSystem) -> bool:
@@ -288,7 +300,7 @@ def feasibility_check(sys: BipartiteSystem) -> bool:
     arrivals AND every frontend keeps a residual path to the sink (the flow
     could absorb a strictly larger λ_f for every f).
     """
-    return _augmented_cut(sys)[0]
+    return _augmented_cut(sys)[0] is None
 
 
 def stability_decomposition(sys: BipartiteSystem) -> StabilityDecomposition:

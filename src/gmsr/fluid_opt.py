@@ -24,7 +24,6 @@ tiers of the optimum, up to ties between disconnected parts.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,6 @@ from gmsr.flownet import (
     StabilityDecomposition,
     TransportNetwork,
     _augmented_cut,
-    augmented_network,
-    max_flow,
     transportation_feasible,
 )
 from gmsr.model import HILL, BipartiteSystem
@@ -136,17 +133,6 @@ class OverloadEquilibrium:
     throughput: float
 
 
-def _infeasibility_witness(sys: BipartiteSystem) -> frozenset[str] | None:
-    """None when strictly feasible; otherwise a frontend subset P with
-    arrivals >= capacity of its whole neighborhood (a min-cut witness)."""
-    res = max_flow(augmented_network(sys))
-    total = sys.total_arrival_rate
-    if res.value < total - 1e-9 * (1.0 + total):
-        return frozenset(f for f in sys.frontend_ids if f in res.source_side)
-    starved = frozenset(f for f in sys.frontend_ids if f not in res.sink_side)
-    return starved or None
-
-
 def _invert_rates(sys: BipartiteSystem, w: np.ndarray) -> np.ndarray:
     """Vectorized μ_b⁻¹ over a (…, n_backends) inflow array (w < cap)."""
     out = np.empty_like(w)
@@ -238,7 +224,6 @@ def _level(curves, g_zero, lam_c: float) -> tuple[float, bool, int]:
 def solve_fluid_optimum(
     sys: BipartiteSystem,
     tol: float = 1e-8,
-    x0: np.ndarray | None = None,
     max_iter: int = 100_000,
 ) -> FluidOptimum:
     """Minimize total workload subject to per-backend flow balance.
@@ -255,17 +240,10 @@ def solve_fluid_optimum(
     CapacityMarginError naming its backends.
 
     A frontend with zero arrival rate routes nothing and joins no block; its
-    routing row is uniform over its neighbours.  ``x0`` is not used (the
-    algorithm needs no starting routing); it is still shape-checked and
-    draws a DeprecationWarning.
+    routing row is uniform over its neighbours.
     """
     nf, nb = len(sys.frontends), len(sys.backends)
-    if x0 is not None:
-        if np.shape(x0) != (nf, nb):
-            raise ValueError(f"x0 has shape {np.shape(x0)}, expected {(nf, nb)}")
-        warnings.warn("solve_fluid_optimum ignores x0: the decomposition algorithm "
-                      "needs no starting routing", DeprecationWarning, stacklevel=2)
-    witness = _infeasibility_witness(sys)
+    witness = _augmented_cut(sys)[0]
     if witness is not None:
         raise InfeasibleSystemError(witness)
 
@@ -408,7 +386,7 @@ def brute_force_optimum(sys: BipartiteSystem, grid_step: float) -> FluidOptimum:
             scan([outer])
 
     if math.isinf(best_obj):
-        witness = _infeasibility_witness(sys)
+        witness = _augmented_cut(sys)[0]
         raise InfeasibleSystemError(witness or frozenset(sys.frontend_ids))
 
     x = np.zeros((nf, nb))
@@ -437,7 +415,7 @@ def equilibrium_rates(sys: BipartiteSystem, tol: float = 1e-8) -> OverloadEquili
     system; every unstable backend is driven to its cap.  Total equals the
     peak achievable throughput.
     """
-    feasible, dec, throughput = _augmented_cut(sys)
+    witness, dec, throughput = _augmented_cut(sys)
     nb = len(sys.backends)
     rates = np.array([fn.cap for fn in sys.services])
     workloads = np.full(nb, np.inf)
@@ -456,4 +434,4 @@ def equilibrium_rates(sys: BipartiteSystem, tol: float = 1e-8) -> OverloadEquili
             rates[j] = sub_rates[k]
             workloads[j] = opt.n_star[k]
     return OverloadEquilibrium(rates=rates, workloads=workloads, decomposition=dec,
-                               feasible=feasible, throughput=throughput)
+                               feasible=witness is None, throughput=throughput)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gmsr.model import BipartiteSystem
+from gmsr.tiers import tie_masks
 
 __all__ = [
     "DiscreteState",
@@ -139,11 +140,6 @@ def rng_streams(sys: BipartiteSystem, seed: int) -> list[np.random.Generator]:
     ]
 
 
-def _tied_argmax(g: list[float], nbrs: tuple[int, ...]) -> list[int]:
-    top = max(g[j] for j in nbrs)
-    return [j for j in nbrs if g[j] >= top - _TIE_TOL]
-
-
 def _advance(
     sys: BipartiteSystem,
     counts: list[int],
@@ -164,6 +160,7 @@ def _advance(
 
     if policy == "gmsr":
         g = [svc.gradient(counts[j] / c) for j, svc in enumerate(services)]
+        masks = tie_masks(sys.backends_of_frontend, g, _TIE_TOL)
     for i, lam in enumerate(sys.lambdas):
         if lam == 0.0:  # no arrival process: consume no randomness
             arr_f[i] = 0
@@ -173,7 +170,7 @@ def _advance(
         if w == 0:
             continue
         nbrs = sys.backends_of_frontend[i]
-        targets = _tied_argmax(g, nbrs) if policy == "gmsr" else list(nbrs)
+        targets = [j for j in nbrs if masks[i] >> j & 1] if policy == "gmsr" else list(nbrs)
         if len(targets) == 1:
             arr_b[targets[0]] += w
         else:  # each job picks uniformly and independently among the targets
@@ -220,6 +217,20 @@ def step(
     return DiscreteState(counts=tuple(counts), step=state.step + 1, c=state.c)
 
 
+def _initial_counts(sys: BipartiteSystem, n, c: int) -> list[int]:
+    """The integer state round(n·c), once n is checked to hold one
+    nonnegative workload per backend, finite also when scaled by c."""
+    n_arr = np.asarray(n, dtype=float)
+    nb = len(sys.backends)
+    if n_arr.shape != (nb,):
+        raise ValueError(f"initial state has shape {n_arr.shape}, expected ({nb},)")
+    with np.errstate(over="ignore"):
+        scaled = n_arr * c
+    if not np.all(np.isfinite(scaled)) or np.any(n_arr < 0):
+        raise ValueError("initial state must be finite and nonnegative, also times c")
+    return [int(round(v)) for v in scaled]
+
+
 def simulate(
     sys: BipartiteSystem,
     n0,
@@ -243,13 +254,9 @@ def simulate(
         raise ValueError(f"thin must be a positive integer, got {thin!r}")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    n_arr = np.asarray(n0, dtype=float)
+    counts = _initial_counts(sys, n0, c)
     nb = len(sys.backends)
     nf = len(sys.frontends)
-    if n_arr.shape != (nb,):
-        raise ValueError(f"initial state has shape {n_arr.shape}, expected ({nb},)")
-    if not np.all(np.isfinite(n_arr)) or np.any(n_arr < 0):
-        raise ValueError("initial state must be finite and nonnegative")
     steps = int(horizon * c)
     if steps > _MAX_STEPS:
         raise ValueError(
@@ -257,7 +264,6 @@ def simulate(
         )
 
     streams = rng_streams(sys, seed)
-    counts = [int(round(v * c)) for v in n_arr]
     arr_b = [0] * nb
     dep_b = [0] * nb
     arr_f = [0] * nf
@@ -309,10 +315,10 @@ def _expected_drift(sys: BipartiteSystem, y: np.ndarray, policy: str) -> np.ndar
     """Analytic mean drift inflow − μ at normalized state y under the policy."""
     rates = sys.rates_at(y)
     inflow = np.zeros(len(sys.backends))
-    g = list(sys.gradients_at(y))
+    masks = tie_masks(sys.backends_of_frontend, sys.gradients_at(y), _TIE_TOL)
     for i, lam in enumerate(sys.lambdas):
         nbrs = sys.backends_of_frontend[i]
-        targets = _tied_argmax(g, nbrs) if policy == "gmsr" else list(nbrs)
+        targets = [j for j in nbrs if masks[i] >> j & 1] if policy == "gmsr" else list(nbrs)
         share = lam / len(targets)
         for j in targets:
             inflow[j] += share
@@ -340,14 +346,11 @@ def mean_drift_check(
         raise ValueError(f"need at least 1000 samples for a stable estimate, got {samples}")
     if not (isinstance(c, int) and c >= 1):
         raise ValueError(f"scale c must be a positive integer, got {c!r}")
-    n_arr = np.asarray(n, dtype=float)
+    base = _initial_counts(sys, n, c)
     nb = len(sys.backends)
     nf = len(sys.frontends)
-    if n_arr.shape != (nb,):
-        raise ValueError(f"state has shape {n_arr.shape}, expected ({nb},)")
 
     streams = rng_streams(sys, seed)
-    base = [int(round(v * c)) for v in n_arr]
     arr_b = [0] * nb
     dep_b = [0] * nb
     arr_f = [0] * nf

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gmsr.diagnostics import (
-    _subset_slack_by_enumeration,
     _subset_slack_by_mincut,
     capacity_slack,
     certify_trajectory,
@@ -22,12 +21,14 @@ from gmsr.tiers import Tier
 
 from support import (
     feasible_random_system,
+    fig1_system,
     greedy_routing,
     n_model,
     neighborhood_capacity,
     frontend_subsets,
     random_system,
     scaled_system,
+    sized_random_system,
     square_feasible_system,
 )
 
@@ -169,33 +170,54 @@ def test_slack_subset_inequality_and_positivity():
             assert lam_p + slack.delta <= supply + 1e-9
 
 
+def _enumerated_slack(sys, rates):
+    """Oracle for Δ: min over nonempty frontend subsets P of
+    Σ_{b∈N(P)} rates_b − λ(P), by enumerating all 2^|F| − 1 subsets."""
+    lam = sys.lambdas
+    return min(neighborhood_capacity(sys, subset, rates) - float(sum(lam[i] for i in subset))
+               for subset in frontend_subsets(sys))
+
+
 def test_slack_enumeration_and_mincut_agree():
-    rng = np.random.default_rng(3141)
-    for _ in range(25):
-        sys = feasible_random_system(rng)
-        slack = capacity_slack(sys)  # enumeration path (few frontends)
-        rate_tilde = sys.rates_at(slack.n_tilde)
-        by_cut = _subset_slack_by_mincut(sys, rate_tilde)
-        assert by_cut == pytest.approx(slack.delta, rel=1e-9, abs=1e-12)
+    """Δ from the min cuts has the enumeration's exact bits on the acceptance
+    battery's five systems (seed 424242), n_model at half load and fig1."""
+    rng = np.random.default_rng(424242)
+    systems = [_n_model_04_06(), fig1_system()]
+    for _ in range(5):
+        systems.append(feasible_random_system(rng))
+        for _ in range(10):  # the battery's starts, drawn from the same stream
+            rng.uniform(0.0, 10.0, size=len(systems[-1].backends))
+    for sys in systems:
+        slack = capacity_slack(sys)
+        assert slack.delta == _enumerated_slack(sys, sys.rates_at(slack.n_tilde))
 
 
 def test_slack_many_frontends_uses_mincut_and_matches_enumeration():
-    nf = 13  # one past the enumeration limit
-    frontends = [(f"f{i}", 0.1) for i in range(nf)]
-    backends = [(f"b{j}", hill(2.0, 1.0)) for j in range(3)]
-    edges = [(f"f{i}", f"b{i % 3}") for i in range(nf)]
-    edges += [(f"f{i}", f"b{(i + 1) % 3}") for i in range(nf)]
-    sys = make_system(frontends, backends, edges)
-    assert feasibility_check(sys)
-    slack = capacity_slack(sys)
-    rate_tilde = sys.rates_at(slack.n_tilde)
-    masks = [
-        sum(1 << j for j in sys.backends_of_frontend[i]) for i in range(nf)
-    ]
-    brute = _subset_slack_by_enumeration(
-        np.asarray(sys.lambdas), masks, rate_tilde
+    """Up to 12 frontends on random systems, with zero-rate frontends, and a
+    13-frontend ring: Δ matches the enumeration to 1e-12 relative."""
+    nf = 13
+    ring = make_system(
+        [(f"f{i}", 0.1) for i in range(nf)],
+        [(f"b{j}", hill(2.0, 1.0)) for j in range(3)],
+        [(f"f{i}", f"b{i % 3}") for i in range(nf)]
+        + [(f"f{i}", f"b{(i + 1) % 3}") for i in range(nf)],
     )
-    assert slack.delta == pytest.approx(brute, rel=1e-9)
+    systems = [ring]
+    rng = np.random.default_rng(3141)
+    for k in range(24):
+        sys = None
+        while sys is None or not feasibility_check(sys):
+            sys = sized_random_system(rng, 1 + k % 12, int(rng.integers(1, 13)), (0.0, 0.3))
+            if k % 3 == 0:  # silence about a third of the frontends
+                sys = make_system(
+                    [(f.id, 0.0 if rng.random() < 0.3 else f.lam) for f in sys.frontends],
+                    [(b.id, b.service) for b in sys.backends], sys.edges)
+        systems.append(sys)
+    assert sum(0.0 in sys.lambdas for sys in systems) >= 4
+    for sys in systems:
+        slack = capacity_slack(sys)
+        want = _enumerated_slack(sys, sys.rates_at(slack.n_tilde))
+        assert abs(slack.delta - want) <= 1e-12 * abs(want)
 
 
 def _slack_by_string_keyed_flows(sys, rate_tilde):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gmsr.flownet import feasibility_check
+from gmsr.flownet import (
+    StabilityDecomposition,
+    _augmented_cut,
+    feasibility_check,
+    opt_tp,
+    stability_decomposition,
+)
 from gmsr.fluid_opt import (
     CapacityMarginError,
     ConvergenceError,
@@ -71,6 +77,46 @@ def test_solve_raises_on_boundary_saturation():
         solve_fluid_optimum(_single_pair(1.0))
 
 
+_SHORT_FLOW = make_system(  # f1 alone overloads b1: the max flow falls short
+    frontends=[("f1", 2.0), ("f2", 0.5)],
+    backends=[("b1", hill(1.0, 1.0)), ("b2", hill(1.0, 1.0))],
+    edges=[("f1", "b1"), ("f2", "b1"), ("f2", "b2")],
+)
+_AT_CAPACITY = make_system(  # f1 exactly fills b1: the flow saturates, f1 is starved
+    frontends=[("f1", 1.0), ("f2", 0.5)],
+    backends=[("b1", hill(1.0, 1.0)), ("b2", hill(1.0, 1.0))],
+    edges=[("f1", "b1"), ("f2", "b1"), ("f2", "b2")],
+)
+
+
+@pytest.mark.parametrize("sys, witness, stable_f, stable_b, throughput", [
+    (_SHORT_FLOW, {"f1"}, {"f2"}, {"b2"}, 1.5),
+    (_AT_CAPACITY, {"f1"}, {"f2"}, {"b2"}, 1.5),
+    (n_model(), {"f1", "f2"}, set(), set(), 2.0),  # both frontends at capacity
+])
+def test_every_entry_point_reads_the_one_augmented_cut(
+        sys, witness, stable_f, stable_b, throughput):
+    got, dec, value = _augmented_cut(sys)
+    assert got == witness
+    lam = sys.lambdas
+    nbrs = {j for i in range(len(lam)) if sys.frontend_ids[i] in witness
+            for j in sys.backends_of_frontend[i]}
+    assert sum(lam[sys.frontend_index[f]] for f in witness) >= sum(
+        sys.services[j].cap for j in nbrs)
+    assert dec == StabilityDecomposition(frozenset(stable_f), frozenset(stable_b))
+    assert value == throughput
+
+    assert feasibility_check(sys) is False
+    assert stability_decomposition(sys) == dec
+    assert opt_tp(sys) == value
+    eq = equilibrium_rates(sys)
+    assert (eq.feasible, eq.decomposition, eq.throughput) == (False, dec, value)
+    for solve in (solve_fluid_optimum, lambda s: brute_force_optimum(s, grid_step=0.1)):
+        with pytest.raises(InfeasibleSystemError) as exc:
+            solve(sys)
+        assert exc.value.subset == witness
+
+
 def test_solve_raises_convergence_error_when_iterations_run_out():
     # fig1 decomposes into two blocks: one split round and two finishing rounds
     with pytest.raises(ConvergenceError) as exc:
@@ -133,16 +179,11 @@ def test_solver_flow_balance_and_kkt_structure():
 
 
 def test_solver_unique_from_different_starts():
-    rng = np.random.default_rng(1123)
     sys = _n_model_04_06()
+    opt_a = solve_fluid_optimum(sys)
     for _ in range(5):
-        x0 = np.where(sys.edge_matrix, rng.random(sys.edge_matrix.shape), 0.0)
-        opt_a = solve_fluid_optimum(sys)
-        with pytest.warns(DeprecationWarning, match="ignores x0"):
-            opt_b = solve_fluid_optimum(sys, x0=x0)
+        opt_b = solve_fluid_optimum(sys)
         np.testing.assert_allclose(opt_a.n_star, opt_b.n_star, atol=1e-6)
-    with pytest.raises(ValueError, match="x0 has shape"):
-        solve_fluid_optimum(sys, x0=np.ones((2, 3)))
 
 
 def test_solver_objective_matches_grid_oracle_on_random_systems():

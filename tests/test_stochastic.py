@@ -331,6 +331,8 @@ def test_simulate_validation():
         simulate(sys, [-1.0, 0.0], 10, 1.0)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         simulate(sys, [math.nan, 0.0], 10, 1.0)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        simulate(sys, [1e308, 0.0], 10, 1.0)  # finite, but not times c
     with pytest.raises(ValueError, match="step budget"):
         simulate(sys, [0.0, 0.0], 10**6, 1000.0)
 
@@ -343,3 +345,6 @@ def test_mean_drift_check_validation():
         mean_drift_check(sys, [1.0, 1.0], 10, policy="rr")
     with pytest.raises(ValueError, match="shape"):
         mean_drift_check(sys, [1.0], 10)
+    for bad in ([math.inf, 1.0], [math.nan, 1.0], [1.0, -0.5], [1e308, 1.0]):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mean_drift_check(sys, bad, 10)
