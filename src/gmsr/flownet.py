@@ -34,6 +34,8 @@ __all__ = [
 
 # augmentations below this increment are float noise, not flow
 _EPS = 1e-12
+# relative slack within which a transportation flow meets its demands
+_TRANSPORT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -325,21 +327,23 @@ def transportation_feasible(
     frontends: set[str] | frozenset[str],
     backends: set[str] | frozenset[str],
     demand: dict[str, float],
-    tol: float = 1e-9,
-) -> tuple[bool, np.ndarray | None]:
+) -> tuple[bool, np.ndarray | None, list[int] | None]:
     """Can the frontends' full arrival mass be split over edges inside
     (frontends, backends) so each backend b receives exactly demand[b]?
 
-    Returns (feasible, witness) where the witness is a full-shape routing
-    matrix supported on the restricted edges (rows of frontends outside the
-    set are left zero).
+    Returns (feasible, witness, low) from one ``TransportNetwork.solve``.
+    The witness is a full-shape routing matrix supported on the restricted
+    edges (rows of frontends outside the set are left zero), or None.  low
+    is None when the flow meets the demands, else the backend indices on
+    the source side of the min cut, as ``TransportNetwork.solve`` gives
+    them.
     """
     for b, d in demand.items():
         if d < 0:
             raise ValueError(f"negative demand {d} for backend {b!r}")
     net = TransportNetwork(sys, frontends, backends)
-    witness, _ = net.solve([demand.get(sys.backend_ids[j], 0.0) for j in net.b_idx], tol)
-    return witness is not None, witness
+    witness, low = net.solve([demand.get(sys.backend_ids[j], 0.0) for j in net.b_idx])
+    return witness is not None, witness, low
 
 
 class TransportNetwork:
@@ -377,10 +381,10 @@ class TransportNetwork:
         self.lam = [sys.lambdas[i] for i in self.f_idx]
         self.core = _FlowCore(sink + 1, pairs)
 
-    def solve(self, demand, tol: float = 1e-9) -> tuple[np.ndarray | None, list[int] | None]:
+    def solve(self, demand) -> tuple[np.ndarray | None, list[int] | None]:
         """One max flow for demands given in ``b_idx`` order.
 
-        Returns (witness, None) when the demand total matches λ to tol
+        Returns (witness, None) when the demand total matches λ to 1e-9
         (relative) and the flow meets it; the witness is what
         ``transportation_feasible`` returns.  Otherwise returns (None, low):
         the backend indices on the source side of the minimal min cut,
@@ -395,7 +399,8 @@ class TransportNetwork:
         scale = 1.0 + abs(lam_total)
         value, flow, res = core.solve(
             self.lam + [math.inf] * len(self.mid) + list(demand), 0, core.n - 1)
-        if abs(d_total - lam_total) > tol * scale or value < d_total - tol * scale:
+        tol = _TRANSPORT_TOL * scale
+        if abs(d_total - lam_total) > tol or value < d_total - tol:
             first = 1 + len(self.f_idx)
             return None, sorted(self.b_idx[u - first] for u in core._closure(res, 0, None)
                                 if first <= u < core.n - 1)

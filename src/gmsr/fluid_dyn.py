@@ -282,7 +282,7 @@ def sliding_drift(
             continue
         ok = all(val >= 0.0 for val in w.values())
         if ok:
-            ok, witness = transportation_feasible(
+            ok, witness, _ = transportation_feasible(
                 sys, set(tier.frontends), set(tier.backends), w
             )
             if ok:
@@ -307,17 +307,16 @@ class _TierStruct:
     """Everything about one tier that only depends on the tie pattern."""
 
     __slots__ = (
-        "f_idx", "b_idx", "b_mask", "lam_sum", "schedule", "root",
+        "f_idx", "b_idx", "b_mask", "lam_sum", "schedule",
         "fallback_backend", "node_set", "transport",
     )
 
-    def __init__(self, f_idx, b_idx, lam_sum, schedule, root, fallback_backend, node_set):
+    def __init__(self, f_idx, b_idx, lam_sum, schedule, fallback_backend, node_set):
         self.f_idx = f_idx                    # tuple of frontend indices
         self.b_idx = b_idx                    # tuple of backend indices
         self.b_mask = sum(1 << j for j in b_idx)  # b_idx as a bitmask
         self.lam_sum = lam_sum
         self.schedule = schedule              # tree-elimination steps
-        self.root = root                      # root node id (f: i, b: nf+j)
         self.fallback_backend = fallback_backend  # per f_idx: one-hot target
         self.node_set = node_set              # frozenset of node ids
         self.transport = None                 # TransportNetwork, built on first miss
@@ -354,8 +353,8 @@ def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
 
         # spanning tree + leaf-to-root elimination schedule for witnesses
         schedule: list[tuple[int, int]] = []
-        root = fs[0] if fs else nf + bs[0]
         if fs:
+            root = fs[0]
             parent = {root: -1}
             order = [root]
             queue = [root]
@@ -376,7 +375,7 @@ def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
             )
         node_set = frozenset(fs) | frozenset(nf + j for j in bs)
         tiers.append(
-            _TierStruct(fs, bs, lam_sum, tuple(schedule), root, fallback, node_set)
+            _TierStruct(fs, bs, lam_sum, tuple(schedule), fallback, node_set)
         )
         sets.append(node_set)
     return _Pattern(tuple(tiers), frozenset(sets), groups)
@@ -892,12 +891,9 @@ def _tile_rows(buf: array, rows: int, total: int, shape: tuple[int, ...],
     return out
 
 
-def modes_agree(
-    sys: BipartiteSystem, n0, horizon: float, h: float = 1e-3, tie_band: float = 1e-3
-) -> float:
-    """Sup-norm gap between sliding and strict-argmax trajectories."""
-    a = integrate_fluid(sys, n0, horizon, IntegratorConfig(h=h, tie_band=tie_band))
-    b = integrate_fluid(
-        sys, n0, horizon, IntegratorConfig(h=h, tie_band=tie_band, mode="strict-argmax")
-    )
+def modes_agree(sys: BipartiteSystem, n0, horizon: float) -> float:
+    """Sup-norm gap between sliding and strict-argmax trajectories under the
+    default step and tie band."""
+    a = integrate_fluid(sys, n0, horizon, IntegratorConfig())
+    b = integrate_fluid(sys, n0, horizon, IntegratorConfig(mode="strict-argmax"))
     return float(np.max(np.abs(a.states - b.states)))

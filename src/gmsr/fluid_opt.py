@@ -28,12 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gmsr.flownet import (
-    StabilityDecomposition,
-    TransportNetwork,
-    _augmented_cut,
-    transportation_feasible,
-)
+from gmsr.flownet import StabilityDecomposition, _augmented_cut, transportation_feasible
 from gmsr.model import HILL, BipartiteSystem
 
 __all__ = [
@@ -49,6 +44,7 @@ __all__ = [
 ]
 
 SUPPORT_EPS = 1e-8  # routing entries above this count as carrying flow
+_KKT_TOL = 1e-8  # the largest KKT residual an optimum is returned with
 _CAP_MARGIN = 1.0 - 1e-9  # keep inflows strictly inside the caps
 
 
@@ -67,14 +63,14 @@ class InfeasibleSystemError(ValueError):
 class ConvergenceError(RuntimeError):
     """The solver stopped without a certified optimum: its decomposition
     rounds ran out (`.residual` is inf), a min cut failed to split a block
-    (inf as well), or the assembled optimum's KKT residual exceeds tol.
+    (inf as well), or the assembled optimum's KKT residual exceeds 1e-8.
     `.iterations` is the number of rounds used."""
 
-    def __init__(self, residual: float, iterations: int, tol: float):
+    def __init__(self, residual: float, iterations: int):
         self.residual = residual
         self.iterations = iterations
         super().__init__(
-            f"fluid optimum not converged: KKT residual {residual:.3g} > tol {tol:.3g} "
+            f"fluid optimum not converged: KKT residual {residual:.3g} > tol {_KKT_TOL:.3g} "
             f"after {iterations} rounds"
         )
 
@@ -103,7 +99,8 @@ class FluidOptimum:
         backend indices); a block's backends share one gradient level, and
         those with μ_b′(0) at or below it stay at N = 0.
     rounds: blocks examined (level bisection plus transportation flow).
-    max_flows: every max flow run, the feasibility witness included.
+    max_flows: every max flow run: the feasibility witness, then one per
+        round.
     bisection_steps: total-service evaluations over all level bisections.
     The counts are 0 and blocks empty for optima found another way.
     """
@@ -221,23 +218,19 @@ def _level(curves, g_zero, lam_c: float) -> tuple[float, bool, int]:
     return 0.5 * (lo + hi), True, steps
 
 
-def solve_fluid_optimum(
-    sys: BipartiteSystem,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-) -> FluidOptimum:
+def solve_fluid_optimum(sys: BipartiteSystem, max_iter: int = 100_000) -> FluidOptimum:
     """Minimize total workload subject to per-backend flow balance.
 
     Raises InfeasibleSystemError (with a witness subset) when some frontend
     group saturates its neighborhood.  Otherwise runs the decomposition
     algorithm (module docstring): each round takes one block, finds its
     gradient level (a lone backend's inflow is the block's arrival rate)
-    and runs a transportation max flow, which either routes the block or,
-    with a second flow for the min cut, splits it.  After max_iter rounds,
-    or if the assembled optimum's KKT residual exceeds tol, it raises
-    ConvergenceError.  A finished block whose inflows reach
-    (1 − 1e-9)·cap, or whose level lies below the bisection bracket, raises
-    CapacityMarginError naming its backends.
+    and runs a transportation max flow, which either routes the block or
+    splits it by its min cut.  After max_iter rounds, or if the assembled
+    optimum's KKT residual exceeds 1e-8, it raises ConvergenceError.  A
+    finished block whose inflows reach (1 − 1e-9)·cap, or whose level lies
+    below the bisection bracket, raises CapacityMarginError naming its
+    backends.
 
     A frontend with zero arrival rate routes nothing and joins no block; its
     routing row is uniform over its neighbours.
@@ -256,7 +249,6 @@ def solve_fluid_optimum(
     x /= np.maximum(edge.sum(axis=1), 1)[:, None]
     n = np.zeros(nb)
     rounds = steps = 0
-    flows = 1  # the feasibility witness
     blocks = []
     todo = [(tuple(i for i in range(nf) if lam[i] > 0), tuple(range(nb)))]
     while todo:
@@ -265,7 +257,7 @@ def solve_fluid_optimum(
         if lam_c <= 0:
             continue  # backends no arrivals reach keep N = 0
         if rounds == max_iter:
-            raise ConvergenceError(math.inf, rounds, tol)
+            raise ConvergenceError(math.inf, rounds)
         rounds += 1
         if len(ba) == 1:  # the balance pins a lone backend's inflow
             level, bracketed = [services[ba[0]].inverse(lam_c)], True
@@ -276,29 +268,24 @@ def solve_fluid_optimum(
             level = [services[j].gradient_inverse(gamma) if gamma < g_zero[j] else 0.0
                      for j in ba]
         demand = {bids[j]: services[j].value(nj) for j, nj in zip(ba, level)}
-        f_set, b_set = {fids[i] for i in fr}, {bids[j] for j in ba}
-        if bracketed:
-            ok, flow = transportation_feasible(sys, f_set, b_set, demand)
-            flows += 1
-            if ok:
-                at_margin = tuple(bids[j] for j in ba
-                                  if demand[bids[j]] >= _CAP_MARGIN * services[j].cap)
-                if at_margin:
-                    raise CapacityMarginError(at_margin)
-                n[list(ba)] = level
-                x[list(fr)] = flow[list(fr)]
-                blocks.append((fr, ba))
-                continue
+        ok, flow, low = transportation_feasible(
+            sys, {fids[i] for i in fr}, {bids[j] for j in ba}, demand)
+        if ok and bracketed:
+            at_margin = tuple(bids[j] for j in ba
+                              if demand[bids[j]] >= _CAP_MARGIN * services[j].cap)
+            if at_margin:
+                raise CapacityMarginError(at_margin)
+            n[list(ba)] = level
+            x[list(fr)] = flow[list(fr)]
+            blocks.append((fr, ba))
+            continue
         # the frontends whose block neighbours all lie on the min cut's source
         # side overload them at this level: they form the lower-gradient block
-        net = TransportNetwork(sys, f_set, b_set)
-        _, low = net.solve([demand[bids[j]] for j in net.b_idx])
         low = set(low or ())  # None: the flow routes the block, so nothing splits
-        flows += 1
         if not low or len(low) == len(ba):
             if not bracketed:  # the whole block needs a level below the bracket
                 raise CapacityMarginError(tuple(bids[j] for j in ba))
-            raise ConvergenceError(math.inf, rounds, tol)  # the cut does not split
+            raise ConvergenceError(math.inf, rounds)  # the cut does not split
         inside = set(ba)
         lower = {i for i in fr
                  if all(j in low for j in sys.backends_of_frontend[i] if j in inside)}
@@ -307,11 +294,11 @@ def solve_fluid_optimum(
         todo.append((tuple(sorted(lower)), tuple(sorted(low))))
 
     residual = kkt_residual(sys, n, x)
-    if residual > tol:
-        raise ConvergenceError(residual, rounds, tol)
+    if residual > _KKT_TOL:
+        raise ConvergenceError(residual, rounds)
     return FluidOptimum(
         n_star=n, x_star=x, objective=float(n.sum()), kkt_residual=residual,
-        blocks=tuple(blocks), rounds=rounds, max_flows=flows, bisection_steps=steps,
+        blocks=tuple(blocks), rounds=rounds, max_flows=1 + rounds, bisection_steps=steps,
     )
 
 
@@ -347,7 +334,9 @@ def brute_force_optimum(sys: BipartiteSystem, grid_step: float) -> FluidOptimum:
             return np.stack([ticks, 1.0 - ticks], axis=1)
         pp, qq = np.meshgrid(ticks, ticks, indexing="ij")
         keep = pp + qq <= 1.0 + 1e-12
-        return np.stack([pp[keep], qq[keep], 1.0 - pp[keep] - qq[keep]], axis=1)
+        # clamping q to 1 − p keeps the third coordinate nonnegative in floats
+        pp, qq = pp[keep], np.minimum(qq[keep], 1.0 - pp[keep])
+        return np.stack([pp, qq, 1.0 - pp - qq], axis=1)
 
     best_obj = math.inf
     best_rows: list[np.ndarray] = []
@@ -407,7 +396,7 @@ def brute_force_optimum(sys: BipartiteSystem, grid_step: float) -> FluidOptimum:
     )
 
 
-def equilibrium_rates(sys: BipartiteSystem, tol: float = 1e-8) -> OverloadEquilibrium:
+def equilibrium_rates(sys: BipartiteSystem) -> OverloadEquilibrium:
     """Long-run per-backend service rates under greatest-marginal-rate
     routing, feasible or not.
 
@@ -427,7 +416,7 @@ def equilibrium_rates(sys: BipartiteSystem, tol: float = 1e-8) -> OverloadEquili
                 (f, b) for f, b in sys.edges if f in dec.frontends and b in dec.backends
             ),
         )
-        opt = solve_fluid_optimum(sub, tol=tol)
+        opt = solve_fluid_optimum(sub)
         sub_rates = sub.rates_at(opt.n_star)
         for k, b in enumerate(sub.backend_ids):
             j = sys.backend_index[b]

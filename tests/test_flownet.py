@@ -302,8 +302,8 @@ def test_transportation_split_single_frontend():
         [("b1", hill(1, 1)), ("b2", hill(1, 1))],
         [("f1", "b1"), ("f1", "b2")],
     )
-    ok, x = transportation_feasible(sys, {"f1"}, {"b1", "b2"}, {"b1": 0.5, "b2": 0.5})
-    assert ok
+    ok, x, low = transportation_feasible(sys, {"f1"}, {"b1", "b2"}, {"b1": 0.5, "b2": 0.5})
+    assert ok and low is None
     np.testing.assert_allclose(x, [[0.5, 0.5]], atol=1e-9)
 
 
@@ -318,16 +318,18 @@ def test_transportation_unreachable_demand():
         [("b1", hill(1, 1)), ("b2", hill(1, 1))],
         [("f1", "b1")],
     )
-    ok, x = transportation_feasible(restricted, {"f1"}, {"b1", "b2"}, {"b1": 0.0, "b2": 1.0})
+    ok, x, low = transportation_feasible(
+        restricted, {"f1"}, {"b1", "b2"}, {"b1": 0.0, "b2": 1.0})
     assert not ok and x is None
+    assert low == [0]  # f1 reaches only b1, whose demand cannot take its arrivals
     # sanity: same demand is fine when the edge exists
-    ok, _ = transportation_feasible(sys, {"f1"}, {"b1", "b2"}, {"b1": 0.0, "b2": 1.0})
+    ok, _, _ = transportation_feasible(sys, {"f1"}, {"b1", "b2"}, {"b1": 0.0, "b2": 1.0})
     assert ok
 
 
 def test_transportation_within_reference_tier():
     sys = fig1_system()
-    ok, x = transportation_feasible(
+    ok, x, _ = transportation_feasible(
         sys, {"f1", "f4"}, {"b1", "b5"}, {"b1": 1.5, "b5": 0.5}
     )
     assert ok
@@ -345,7 +347,7 @@ def test_transportation_rejects_negative_demand():
 
 def test_transportation_total_balance_required():
     sys = n_model()
-    ok, _ = transportation_feasible(sys, {"f1", "f2"}, {"b1", "b2"}, {"b1": 0.5, "b2": 0.5})
+    ok, _, _ = transportation_feasible(sys, {"f1", "f2"}, {"b1", "b2"}, {"b1": 0.5, "b2": 0.5})
     assert not ok  # arrivals total 2.0, demand totals 1.0
 
 
@@ -359,7 +361,7 @@ def test_transportation_matches_hall_oracle():
         # random demands summing to the arrival total
         raw = rng.random(len(sys.backends))
         demand = {b: lam_total * w / raw.sum() for b, w in zip(sys.backend_ids, raw)}
-        ok, x = transportation_feasible(sys, f_all, b_all, demand)
+        ok, x, _ = transportation_feasible(sys, f_all, b_all, demand)
         # Hall-style oracle: every frontend subset must fit in its neighborhood demand
         expected = True
         for p in _nonempty_subsets(range(len(sys.frontends))):

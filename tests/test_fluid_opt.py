@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gmsr.flownet import (
     StabilityDecomposition,
+    TransportNetwork,
     _augmented_cut,
     feasibility_check,
     opt_tp,
@@ -203,15 +204,28 @@ def test_solver_objective_matches_grid_oracle_on_random_systems():
 
 def test_solver_counts_its_work():
     opt = solve_fluid_optimum(fig1_system())
-    # one split round and one finishing round per block; every round runs a
-    # transportation flow, a split round one more for its cut, and the
-    # feasibility witness runs first
+    # one split round and one finishing round per block; the feasibility
+    # witness runs first, then every round one transportation flow
     assert len(opt.blocks) == 2
     assert opt.rounds == 2 * len(opt.blocks) - 1
-    assert opt.max_flows == 1 + opt.rounds + (opt.rounds - len(opt.blocks))
+    assert opt.max_flows == 1 + opt.rounds
     assert 0 < opt.bisection_steps <= 201 * opt.rounds
     grid = brute_force_optimum(_single_pair(0.5), grid_step=0.25)
     assert (grid.blocks, grid.rounds, grid.max_flows, grid.bisection_steps) == ((), 0, 0, 0)
+
+
+def test_each_round_solves_one_transportation_flow(monkeypatch):
+    solves = []
+    original = TransportNetwork.solve
+
+    def counted(self, *args):
+        solves.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(TransportNetwork, "solve", counted)
+    opt = solve_fluid_optimum(fig1_system())
+    assert opt.rounds == 3
+    assert len(solves) == opt.rounds
 
 
 def test_zero_rate_frontend_rows_are_uniform():
@@ -279,6 +293,12 @@ def _optimizer_draws(draw):
     frontends=[("f0", 0.5), ("f1", 0.0), ("f2", 0.5)],
     backends=[("b0", saturating_exponential(1.0, 1.0)), ("b1", saturating_exponential(1.0, 1.0))],
     edges=[("f0", "b0"), ("f1", "b0"), ("f1", "b1"), ("f2", "b1")],
+), "inside"))
+@example(draw=(make_system(  # the grid oracle's third coordinate must not go below 0
+    frontends=[("f0", 1.625)],
+    backends=[("b0", hill(1.75, 0.5)), ("b1", saturating_exponential(1.0, 3.0)),
+              ("b2", saturating_exponential(0.5, 1.0))],
+    edges=[("f0", "b0"), ("f0", "b1"), ("f0", "b2")],
 ), "inside"))
 def test_decomposition_is_exact_on_random_systems(draw):
     sys, regime = draw
