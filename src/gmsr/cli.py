@@ -20,7 +20,8 @@ Subcommands:
             certificate.json (with the integrator's work counts under
             "kernel")
   report    aggregate previously written files in --out into report.json,
-            copying their numbers without recomputation
+            copying their numbers without recomputation, with a "totals"
+            block of the work counts they hold
 
 Exit codes: 0 success, 1 scenario/argument validation failure, 2 infeasible
 system where feasibility is required (optimum, certify), 3 runtime failure.
@@ -471,12 +472,14 @@ def _csv_rows(path: Path, *names: str):
 
 def _cmd_report(args) -> int:
     out = _out_dir(args, None)
-    report: dict = {"sources": []}
+    report: dict = {"sources": [], "totals": {}}
+    totals = report["totals"]
 
     opt_path = out / "optimum.json"
     if opt_path.is_file():
-        report["optimum"] = json.loads(opt_path.read_text(encoding="utf-8"))
+        report["optimum"] = opt = json.loads(opt_path.read_text(encoding="utf-8"))
         report["sources"].append(opt_path.name)
+        totals.update(rounds=opt["rounds"], max_flows=opt["max_flows"])
 
     traj_path = out / "trajectory.csv"
     if traj_path.is_file():
@@ -510,10 +513,12 @@ def _cmd_report(args) -> int:
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
         report["simulate"] = summary
         report["sources"].append(summary_path.name)
-        for run in summary.get("runs", []):
+        runs = summary.get("runs", [])
+        for run in runs:
             run_path = out / run.get("file", "")
             if run_path.is_file():
                 report["sources"].append(run_path.name)
+        totals.update({key: sum(run[key] for run in runs) for key in ("steps", "clamps")})
 
     overload_path = out / "overload.json"
     if overload_path.is_file():
@@ -534,6 +539,8 @@ def _cmd_report(args) -> int:
             "kernel": cert.get("kernel"),
         }
         report["sources"].append(cert_path.name)
+        kernel = cert.get("kernel") or {}
+        totals.update({key: kernel[key] for key in ("maxflow_witnesses", "cuts") if key in kernel})
 
     if not report["sources"]:
         raise ScenarioError(f"nothing to report: no known output files in {out}")

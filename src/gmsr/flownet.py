@@ -351,18 +351,17 @@ class TransportNetwork:
     (frontends, backends) pair, reusable across demand vectors.
 
     Source arcs (λ_f) come in sorted frontend-id order, then the system's
-    edges inside the pair in system order (infinite capacity), then sink
-    arcs (the demands) in sorted backend-id order; ``b_idx`` lists the
-    backend indices in that sink-arc order.
-
-    One max flow gives both the verdict and, when it fails, the min cut: the
-    backends reachable from the source in its residual graph are the
-    neighbourhood of the frontend set P that maximizes λ(P) − demand(N(P)).
+    edges inside the pair in system order (infinite capacity; only those in
+    ``edges``, a set of (frontend id, backend id) pairs, when given), then sink
+    arcs (the positive demands) in sorted backend-id order, then
+    source→backend supply arcs (the negated negative demands) in the same
+    order; ``b_idx`` lists the backend indices in that order.  One max
+    flow gives both the verdict and, when it fails, the min cut.
     """
 
-    __slots__ = ("sys", "f_idx", "b_idx", "core", "lam", "mid")
+    __slots__ = ("sys", "f_idx", "b_idx", "core", "lam", "mid", "spare")
 
-    def __init__(self, sys: BipartiteSystem, frontends, backends) -> None:
+    def __init__(self, sys: BipartiteSystem, frontends, backends, edges=None) -> None:
         f_ids = sorted(set(frontends))
         b_ids = sorted(set(backends))
         f_node = {f: 1 + k for k, f in enumerate(f_ids)}
@@ -371,36 +370,48 @@ class TransportNetwork:
         pairs = [(0, f_node[f]) for f in f_ids]
         self.mid = []  # (frontend index, backend index, arc position)
         for f, b in sys.edges:
-            if f in f_node and b in b_node:
+            if f in f_node and b in b_node and (edges is None or (f, b) in edges):
                 self.mid.append((sys.frontend_index[f], sys.backend_index[b], len(pairs)))
                 pairs.append((f_node[f], b_node[b]))
         pairs.extend((b_node[b], sink) for b in b_ids)
+        pairs.extend((0, b_node[b]) for b in b_ids)
         self.sys = sys
         self.f_idx = [sys.frontend_index[f] for f in f_ids]
         self.b_idx = [sys.backend_index[b] for b in b_ids]
         self.lam = [sys.lambdas[i] for i in self.f_idx]
         self.core = _FlowCore(sink + 1, pairs)
+        # per frontend, the first backend its edges inside the network reach
+        inside = {(i, j) for i, j, _ in self.mid}
+        self.spare = {i: next((j for j in sys.backends_of_frontend[i] if (i, j) in inside), None)
+                      for i in self.f_idx}
 
     def solve(self, demand) -> tuple[np.ndarray | None, list[int] | None]:
         """One max flow for demands given in ``b_idx`` order.
 
-        Returns (witness, None) when the demand total matches λ to 1e-9
-        (relative) and the flow meets it; the witness is what
-        ``transportation_feasible`` returns.  Otherwise returns (None, low):
-        the backend indices on the source side of the minimal min cut,
-        ascending.  The frontends whose neighbours inside the pair all lie in
-        low carry more arrivals than low demands, by the most any frontend
-        set does; low may be empty or hold every backend when no set does.
-        A frontend with no edge into the backend set gives (None, []).
+        A negative demand is supply: no flow meets it, and its source arc
+        puts its backend on the source side of the min cut.  Nonnegative
+        demands leave the supply arcs at capacity 0, which no search crosses.
+
+        Returns (witness, None) when no demand is negative, the demand total
+        matches λ to 1e-9 (relative) and the flow meets it; the witness is
+        what ``transportation_feasible`` returns.  Otherwise returns
+        (None, low): the backend indices on the source side of the minimal
+        min cut, ascending, N(P) ∪ {b : demand_b < 0} for the frontend set
+        P (perhaps empty) that maximizes λ(P) − demand(N(P) ∪ {b : demand_b
+        < 0}); with no negative demand, low may be empty or hold every
+        backend when no set overloads its neighbours.  A frontend with no
+        edge in the network gives (None, []).
         """
         sys, core = self.sys, self.core
         lam_total = sum(self.lam)
         d_total = sum(demand)
         scale = 1.0 + abs(lam_total)
         value, flow, res = core.solve(
-            self.lam + [math.inf] * len(self.mid) + list(demand), 0, core.n - 1)
+            self.lam + [math.inf] * len(self.mid) + [d if d > 0.0 else 0.0 for d in demand]
+            + [-d if d < 0.0 else 0.0 for d in demand], 0, core.n - 1)
         tol = _TRANSPORT_TOL * scale
-        if abs(d_total - lam_total) > tol or value < d_total - tol:
+        if (abs(d_total - lam_total) > tol or value < d_total - tol
+                or min(demand, default=0.0) < 0.0):
             first = 1 + len(self.f_idx)
             return None, sorted(self.b_idx[u - first] for u in core._closure(res, 0, None)
                                 if first <= u < core.n - 1)
@@ -411,18 +422,13 @@ class TransportNetwork:
             w = flow[core.arc_slot[k]]
             if lam[i] > 0 and w > 0:
                 x[i, j] = w / lam[i]
-        b_in = set(self.b_idx)
         for i in self.f_idx:
             total = x[i].sum()
             if total <= 0:
                 # carries no flow (zero rate, or rate below float noise); the
-                # simplex row still must sit on some restricted edge
-                for j in sys.backends_of_frontend[i]:
-                    if j in b_in:
-                        x[i, j] = 1.0
-                        break
-                else:
-                    return None, []  # no edge into the backend set at all
-                total = x[i].sum()
+                # simplex row still must sit on some edge of the network
+                if self.spare[i] is None:
+                    return None, []  # no edge in the network at all
+                x[i, self.spare[i]] = total = 1.0
             x[i] /= total  # wash out augmentation round-off
         return x, None

@@ -10,21 +10,18 @@ dynamics with fixed-step explicit Euler in two modes:
   the tied-best-edge graph); each tier moves with the unique drift that
   equalizes d/dt μ′_b across its backends while absorbing the tier's total
   flow imbalance, provided a routing realizing that drift exists (a
-  transportation-feasibility question).  A tier whose equalized drift is
-  unrealizable is split until every tier's drift is realizable.  A backend
-  whose implied inflow went negative leaves the tier with w = 0 (it exits
-  through the w ≥ 0 face).  Otherwise the tier's transportation max flow
-  falls short, and its min cut names the frontend set P that most overloads
-  its neighbourhood N(P) at the equalized drift: (P, N(P)) becomes a
-  lower sub-tier, and every other frontend of the tier drops only its band
-  edges into N(P).  This is the principal-partition step of the
-  decomposition algorithm for separable convex minimization over a
-  polymatroid base (S. Fujishige, Submodular Functions and Optimization,
-  2nd ed., 2005), the step ``fluid_opt.solve_fluid_optimum`` takes too.
-  A cut keeps every band edge that can still carry flow, so the Lyapunov
-  function V = Σ_b |inflow_b − μ_b(N_b)| does not rise at it.  A backend
-  that leaves with w = 0 takes all its band edges with it, and that split
-  can still raise V.
+  transportation-feasibility question).  Otherwise the min cut of a max
+  flow over the tier's band edges, with negative implied inflows as
+  supply, names the frontend set P that most overloads N(P) ∪ {b : w_b <
+  0}; that pair becomes a lower sub-tier, and the tier's other frontends
+  drop their band edges into it.  This is the step of the decomposition
+  algorithm for separable convex minimization over a polymatroid base (S.
+  Fujishige, Submodular Functions and Optimization, 2nd ed., 2005) that
+  ``fluid_opt.solve_fluid_optimum`` takes too.  Every edge that carries a
+  frontend's flow then has the least |μ″_b|(w_b − μ_b) among its band
+  edges, the KKT condition of minimizing Σ_b |μ″_b|(w_b − μ_b)²/2 over
+  band-edge routings, so V = Σ_b |inflow_b − μ_b(N_b)| does not rise at a
+  split.
 * ``strict-argmax`` — each frontend routes its whole rate to its single
   best backend (lowest index on exact ties).  This is the noisy
   discretization that the sliding mode idealizes; the two agree to O(h + ε).
@@ -39,7 +36,7 @@ single output bit:
   gradient changed, the tie masks and pattern are reused (and, under strict
   argmax, the routing and inflows too).  In sliding mode, when the tie
   pattern is the previous step's and that step needed no repair (no
-  split, forced step or tree miss), only the tiers holding a moved
+  split or tree miss), only the tiers holding a moved
   backend are recomputed.  After a split, only the split tier's pieces
   and the tiers not reached yet are recomputed; the others keep their
   rows.
@@ -64,12 +61,13 @@ computed once per distinct pattern and cached: tier membership (from
 transportation witnesses.  An event's partition is built by
 ``tiers.tier_partition`` from the pattern's components.
 
-A tier's routing normally comes from its spanning tree.  When a tree flow
-comes out negative, one max flow on a network cached with the tier
-(``flownet.TransportNetwork``, the computation ``transportation_feasible``
-runs) decides: its flow is the tier's routing when it meets the demands,
-and its min cut splits the tier when it does not.  ``FluidTrajectory.stats``
-counts these steps.
+A tier's routing comes from its spanning tree over the system edges
+inside the tier (all at the tier's one |μ″_b|(w_b − μ_b)), and after a tree
+miss from one max flow over the same edges (``flownet.TransportNetwork``,
+the computation ``transportation_feasible`` runs).  A split reads the min
+cut of a max flow over the band edges: the witness flow's own when the tier
+has no other edge, else one more on a second network.  Both networks are
+cached with the tier, and ``FluidTrajectory.stats`` counts the flows.
 """
 
 from __future__ import annotations
@@ -101,7 +99,8 @@ _MAX_STEPS = 10**8  # round(horizon / h) above this is refused before recording
 
 
 class IntegrationError(RuntimeError):
-    """A trajectory left the finite domain (diverged or produced NaN)."""
+    """A trajectory left the finite domain (diverged or produced NaN), or a
+    min cut did not split its tier."""
 
 
 @dataclass(frozen=True)
@@ -143,10 +142,8 @@ class TierEvent:
     """A change of the tier partition between consecutive steps.
 
     kind is "split" when a tier could not realize its equalized drift, so
-    the step split it (a backend leaving with zero inflow, or the tier's
-    min cut) or fell back to strict argmax; "slide" when tiers merged onto
-    a common equal-gradient surface; and "reconfigure" for any other
-    change.
+    the step split it by a min cut; "slide" when tiers merged onto a common
+    equal-gradient surface; and "reconfigure" for any other change.
 
     Events recorded by ``integrate_fluid`` keep the tier groups and gradient
     row of their step and build ``tiers`` when it is first read (equality,
@@ -180,12 +177,10 @@ class KernelStats:
     step is not solved, or counted, again.
 
     tree_misses:       tier spanning-tree witnesses that came out negative.
-    maxflow_witnesses: max-flow solves, one per tree miss.
-    cuts:              tiers split by the min cut of a failed max flow.
-    evictions:         tiers split by a backend whose implied inflow went
-                       negative (it leaves with zero inflow).
-    forced_steps:      steps that fell back to one strict-argmax step
-                       because a split changed no tie mask.
+    maxflow_witnesses: max flows over a tier's edges, one per tree miss.
+    cuts:              tiers split by the min cut of a max flow over their
+                       band edges (one more flow, unless the failed witness
+                       flow's edges were all band edges).
     patterns:          distinct tie patterns whose tier structures were built.
 
     In strict-argmax mode only ``patterns`` can be nonzero.
@@ -194,8 +189,6 @@ class KernelStats:
     tree_misses: int = 0
     maxflow_witnesses: int = 0
     cuts: int = 0
-    evictions: int = 0
-    forced_steps: int = 0
     patterns: int = 0
 
 
@@ -308,10 +301,10 @@ class _TierStruct:
 
     __slots__ = (
         "f_idx", "b_idx", "b_mask", "lam_sum", "schedule",
-        "fallback_backend", "node_set", "transport",
+        "fallback_backend", "node_set", "band_only", "transport", "cut_net",
     )
 
-    def __init__(self, f_idx, b_idx, lam_sum, schedule, fallback_backend, node_set):
+    def __init__(self, f_idx, b_idx, lam_sum, schedule, fallback_backend, node_set, band_only):
         self.f_idx = f_idx                    # tuple of frontend indices
         self.b_idx = b_idx                    # tuple of backend indices
         self.b_mask = sum(1 << j for j in b_idx)  # b_idx as a bitmask
@@ -319,7 +312,9 @@ class _TierStruct:
         self.schedule = schedule              # tree-elimination steps
         self.fallback_backend = fallback_backend  # per f_idx: one-hot target
         self.node_set = node_set              # frozenset of node ids
+        self.band_only = band_only            # every edge inside the tier is a band edge
         self.transport = None                 # TransportNetwork, built on first miss
+        self.cut_net = None                   # the same on band edges, built on first cut
 
 
 class _Pattern:
@@ -356,15 +351,12 @@ def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
         if fs:
             root = fs[0]
             parent = {root: -1}
-            order = [root]
-            queue = [root]
-            while queue:
-                node = queue.pop(0)
+            order = [root]  # breadth first: the list is its own queue
+            for node in order:
                 for other in adj[node]:
                     if other not in parent:
                         parent[other] = node
                         order.append(other)
-                        queue.append(other)
             schedule = [(node, parent[node]) for node in reversed(order[1:])]
 
         fallback = {}
@@ -375,10 +367,22 @@ def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
             )
         node_set = frozenset(fs) | frozenset(nf + j for j in bs)
         tiers.append(
-            _TierStruct(fs, bs, lam_sum, tuple(schedule), fallback, node_set)
+            _TierStruct(fs, bs, lam_sum, tuple(schedule), fallback, node_set,
+                        all(masks[i] >> (j - nf) & 1 for i in fs for j in adj[i]))
         )
         sets.append(node_set)
     return _Pattern(tuple(tiers), frozenset(sets), groups)
+
+
+def _tier_network(sys: BipartiteSystem, tier: _TierStruct, masks=None) -> TransportNetwork:
+    """The tier's transportation network over the system edges inside it,
+    or over its band edges when given the pattern's masks."""
+    f_ids = [sys.frontend_ids[i] for i in tier.f_idx]
+    b_ids = [sys.backend_ids[j] for j in tier.b_idx]
+    band = None if masks is None else {
+        (f_ids[p], b_ids[q]) for p, i in enumerate(tier.f_idx)
+        for q, j in enumerate(tier.b_idx) if masks[i] >> j & 1}
+    return TransportNetwork(sys, f_ids, b_ids, band)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +411,7 @@ class _Kernel:
         self.patterns: dict[tuple[int, ...], _Pattern] = {}
         # state carried from one step to the next: the routing rows, the
         # last computed tie masks and their pattern, and whether the last
-        # step solved that pattern with no split, forced step or tree miss
+        # step solved that pattern with no split or tree miss
         self.xbuf = [0.0] * (self.nf * self.nb)
         self.masks: tuple[int, ...] | None = None
         self.pattern: _Pattern | None = None
@@ -424,16 +428,12 @@ class _Kernel:
         self.tree_misses = 0
         self.maxflow_witnesses = 0
         self.cuts = 0
-        self.evictions = 0
-        self.forced_steps = 0
 
     def stats(self) -> KernelStats:
         return KernelStats(
             tree_misses=self.tree_misses,
             maxflow_witnesses=self.maxflow_witnesses,
             cuts=self.cuts,
-            evictions=self.evictions,
-            forced_steps=self.forced_steps,
             patterns=len(self.patterns),
         )
 
@@ -479,14 +479,15 @@ class _Kernel:
         return pat
 
     # -- sliding-mode step pieces -------------------------------------------
-    # tier_flows/tree_witness/exact_witness all read and write the shared
+    # tier_flows/tree_witness/exact_witness/min_cut all use the shared
     # per-backend buffers vbuf/wbuf, indexed globally.
 
-    def tier_flows(self, tier: _TierStruct) -> int:
+    def tier_flows(self, tier: _TierStruct) -> bool:
         """Drift and implied inflows for one tier.
 
-        Returns -1 on success; otherwise the global index of the backend
-        whose implied inflow is most negative (the member that leaves).
+        Returns False when an implied inflow lies below -1e-12 (it is kept
+        in wbuf, where ``min_cut`` reads it as supply); inflows inside that
+        band are float dust and read 0.
         """
         mu, ic, v, w = self.mu, self.ic, self.vbuf, self.wbuf
         b_idx = tier.b_idx
@@ -494,26 +495,24 @@ class _Kernel:
             j = b_idx[0]
             v[j] = tier.lam_sum - mu[j]
             w[j] = tier.lam_sum
-            return -1
+            return True
         s = tier.lam_sum
         denom = 0.0
         for j in b_idx:
             s -= mu[j]
             denom += ic[j]
         scale = s / denom
-        bad_j = -1
-        bad_w = -1e-12  # inside this band it is float dust, not an exit
+        ok = True
         for j in b_idx:
             vj = ic[j] * scale
             wj = vj + mu[j]
-            if wj < 0.0:
-                if wj < bad_w:
-                    bad_w = wj
-                    bad_j = j
+            if wj < -1e-12:
+                ok = False
+            elif wj < 0.0:
                 wj = 0.0
             v[j] = vj
             w[j] = wj
-        return bad_j
+        return ok
 
     def tree_witness(self, tier: _TierStruct, xbuf: list[float]) -> bool:
         """Fill routing rows from the tier's spanning tree; False on negatives.
@@ -552,26 +551,16 @@ class _Kernel:
                     xbuf[base + j] /= total
         return True
 
-    def exact_witness(self, tier: _TierStruct, xbuf: list[float]) -> int:
-        """After a tree miss: one max flow for the demands in wbuf.
-
-        When it meets them, fills the tier's rows from its flow and returns
-        -1.  Otherwise returns the bitmask of the backends on the source
-        side of its min cut, which may be 0 or the whole tier.
-        """
-        net = tier.transport
-        if net is None:
-            sys = self.sys
-            net = tier.transport = TransportNetwork(
-                sys,
-                [sys.frontend_ids[i] for i in tier.f_idx],
-                [sys.backend_ids[j] for j in tier.b_idx],
-            )
+    def exact_witness(self, tier: _TierStruct, xbuf: list[float], masks: tuple[int, ...]) -> int:
+        """After a tree miss: one max flow over the tier's edges for the
+        demands in wbuf.  When it meets them, fills the tier's rows from its
+        flow and returns -1; otherwise returns ``min_cut``'s bitmask."""
+        net = tier.transport = tier.transport or _tier_network(self.sys, tier)
         self.maxflow_witnesses += 1
         w = self.wbuf
         witness, low = net.solve([w[j] for j in net.b_idx])
         if witness is None:
-            return sum(1 << j for j in low)
+            return self.min_cut(tier, masks, low)
         nb = self.nb
         for i in tier.f_idx:
             base = i * nb
@@ -579,33 +568,27 @@ class _Kernel:
                 xbuf[base + j] = witness[i, j]
         return -1
 
-    def strict_step(self, xbuf: list[float]) -> None:
-        """Whole-rate argmax routing; fills vbuf/wbuf."""
-        g, lam, nb = self.g, self.lam, self.nb
-        mu, v, w = self.mu, self.vbuf, self.wbuf
-        for j in range(nb):
-            w[j] = 0.0
-        for i, nbrs in enumerate(self.neighbors):
-            best = nbrs[0]
-            top = g[best]
-            for j in nbrs:
-                gj = g[j]
-                if gj > top:  # strictly greater: lowest index wins ties
-                    top = gj
-                    best = j
-            xbuf[i * nb + best] = 1.0
-            w[best] += lam[i]
-        for j in range(nb):
-            v[j] = w[j] - mu[j]
+    def min_cut(self, tier: _TierStruct, masks: tuple[int, ...], low=None) -> int:
+        """The bitmask of the backends on the source side of the min cut of
+        one max flow over the tier's band edges (those of ``masks``) for the
+        demands in wbuf, negative ones as supply.  When every edge inside the
+        tier is a band edge, ``low`` from the failed witness flow is that cut."""
+        if low is None or not tier.band_only:
+            net = tier.cut_net = tier.cut_net or _tier_network(self.sys, tier, masks)
+            w = self.wbuf
+            low = net.solve([w[j] for j in net.b_idx])[1]
+        self.cuts += 1
+        return sum(1 << j for j in low)
 
     # -- whole steps ----------------------------------------------------------
     # Both take the workload vector and the bitmask of backends whose
-    # workload changed bits since the last call, fill vbuf/wbuf/xbuf, and
-    # return (tie pattern used, forced, bitmask of backends whose drift was
-    # computed afresh).  A step reuses what its inputs leave unchanged bit
-    # for bit, so it gives the same bits as computing everything.
+    # workload changed bits since the last call, and the step's time (for
+    # errors), fill vbuf/wbuf/xbuf, and return (tie pattern used, whether a
+    # tier was split, bitmask of backends whose drift was computed afresh).
+    # A step reuses what its inputs leave unchanged bit for bit, so it gives
+    # the same bits as computing everything.
 
-    def sliding_step(self, n: list[float], dirty: int) -> tuple[_Pattern, bool, int]:
+    def sliding_step(self, n: list[float], dirty: int, t: float) -> tuple[_Pattern, bool, int]:
         every, nb = self.every, self.nb
         if self.curves(n, self.bits.get(dirty) or self.members(dirty)) or self.masks is None:
             fresh = tie_masks(self.neighbors, self.g, self.cfg.tie_band)
@@ -628,44 +611,33 @@ class _Kernel:
             active = every
         used, cur = pattern, self.masks
         misses = self.tree_misses
-        forced = False
         while True:
             for tier in todo:
-                evict = self.tier_flows(tier)
-                if evict >= 0:  # that backend leaves the tier with w = 0
-                    drop = 1 << evict
+                if not self.tier_flows(tier):
+                    drop = self.min_cut(tier, cur)  # no routing has a negative inflow
                     break
                 if tier.f_idx and not self.tree_witness(tier, xbuf):
                     # an unlucky tree is not proof of infeasibility: one max
                     # flow gives the rows, or the min cut that splits the tier
                     self.tree_misses += 1
-                    drop = self.exact_witness(tier, xbuf)
+                    drop = self.exact_witness(tier, xbuf, cur)
                     if drop >= 0:
                         break
             else:
                 break
             # the tier's frontends lose their band edges into `drop`, but
             # never their last one: a frontend whose band edges all lie in
-            # `drop` keeps them (after a cut, it joins the lower sub-tier)
+            # `drop` (it carries no flow, or the cut would hold it) joins
+            # the lower sub-tier with them
             cut = list(cur)
-            changed = False
             for i in tier.f_idx:
-                m = cut[i] & ~drop
-                if m and m != cut[i]:
-                    cut[i] = m
-                    changed = True
-            forced = True
-            if not changed:
-                # exact tie with unrealizable drift: one strict-argmax step
-                active = every
-                xbuf = self.xbuf = [0.0] * len(xbuf)
-                self.strict_step(xbuf)
-                self.forced_steps += 1
-                break
-            if evict >= 0:
-                self.evictions += 1
-            else:
-                self.cuts += 1
+                cut[i] = cut[i] & ~drop or cut[i]
+            cut = tuple(cut)
+            if cut == cur:
+                # only a cut side of none or all of the tier, which the
+                # flow's tolerance rules out, leaves every mask as it was
+                bids = [self.sys.backend_ids[j] for j in tier.b_idx]
+                raise IntegrationError(f"the min cut of tier {bids} at t={t:.6g} changes no mask")
             # recompute the split tier's pieces and the tiers not reached yet;
             # every other tier of the new pattern is unchanged and solved
             redo = 0
@@ -673,29 +645,45 @@ class _Kernel:
                 redo |= later.b_mask
             for i in tier.f_idx:
                 xbuf[i * nb:(i + 1) * nb] = self.zero_row
-            cur = tuple(cut)
+            cur = cut
             used = self.pattern_for(cur)
-            todo = [t for t in used.tiers if t.b_mask & redo]
-        self.clean = not forced and self.tree_misses == misses
-        return used, forced, active
+            todo = [piece for piece in used.tiers if piece.b_mask & redo]
+        # only a split changes the pattern used
+        self.clean = used is pattern and self.tree_misses == misses
+        return used, used is not pattern, active
 
-    def argmax_step(self, n: list[float], dirty: int) -> tuple[_Pattern, bool, int]:
+    def argmax_step(self, n: list[float], dirty: int, t: float) -> tuple[_Pattern, bool, int]:
+        v, w, mu = self.vbuf, self.wbuf, self.mu
         if self.curves(n, self.bits.get(dirty) or self.members(dirty)) or self.masks is None:
-            self.xbuf = [0.0] * len(self.xbuf)
-            self.strict_step(self.xbuf)
+            # whole-rate argmax routing
+            g, lam, nb = self.g, self.lam, self.nb
+            xbuf = self.xbuf = [0.0] * len(self.xbuf)
+            for j in range(nb):
+                w[j] = 0.0
+            for i, nbrs in enumerate(self.neighbors):
+                best = nbrs[0]
+                top = g[best]
+                for j in nbrs:
+                    gj = g[j]
+                    if gj > top:  # strictly greater: lowest index wins ties
+                        top = gj
+                        best = j
+                xbuf[i * nb + best] = 1.0
+                w[best] += lam[i]
+            for j in range(nb):
+                v[j] = w[j] - mu[j]
             fresh = tie_masks(self.neighbors, self.g, self.cfg.tie_band)
             if fresh != self.masks:
                 self.masks, self.pattern = fresh, self.pattern_for(fresh)
             return self.pattern, False, self.every
         # the argmax, the routing and the inflows follow the gradients alone
-        v, w, mu = self.vbuf, self.wbuf, self.mu
         for j in self.members(dirty):
             v[j] = w[j] - mu[j]
         return self.pattern, False, dirty
 
 
-def _classify(prev_sets: frozenset | None, new_sets: frozenset, forced: bool) -> str:
-    if forced:
+def _classify(prev_sets: frozenset | None, new_sets: frozenset, split: bool) -> str:
+    if split:
         return "split"
     if prev_sets is None:
         return "reconfigure"
@@ -714,14 +702,12 @@ def integrate_fluid(
     """Integrate the fluid dynamics from n0 for `horizon` time units.
 
     Forward Euler on the grid t_k = k·h.  In sliding mode each step uses the
-    equal-gradient tier drift with a transportation witness.  A tier that
-    cannot realize its drift is split and re-tiered: a backend with negative
-    implied inflow leaves it, or else the min cut of its transportation max
-    flow separates the frontends that overload their neighbourhood (see the
-    module docstring).  If a split changes no tie mask — an exact tie with
-    an unrealizable drift — the step falls back to strict argmax routing.  Workloads are
-    clamped at zero (recorded as boundary events).  Raises IntegrationError
-    if the state leaves the finite range.
+    equal-gradient tier drift with a transportation witness, and a tier that
+    cannot realize its drift is split by a min cut (see the module
+    docstring).  Workloads are clamped at zero (recorded as boundary
+    events).  Raises IntegrationError if the state leaves the finite range,
+    or if a min cut changes no tie mask (which the flow's tolerance rules
+    out).
 
     A step depends on nothing but the workload vector, so it is computed
     incrementally from the previous one where that gives the same bits (see
@@ -762,14 +748,14 @@ def integrate_fluid(
     events: list[TierEvent] = []
     boundary: list[tuple[float, str]] = []
     prev_sets: frozenset | None = None
-    kinds: dict[tuple, str] = {}  # _classify memo on (prev_sets, used_sets, forced)
+    kinds: dict[tuple, str] = {}  # _classify memo on (prev_sets, used_sets, split)
     step = k.sliding_step if cfg.mode == "sliding" else k.argmax_step
     v, w = k.vbuf, k.wbuf
     bits, members = k.bits, k.members
     dirty = k.every  # backends whose workload changed bits: all, at first
     clamped = 0  # backends the last update clamped
     # Brent checkpoint: the workload row at power-of-two index ckpt_row; once
-    # that row is computed, its (pattern, forced, gradients) and the lengths
+    # that row is computed, its (pattern, split, gradients) and the lengths
     # of events and boundary before its update
     ckpt_row, ckpt = 0, n[:]
     ckpt_bytes = array("d", n).tobytes()
@@ -780,15 +766,15 @@ def integrate_fluid(
         if period:
             # this row repeats row step_no − period bit for bit; only its
             # event depends on the row before, so replay that row's pattern
-            used, forced, g = replay
+            used, split, g = replay
         else:
-            used, forced, active = step(n, dirty)
+            used, split, active = step(n, dirty, t)
             g = k.g
         used_sets = used.sets
 
         if used_sets is not prev_sets and used_sets != prev_sets:
-            if prev_sets is not None or forced:
-                key = (prev_sets, used_sets, forced)
+            if prev_sets is not None or split:
+                key = (prev_sets, used_sets, split)
                 kind = kinds.get(key)
                 if kind is None:
                     kind = kinds[key] = _classify(*key)
@@ -802,7 +788,7 @@ def integrate_fluid(
         routings.extend(k.xbuf)
         if step_no == ckpt_row:
             ckpt_marks = (len(events), len(boundary))
-            ckpt_step = (used, forced, g[:])
+            ckpt_step = (used, split, g[:])
 
         if step_no == steps:
             break
@@ -828,7 +814,7 @@ def integrate_fluid(
                 n[j] = nj
                 dirty |= 1 << j
         if not dirty:  # a fixed point: period 1 from this row
-            period, replay = 1, (used, forced, g)
+            period, replay = 1, (used, split, g)
             marks = (len(events), len(boundary) - clamped.bit_count())
         elif n == ckpt and array("d", n).tobytes() == ckpt_bytes:
             period, replay, marks = step_no + 1 - ckpt_row, ckpt_step, ckpt_marks

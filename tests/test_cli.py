@@ -348,8 +348,7 @@ def test_certify_output(tmp_path, scenario_file):
     doc = json.loads((tmp_path / "certificate.json").read_text())
     assert set(doc) == {"v", "entry_time", "fitted_rate", "violations", "ok", "kernel"}
     assert doc["kernel"]["patterns"] >= 1
-    assert set(doc["kernel"]) == {"tree_misses", "maxflow_witnesses", "cuts",
-                                  "evictions", "forced_steps", "patterns"}
+    assert set(doc["kernel"]) == {"tree_misses", "maxflow_witnesses", "cuts", "patterns"}
     assert doc["ok"] is True and doc["violations"] == []
     assert doc["entry_time"] == 0.0  # the origin lies inside the invariant set
     assert len(doc["v"]) == 20001
@@ -387,6 +386,30 @@ def test_report_copies_sources_exactly(tmp_path, scenario_file):
     assert report["fluid"]["final_time"] == float(last_t)
     assert "trajectory.csv" in report["sources"]
     assert "sim_c20_s1.csv" in report["sources"]
+
+    # the work counts, summed over the chain runs and copied from the rest
+    opt = report["optimum"]
+    runs = report["simulate"]["runs"]
+    assert report["totals"] == {
+        "rounds": opt["rounds"], "max_flows": opt["max_flows"],
+        "steps": 200, "clamps": runs[0]["clamps"] + runs[1]["clamps"],
+        "maxflow_witnesses": cert["kernel"]["maxflow_witnesses"], "cuts": cert["kernel"]["cuts"],
+    }
+
+
+def test_report_totals_hold_only_the_sources_present(tmp_path, scenario_file):
+    scn_path = scenario_file(horizon=2.0)
+    out = str(tmp_path)
+    assert run_command(["certify", scn_path, "--out", out]) == 0
+    assert run_command(["report", "--out", out]) == 0
+    kernel = json.loads((tmp_path / "certificate.json").read_text())["kernel"]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["totals"] == {"maxflow_witnesses": kernel["maxflow_witnesses"],
+                                "cuts": kernel["cuts"]}
+    assert run_command(["fluid", scn_path, "--out", out]) == 0
+    (tmp_path / "certificate.json").unlink()
+    assert run_command(["report", "--out", out]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["totals"] == {}
 
 
 def test_flag_overrides_scenario(tmp_path, scenario_file):
