@@ -55,19 +55,21 @@ The inner loop is scalar Python tuned for small systems (a handful of
 nodes): per-backend curve evaluations are unrolled by curve kind.  The tie
 pattern is the tuple of per-frontend tied-best bitmasks that
 ``tiers.tie_masks`` gives, the representation the tiers module and the
-optimizer use as well.  Everything derivable from the pattern alone is
-computed once per distinct pattern and cached: tier membership (from
-``tiers.tie_components``) and spanning-tree elimination schedules for
-transportation witnesses.  An event's partition is built by
-``tiers.tier_partition`` from the pattern's components.
+stochastic chain use as well.  Everything derivable from the pattern alone
+is computed once per distinct pattern and cached: tier membership (from
+``tiers.tie_components``), spanning-tree elimination schedules for
+transportation witnesses, and each tier's flow network.  An event's
+partition is built by ``tiers.tier_partition`` from the pattern's
+components.
 
-A tier's routing comes from its spanning tree over the system edges
-inside the tier (all at the tier's one |μ″_b|(w_b − μ_b)), and after a tree
+A tier has one edge set, its band edges: GMSR sends a frontend's jobs only
+to its tied-best backends, so routing rows never leave them.  A tier's
+routing comes from its spanning tree over those edges, and after a tree
 miss from one max flow over the same edges (``flownet.TransportNetwork``,
-the computation ``transportation_feasible`` runs).  A split reads the min
-cut of a max flow over the band edges: the witness flow's own when the tier
-has no other edge, else one more on a second network.  Both networks are
-cached with the tier, and ``FluidTrajectory.stats`` counts the flows.
+the computation ``transportation_feasible`` runs over every system edge).
+When that flow fails its min cut splits the tier; a tier with a negative
+implied inflow skips its tree and takes the same flow's cut.  The network
+is cached with the tier, and ``FluidTrajectory.stats`` counts the flows.
 """
 
 from __future__ import annotations
@@ -177,10 +179,11 @@ class KernelStats:
     step is not solved, or counted, again.
 
     tree_misses:       tier spanning-tree witnesses that came out negative.
-    maxflow_witnesses: max flows over a tier's edges, one per tree miss.
+    maxflow_witnesses: max flows over a tier's band edges, one per tree miss.
     cuts:              tiers split by the min cut of a max flow over their
-                       band edges (one more flow, unless the failed witness
-                       flow's edges were all band edges).
+                       band edges: a failed witness flow, or the one flow a
+                       tier with a negative implied inflow runs instead of
+                       its tree.
     patterns:          distinct tie patterns whose tier structures were built.
 
     In strict-argmax mode only ``patterns`` can be nonzero.
@@ -248,6 +251,10 @@ def sliding_drift(
     feasible tier's routing rows come from the witness, an infeasible
     tier's rows (negative w or no witness) fall back to exact argmax and
     the tier is flagged False.
+
+    The check routes over every system edge inside a tier, not only its band
+    edges as ``integrate_fluid`` does, so a tier can be flagged True where
+    the integrator splits it.
     """
     n = np.asarray(n, dtype=float)
     nf, nb = len(sys.frontends), len(sys.backends)
@@ -301,10 +308,10 @@ class _TierStruct:
 
     __slots__ = (
         "f_idx", "b_idx", "b_mask", "lam_sum", "schedule",
-        "fallback_backend", "node_set", "band_only", "transport", "cut_net",
+        "fallback_backend", "node_set", "transport",
     )
 
-    def __init__(self, f_idx, b_idx, lam_sum, schedule, fallback_backend, node_set, band_only):
+    def __init__(self, f_idx, b_idx, lam_sum, schedule, fallback_backend, node_set):
         self.f_idx = f_idx                    # tuple of frontend indices
         self.b_idx = b_idx                    # tuple of backend indices
         self.b_mask = sum(1 << j for j in b_idx)  # b_idx as a bitmask
@@ -312,9 +319,7 @@ class _TierStruct:
         self.schedule = schedule              # tree-elimination steps
         self.fallback_backend = fallback_backend  # per f_idx: one-hot target
         self.node_set = node_set              # frozenset of node ids
-        self.band_only = band_only            # every edge inside the tier is a band edge
-        self.transport = None                 # TransportNetwork, built on first miss
-        self.cut_net = None                   # the same on band edges, built on first cut
+        self.transport = None                 # TransportNetwork, built on first flow
 
 
 class _Pattern:
@@ -335,14 +340,13 @@ def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
     sets = []
     for fs, bs in groups:
         lam_sum = float(sum(lam[i] for i in fs))
-        # edges available to carry tier flow: original edges inside the tier
-        b_in = set(bs)
+        # edges available to carry tier flow: the band edges, in system order
         adj: dict[int, list[int]] = {i: [] for i in fs}
         for j in bs:
             adj[nf + j] = []
         for i in fs:
             for j in sys.backends_of_frontend[i]:
-                if j in b_in:
+                if masks[i] >> j & 1:
                     adj[i].append(nf + j)
                     adj[nf + j].append(i)
 
@@ -359,29 +363,21 @@ def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
                         order.append(other)
             schedule = [(node, parent[node]) for node in reversed(order[1:])]
 
-        fallback = {}
-        for i in fs:
-            tied = [j for j in sys.backends_of_frontend[i] if masks[i] >> j & 1]
-            fallback[i] = min(tied) if tied else min(
-                j for j in sys.backends_of_frontend[i] if j in b_in
-            )
+        # every tier frontend has a band edge: its lowest one
+        fallback = {i: min(adj[i]) - nf for i in fs}
         node_set = frozenset(fs) | frozenset(nf + j for j in bs)
-        tiers.append(
-            _TierStruct(fs, bs, lam_sum, tuple(schedule), fallback, node_set,
-                        all(masks[i] >> (j - nf) & 1 for i in fs for j in adj[i]))
-        )
+        tiers.append(_TierStruct(fs, bs, lam_sum, tuple(schedule), fallback, node_set))
         sets.append(node_set)
     return _Pattern(tuple(tiers), frozenset(sets), groups)
 
 
-def _tier_network(sys: BipartiteSystem, tier: _TierStruct, masks=None) -> TransportNetwork:
-    """The tier's transportation network over the system edges inside it,
-    or over its band edges when given the pattern's masks."""
+def _tier_network(sys: BipartiteSystem, tier: _TierStruct, masks: tuple[int, ...]) -> TransportNetwork:
+    """The tier's transportation network over its band edges, those of the
+    pattern's masks."""
     f_ids = [sys.frontend_ids[i] for i in tier.f_idx]
     b_ids = [sys.backend_ids[j] for j in tier.b_idx]
-    band = None if masks is None else {
-        (f_ids[p], b_ids[q]) for p, i in enumerate(tier.f_idx)
-        for q, j in enumerate(tier.b_idx) if masks[i] >> j & 1}
+    band = {(f_ids[p], b_ids[q]) for p, i in enumerate(tier.f_idx)
+            for q, j in enumerate(tier.b_idx) if masks[i] >> j & 1}
     return TransportNetwork(sys, f_ids, b_ids, band)
 
 
@@ -479,14 +475,14 @@ class _Kernel:
         return pat
 
     # -- sliding-mode step pieces -------------------------------------------
-    # tier_flows/tree_witness/exact_witness/min_cut all use the shared
+    # tier_flows/tree_witness/band_flow all use the shared
     # per-backend buffers vbuf/wbuf, indexed globally.
 
     def tier_flows(self, tier: _TierStruct) -> bool:
         """Drift and implied inflows for one tier.
 
         Returns False when an implied inflow lies below -1e-12 (it is kept
-        in wbuf, where ``min_cut`` reads it as supply); inflows inside that
+        in wbuf, where ``band_flow`` reads it as supply); inflows inside that
         band are float dust and read 0.
         """
         mu, ic, v, w = self.mu, self.ic, self.vbuf, self.wbuf
@@ -551,34 +547,23 @@ class _Kernel:
                     xbuf[base + j] /= total
         return True
 
-    def exact_witness(self, tier: _TierStruct, xbuf: list[float], masks: tuple[int, ...]) -> int:
-        """After a tree miss: one max flow over the tier's edges for the
-        demands in wbuf.  When it meets them, fills the tier's rows from its
-        flow and returns -1; otherwise returns ``min_cut``'s bitmask."""
-        net = tier.transport = tier.transport or _tier_network(self.sys, tier)
-        self.maxflow_witnesses += 1
+    def band_flow(self, tier: _TierStruct, xbuf: list[float], masks: tuple[int, ...]) -> int:
+        """One max flow over the tier's band edges (those of ``masks``) for
+        the demands in wbuf, negative ones as supply.  When it meets them,
+        fills the tier's rows from its flow and returns -1; otherwise counts
+        a cut and returns the bitmask of the backends on its source side."""
+        net = tier.transport = tier.transport or _tier_network(self.sys, tier, masks)
         w = self.wbuf
         witness, low = net.solve([w[j] for j in net.b_idx])
         if witness is None:
-            return self.min_cut(tier, masks, low)
+            self.cuts += 1
+            return sum(1 << j for j in low)
         nb = self.nb
         for i in tier.f_idx:
             base = i * nb
             for j in tier.b_idx:
                 xbuf[base + j] = witness[i, j]
         return -1
-
-    def min_cut(self, tier: _TierStruct, masks: tuple[int, ...], low=None) -> int:
-        """The bitmask of the backends on the source side of the min cut of
-        one max flow over the tier's band edges (those of ``masks``) for the
-        demands in wbuf, negative ones as supply.  When every edge inside the
-        tier is a band edge, ``low`` from the failed witness flow is that cut."""
-        if low is None or not tier.band_only:
-            net = tier.cut_net = tier.cut_net or _tier_network(self.sys, tier, masks)
-            w = self.wbuf
-            low = net.solve([w[j] for j in net.b_idx])[1]
-        self.cuts += 1
-        return sum(1 << j for j in low)
 
     # -- whole steps ----------------------------------------------------------
     # Both take the workload vector and the bitmask of backends whose
@@ -613,16 +598,17 @@ class _Kernel:
         misses = self.tree_misses
         while True:
             for tier in todo:
-                if not self.tier_flows(tier):
-                    drop = self.min_cut(tier, cur)  # no routing has a negative inflow
-                    break
-                if tier.f_idx and not self.tree_witness(tier, xbuf):
-                    # an unlucky tree is not proof of infeasibility: one max
-                    # flow gives the rows, or the min cut that splits the tier
+                if self.tier_flows(tier):
+                    if not tier.f_idx or self.tree_witness(tier, xbuf):
+                        continue
+                    # an unlucky tree is not proof of infeasibility
                     self.tree_misses += 1
-                    drop = self.exact_witness(tier, xbuf, cur)
-                    if drop >= 0:
-                        break
+                    self.maxflow_witnesses += 1
+                # one max flow gives the rows, or the min cut that splits the
+                # tier (always, when an implied inflow is negative)
+                drop = self.band_flow(tier, xbuf, cur)
+                if drop >= 0:
+                    break
             else:
                 break
             # the tier's frontends lose their band edges into `drop`, but

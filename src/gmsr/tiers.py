@@ -12,10 +12,10 @@ workload, so callers (and tests) can inject gradient values directly.
 
 Ties have one representation: per-frontend bitmasks of the tied-best
 backends (``tie_masks``).  The best-backend graph, the tier partition, the
-fluid integrator's tie patterns and the optimizer's equal-gradient finish
-all start from such masks, ``tie_components`` is the one search for their
-connected components, and ``tier_partition`` turns components and gradients
-into a ``TierPartition``.  These three helpers serve the package's other
+fluid integrator's tie patterns and the stochastic chain's routing all start
+from such masks, ``tie_components`` is the one search for their connected
+components, and ``tier_partition`` turns components and gradients into a
+``TierPartition``.  These three helpers serve the package's other
 modules and are not exported.
 """
 

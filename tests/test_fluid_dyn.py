@@ -599,16 +599,13 @@ def test_kernel_stats_count_the_work_on_a_16x16_system(monkeypatch):
     plain = integrate_fluid(sys, n0, 0.5)
 
     counts = dict.fromkeys(
-        ("tree_misses", "negative_inflows", "witness_flows", "failed_witnesses", "cut_flows",
-         "flows", "patterns"),
+        ("tree_misses", "negative_inflows", "band_flows", "cut_returns", "flows", "patterns"),
         0)
     kernel = fluid_dyn._Kernel
     _counting(monkeypatch, kernel, "tree_witness", counts, "tree_misses", lambda ok: not ok)
     _counting(monkeypatch, kernel, "tier_flows", counts, "negative_inflows", lambda ok: not ok)
-    _counting(monkeypatch, kernel, "exact_witness", counts, "witness_flows", lambda drop: True)
-    _counting(monkeypatch, kernel, "exact_witness", counts, "failed_witnesses",
-              lambda drop: drop >= 0)
-    _counting(monkeypatch, kernel, "min_cut", counts, "cut_flows", lambda low: True)
+    _counting(monkeypatch, kernel, "band_flow", counts, "band_flows", lambda drop: True)
+    _counting(monkeypatch, kernel, "band_flow", counts, "cut_returns", lambda drop: drop >= 0)
     _counting(monkeypatch, TransportNetwork, "solve", counts, "flows", lambda out: True)
     _counting(monkeypatch, fluid_dyn, "_build_pattern", counts, "patterns", lambda out: True)
     traj = integrate_fluid(sys, n0, 0.5)
@@ -617,20 +614,19 @@ def test_kernel_stats_count_the_work_on_a_16x16_system(monkeypatch):
     assert stats == plain.stats
     assert traj.states.tobytes() == plain.states.tobytes()
     assert stats.tree_misses == counts["tree_misses"]
-    assert stats.maxflow_witnesses == counts["witness_flows"]
     assert stats.patterns == counts["patterns"]
     # every miss runs exactly one witness flow
     assert stats.tree_misses == stats.maxflow_witnesses
-    # every tier found bad is split once, by the min cut over its band
-    # edges: a tier with a negative implied inflow skips its tree and its
-    # witness flow, which could not route it; a failed witness flow whose
-    # edges were all band edges gives that cut itself
-    assert stats.cuts == counts["cut_flows"]
-    assert stats.cuts == counts["negative_inflows"] + counts["failed_witnesses"]
-    cut_flows = counts["flows"] - stats.maxflow_witnesses
-    assert counts["negative_inflows"] <= cut_flows <= stats.cuts
+    # one flow method on one network per tier: it runs once per tree miss
+    # and once per tier with a negative implied inflow (which skips its
+    # tree, since no routing has a negative inflow), and nothing else runs
+    # a flow
+    assert counts["flows"] == counts["band_flows"]
+    assert counts["flows"] == stats.maxflow_witnesses + counts["negative_inflows"]
+    # every tier found bad is split once, by the min cut of that flow
+    assert stats.cuts == counts["cut_returns"]
     assert stats.tree_misses > 0 and counts["negative_inflows"] > 0
-    assert counts["failed_witnesses"] > 0
+    assert counts["cut_returns"] > counts["negative_inflows"]
     assert sum(1 for ev in traj.events if ev.kind == "split") <= stats.cuts
 
 
@@ -722,8 +718,9 @@ def test_one_flow_verdict_and_cut_match_full_enumeration(case):
     sys, tie, w = case
     fids, bids = sys.frontend_ids, sys.backend_ids
     tiers = [tier for tier in fluid_dyn._build_pattern(sys, tie).tiers if tier.f_idx]
-    # the kernel's two networks: a witness flow over every system edge inside
-    # the tier, and a cut flow over the band edges alone
+    # two networks per tier: the one over every system edge inside it, which
+    # ``transportation_feasible`` (and so ``sliding_drift``) builds, and the
+    # kernel's one over the band edges alone
     for tier, masks in [(tier, masks) for tier in tiers for masks in (None, tie)]:
         band = None if masks is None else {
             (fids[i], bids[j]) for i in tier.f_idx for j in _tier_neighbours(sys, tier, i, masks)}
@@ -772,12 +769,26 @@ def _split_rows_where_v_rises(sys, traj) -> list[int]:
     return sorted(k for k in rows if k > 0 and v[k] > v[k - 1] + 1e-7 + 10.0 * h)
 
 
+def _rows_off_the_band(sys, traj, cfg) -> list[int]:
+    """Rows whose routing puts mass on an edge outside the row's tie masks."""
+    off = []
+    for k in range(len(traj)):
+        masks = tie_masks(sys.backends_of_frontend,
+                          sys.gradients_at(traj.states[k]).tolist(), cfg.tie_band)
+        if any(traj.routings[k, i, j] > 0.0 and not masks[i] >> j & 1
+               for i, nbrs in enumerate(sys.backends_of_frontend) for j in nbrs):
+            off.append(k)
+    return off
+
+
 @pytest.mark.parametrize("task", WIDE_TASKS, ids=lambda t: f"{t[0]}x{t[1]}-s{t[2]}-n{t[3]}")
 def test_v_does_not_rise_at_split_rows_of_the_wide_tasks(task):
     sys, n0, horizon = wide_task(*task)
     traj = integrate_fluid(sys, n0, horizon)
     assert traj.stats.cuts > 0
     assert _split_rows_where_v_rises(sys, traj) == []
+    # GMSR routes every job to a tied-best backend: rows stay on band edges
+    assert _rows_off_the_band(sys, traj, IntegratorConfig()) == []
 
 
 def _random_square_run(n: int, seed: int):
@@ -865,7 +876,7 @@ def test_a_frontend_whose_band_edges_all_lie_on_the_cut_keeps_them(monkeypatch):
 
     # a cut that changes no tie mask cannot split the tier: the run stops
     # and names the tier and the time
-    monkeypatch.setattr(fluid_dyn._Kernel, "min_cut", lambda self, tier, masks, low=None: 0)
+    monkeypatch.setattr(fluid_dyn._Kernel, "band_flow", lambda self, tier, xbuf, masks: 0)
     with pytest.raises(IntegrationError,
                        match=r"min cut of tier \['b1', 'b2', 'b3'\] at t=0 changes no mask"):
         integrate_fluid(sys, [1.0, 1.0, 1.0], 0.05, cfg)
