@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys as _sys
@@ -309,8 +310,26 @@ def _cmd_optimum(args) -> int:
     return 0
 
 
-def _traj_rows(sys_: BipartiteSystem, traj, thin: int):
-    """(time, backend, workload, rate, gradient, inflow) rows, thinned."""
+_CSV_BLOCK = 256  # samples formatted per write: memory stays flat in the run length
+
+
+def _csv_fields(values) -> list[str]:
+    """Each string as ``csv.writer`` writes it inside a row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    out = []
+    for value in values:
+        writer.writerow([value])
+        out.append(buf.getvalue()[:-2])  # without the "\r\n" row end
+        buf.seek(0)
+        buf.truncate()
+    return out
+
+
+def _traj_blocks(sys_: BipartiteSystem, traj, thin: int):
+    """The (time, backend, workload, rate, gradient, inflow) rows of
+    trajectory.csv, thinned, as CSV text in blocks of _CSV_BLOCK samples;
+    the bytes ``csv.writer`` writes for the repr of each value."""
     idx = list(range(0, len(traj.times), thin))
     if idx[-1] != len(traj.times) - 1:
         idx.append(len(traj.times) - 1)
@@ -319,11 +338,35 @@ def _traj_rows(sys_: BipartiteSystem, traj, thin: int):
     grads = sys_.gradients_at(states)
     inflows = traj.inflows[idx]
     times = traj.times[idx]
-    for k in range(len(idx)):
-        for j, bid in enumerate(sys_.backend_ids):
-            yield (repr(float(times[k])), bid, repr(float(states[k, j])),
-                   repr(float(rates[k, j])), repr(float(grads[k, j])),
-                   repr(float(inflows[k, j])))
+    bids = _csv_fields(sys_.backend_ids)
+    r = float.__repr__
+    for lo in range(0, len(idx), _CSV_BLOCK):
+        block = slice(lo, lo + _CSV_BLOCK)
+        lines = []
+        for t, ns, mus, gs, ws in zip(times[block].tolist(), states[block].tolist(),
+                                      rates[block].tolist(), grads[block].tolist(),
+                                      inflows[block].tolist()):
+            t = r(t)
+            for b, n, mu, g, w in zip(bids, ns, mus, gs, ws):
+                lines.append(f"{t},{b},{r(n)},{r(mu)},{r(g)},{r(w)}\r\n")
+        yield "".join(lines)
+
+
+def _sim_blocks(sys_: BipartiteSystem, run):
+    """The (time, backend, workload, arrivals, departures) rows of a chain
+    run's CSV, as text in blocks of _CSV_BLOCK samples (see _traj_blocks)."""
+    bids = _csv_fields(sys_.backend_ids)
+    r = float.__repr__
+    for lo in range(0, len(run), _CSV_BLOCK):
+        block = slice(lo, lo + _CSV_BLOCK)
+        lines = []
+        for t, ys, arrs, deps in zip(run.times[block].tolist(), run.y[block].tolist(),
+                                     run.arrivals[block].tolist(),
+                                     run.departures[block].tolist()):
+            t = r(t)
+            for b, y, a, d in zip(bids, ys, arrs, deps):
+                lines.append(f"{t},{b},{r(y)},{a},{d}\r\n")
+        yield "".join(lines)
 
 
 def _cmd_fluid(args) -> int:
@@ -337,7 +380,7 @@ def _cmd_fluid(args) -> int:
     with traj_path.open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "backend_id", "workload", "service_rate", "gradient", "inflow"])
-        w.writerows(_traj_rows(sys_, traj, args.thin))
+        fh.writelines(_traj_blocks(sys_, traj, args.thin))
 
     events_path = out / "events.csv"
     with events_path.open("w", newline="", encoding="utf-8") as fh:
@@ -373,12 +416,7 @@ def _cmd_simulate(args) -> int:
             with (out / name).open("w", newline="", encoding="utf-8") as fh:
                 w = csv.writer(fh)
                 w.writerow(["t", "backend_id", "workload", "arrivals", "departures"])
-                for i in range(len(run)):
-                    for j, bid in enumerate(sys_.backend_ids):
-                        w.writerow([repr(float(run.times[i])), bid,
-                                    repr(float(run.y[i, j])),
-                                    int(run.arrivals[i, j]),
-                                    int(run.departures[i, j])])
+                fh.writelines(_sim_blocks(sys_, run))
             runs.append({
                 "scale": c,
                 "seed": seed,

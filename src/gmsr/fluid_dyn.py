@@ -58,18 +58,25 @@ pattern is the tuple of per-frontend tied-best bitmasks that
 stochastic chain use as well.  Everything derivable from the pattern alone
 is computed once per distinct pattern and cached: tier membership (from
 ``tiers.tie_components``), spanning-tree elimination schedules for
-transportation witnesses, and each tier's flow network.  An event's
-partition is built by ``tiers.tier_partition`` from the pattern's
-components.
+transportation witnesses, the band edges with their 1/deg_j factors, and
+each tier's flow network.  An event's partition is built by
+``tiers.tier_partition`` from the pattern's components.
 
 A tier has one edge set, its band edges: GMSR sends a frontend's jobs only
 to its tied-best backends, so routing rows never leave them.  A tier's
-routing comes from its spanning tree over those edges, and after a tree
-miss from one max flow over the same edges (``flownet.TransportNetwork``,
-the computation ``transportation_feasible`` runs over every system edge).
-When that flow fails its min cut splits the tier; a tier with a negative
-implied inflow skips its tree and takes the same flow's cut.  The network
-is cached with the tier, and ``FluidTrajectory.stats`` counts the flows.
+routing comes from its pattern's spanning tree over those edges.  When
+that tree misses, a second spanning tree is tried, fitted to the step's
+demands: the maximum-weight tree of the band edges under λ_i·w_j/deg_j
+(deg_j: the tier's frontends whose band holds j), accepted only when every
+flow it eliminates is ≥ 0 exactly, so the max flow below would accept the
+tier too.  It depends on the pattern and the implied inflows alone, so a
+row stays a pure function of the workload.  When both trees miss, one max
+flow over the band edges (``flownet.TransportNetwork``, the computation
+``transportation_feasible`` runs over every system edge) gives the rows,
+or its min cut splits the tier; a tier with a negative implied inflow
+skips both trees and takes the same flow's cut.  The network and the
+demand trees' schedules are cached with the tier, and
+``FluidTrajectory.stats`` counts the misses and the flows.
 """
 
 from __future__ import annotations
@@ -178,8 +185,10 @@ class KernelStats:
     what recomputing them would; a tier solved before a split in the same
     step is not solved, or counted, again.
 
-    tree_misses:       tier spanning-tree witnesses that came out negative.
-    maxflow_witnesses: max flows over a tier's band edges, one per tree miss.
+    tree_misses:       tier witnesses from the pattern's spanning tree that
+                       came out negative.
+    maxflow_witnesses: max flows over a tier's band edges after a tree miss,
+                       one per miss that the demand tree missed too.
     cuts:              tiers split by the min cut of a max flow over their
                        band edges: a failed witness flow, or the one flow a
                        tier with a negative implied inflow runs instead of
@@ -307,19 +316,23 @@ class _TierStruct:
     """Everything about one tier that only depends on the tie pattern."""
 
     __slots__ = (
-        "f_idx", "b_idx", "b_mask", "lam_sum", "schedule",
-        "fallback_backend", "node_set", "transport",
+        "f_idx", "b_idx", "b_mask", "lam_sum", "schedule", "band", "inv_deg",
+        "fallback_backend", "node_set", "transport", "demand_schedules",
     )
 
-    def __init__(self, f_idx, b_idx, lam_sum, schedule, fallback_backend, node_set):
+    def __init__(self, f_idx, b_idx, lam_sum, schedule, band, inv_deg, fallback_backend,
+                 node_set):
         self.f_idx = f_idx                    # tuple of frontend indices
         self.b_idx = b_idx                    # tuple of backend indices
         self.b_mask = sum(1 << j for j in b_idx)  # b_idx as a bitmask
         self.lam_sum = lam_sum
         self.schedule = schedule              # tree-elimination steps
+        self.band = band                      # band edges (i, j), in band order
+        self.inv_deg = inv_deg                # per band edge: 1/(band degree of j)
         self.fallback_backend = fallback_backend  # per f_idx: one-hot target
         self.node_set = node_set              # frozenset of node ids
         self.transport = None                 # TransportNetwork, built on first flow
+        self.demand_schedules = {}            # demand-tree edge bitmask -> schedule
 
 
 class _Pattern:
@@ -341,44 +354,53 @@ def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
     for fs, bs in groups:
         lam_sum = float(sum(lam[i] for i in fs))
         # edges available to carry tier flow: the band edges, in system order
-        adj: dict[int, list[int]] = {i: [] for i in fs}
-        for j in bs:
-            adj[nf + j] = []
-        for i in fs:
-            for j in sys.backends_of_frontend[i]:
-                if masks[i] >> j & 1:
-                    adj[i].append(nf + j)
-                    adj[nf + j].append(i)
-
-        # spanning tree + leaf-to-root elimination schedule for witnesses
-        schedule: list[tuple[int, int]] = []
-        if fs:
-            root = fs[0]
-            parent = {root: -1}
-            order = [root]  # breadth first: the list is its own queue
-            for node in order:
-                for other in adj[node]:
-                    if other not in parent:
-                        parent[other] = node
-                        order.append(other)
-            schedule = [(node, parent[node]) for node in reversed(order[1:])]
+        band = tuple((i, j) for i in fs for j in sys.backends_of_frontend[i]
+                     if masks[i] >> j & 1)
+        deg = dict.fromkeys(bs, 0)
+        for _, j in band:
+            deg[j] += 1
+        inv_deg = tuple(1.0 / deg[j] for _, j in band)
+        # the pattern's spanning tree: breadth first over every band edge
+        schedule = _tree_schedule(fs, bs, band, nf)
 
         # every tier frontend has a band edge: its lowest one
-        fallback = {i: min(adj[i]) - nf for i in fs}
+        fallback = {}
+        for i, j in band:
+            fallback.setdefault(i, j)
         node_set = frozenset(fs) | frozenset(nf + j for j in bs)
-        tiers.append(_TierStruct(fs, bs, lam_sum, tuple(schedule), fallback, node_set))
+        tiers.append(_TierStruct(fs, bs, lam_sum, schedule, band, inv_deg, fallback, node_set))
         sets.append(node_set)
     return _Pattern(tuple(tiers), frozenset(sets), groups)
 
 
-def _tier_network(sys: BipartiteSystem, tier: _TierStruct, masks: tuple[int, ...]) -> TransportNetwork:
-    """The tier's transportation network over its band edges, those of the
-    pattern's masks."""
-    f_ids = [sys.frontend_ids[i] for i in tier.f_idx]
-    b_ids = [sys.backend_ids[j] for j in tier.b_idx]
-    band = {(f_ids[p], b_ids[q]) for p, i in enumerate(tier.f_idx)
-            for q, j in enumerate(tier.b_idx) if masks[i] >> j & 1}
-    return TransportNetwork(sys, f_ids, b_ids, band)
+def _tree_schedule(fs, bs, edges, nf: int) -> tuple[tuple[int, int], ...]:
+    """Leaf-to-root elimination steps (node, parent) of the breadth-first
+    tree from the tier's first frontend over `edges` (frontend, backend
+    index pairs; backend j is node nf + j), taken in the order given."""
+    if not fs:
+        return ()
+    adj: dict[int, list[int]] = {i: [] for i in fs}
+    for j in bs:
+        adj[nf + j] = []
+    for i, j in edges:
+        adj[i].append(nf + j)
+        adj[nf + j].append(i)
+    root = fs[0]
+    parent = {root: -1}
+    order = [root]  # breadth first: the list is its own queue
+    for node in order:
+        for other in adj[node]:
+            if other not in parent:
+                parent[other] = node
+                order.append(other)
+    return tuple((node, parent[node]) for node in reversed(order[1:]))
+
+
+def _tier_network(sys: BipartiteSystem, tier: _TierStruct) -> TransportNetwork:
+    """The tier's transportation network over its band edges."""
+    f_ids, b_ids = sys.frontend_ids, sys.backend_ids
+    return TransportNetwork(sys, [f_ids[i] for i in tier.f_idx], [b_ids[j] for j in tier.b_idx],
+                            {(f_ids[i], b_ids[j]) for i, j in tier.band})
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +440,7 @@ class _Kernel:
         self.g = [0.0] * self.nb
         self.ic = [0.0] * self.nb          # 1/μ″ (negative)
         self.acc = [0.0] * (self.nf + self.nb)
+        self.up = list(range(self.nf + self.nb))  # demand-tree union-find
         self.vbuf = [0.0] * self.nb
         self.wbuf = [0.0] * self.nb
         # work counters, returned as KernelStats
@@ -475,7 +498,7 @@ class _Kernel:
         return pat
 
     # -- sliding-mode step pieces -------------------------------------------
-    # tier_flows/tree_witness/band_flow all use the shared
+    # tier_flows, the witnesses and band_flow all use the shared
     # per-backend buffers vbuf/wbuf, indexed globally.
 
     def tier_flows(self, tier: _TierStruct) -> bool:
@@ -511,19 +534,71 @@ class _Kernel:
         return ok
 
     def tree_witness(self, tier: _TierStruct, xbuf: list[float]) -> bool:
-        """Fill routing rows from the tier's spanning tree; False on negatives.
+        """Fill routing rows from the pattern's spanning tree of the tier;
+        False when an eliminated flow lies below -1e-9 (flows above that
+        read 0).  On False the rows may be partially written."""
+        return self.eliminate(tier, tier.schedule, -1e-9, xbuf)
 
-        On False the rows may be partially written; every caller either
-        rebuilds xbuf or overwrites the full tier block.
-        """
+    def demand_witness(self, tier: _TierStruct, xbuf: list[float]) -> bool:
+        """Fill routing rows from the step's demand tree of the tier: the
+        maximum-weight spanning tree of its band edges (Kruskal) with weight
+        λ_i·w_j/deg_j, deg_j the number of the tier's frontends whose band
+        holds j, ties kept in band order.  True only when every eliminated
+        flow is ≥ 0 exactly: a nonnegative flow that meets every marginal,
+        which the band max flow would accept too.  The tree depends on the
+        pattern and the demands in wbuf alone.  Clears the tier's rows
+        first; on False they may be partially written."""
+        nf, nb, lam, w = self.nf, self.nb, self.lam, self.wbuf
+        band = tier.band
+        weights = [lam[i] * w[j] * d for (i, j), d in zip(band, tier.inv_deg)]
+        # sorted() is stable with reverse=True too: ties keep band order
+        order = sorted(range(len(band)), key=weights.__getitem__, reverse=True)
+        up = self.up  # union-find parents, reset on the tier's nodes
+        for node in tier.node_set:
+            up[node] = node
+        need = len(tier.node_set) - 1
+        chosen = 0  # bitmask of the tree's positions in band
+        for e in order:
+            i, j = band[e]
+            a, b = i, nf + j
+            while up[a] != a:  # path halving
+                up[a] = up[up[a]]
+                a = up[a]
+            while up[b] != b:
+                up[b] = up[up[b]]
+                b = up[b]
+            if a != b:
+                up[a] = b
+                chosen |= 1 << e
+                need -= 1
+                if not need:
+                    break
+        schedules = tier.demand_schedules
+        schedule = schedules.get(chosen)
+        if schedule is None:
+            schedule = _tree_schedule(tier.f_idx, tier.b_idx,
+                                      [edge for e, edge in enumerate(band) if chosen >> e & 1], nf)
+            if len(schedules) < 4096:
+                schedules[chosen] = schedule
+        for i in tier.f_idx:
+            xbuf[i * nb:(i + 1) * nb] = self.zero_row
+        return self.eliminate(tier, schedule, 0.0, xbuf)
+
+    def eliminate(self, tier: _TierStruct, schedule, floor: float, xbuf: list[float]) -> bool:
+        """Fill the tier's routing rows from a spanning tree's leaf-to-root
+        elimination steps; False when an eliminated flow lies below floor
+        (flows in [floor, 0) read 0).  Rows are normalized to simplex
+        coordinates; a frontend that carries no flow takes its lowest band
+        edge.  On False the rows may be partially written; every caller
+        either rebuilds xbuf or overwrites the full tier block."""
         nf, nb, lam, w = self.nf, self.nb, self.lam, self.wbuf
         acc = self.acc
         for node in tier.node_set:
             acc[node] = 0.0
-        for node, parent in tier.schedule:
+        for node, parent in schedule:
             marg = lam[node] if node < nf else w[node - nf]
             flow = marg - acc[node]
-            if flow < -1e-9:
+            if flow < floor:
                 return False
             if flow < 0.0:
                 flow = 0.0
@@ -547,12 +622,12 @@ class _Kernel:
                     xbuf[base + j] /= total
         return True
 
-    def band_flow(self, tier: _TierStruct, xbuf: list[float], masks: tuple[int, ...]) -> int:
-        """One max flow over the tier's band edges (those of ``masks``) for
-        the demands in wbuf, negative ones as supply.  When it meets them,
-        fills the tier's rows from its flow and returns -1; otherwise counts
-        a cut and returns the bitmask of the backends on its source side."""
-        net = tier.transport = tier.transport or _tier_network(self.sys, tier, masks)
+    def band_flow(self, tier: _TierStruct, xbuf: list[float]) -> int:
+        """One max flow over the tier's band edges for the demands in wbuf,
+        negative ones as supply.  When it meets them, fills the tier's rows
+        from its flow and returns -1; otherwise counts a cut and returns the
+        bitmask of the backends on its source side."""
+        net = tier.transport = tier.transport or _tier_network(self.sys, tier)
         w = self.wbuf
         witness, low = net.solve([w[j] for j in net.b_idx])
         if witness is None:
@@ -601,12 +676,15 @@ class _Kernel:
                 if self.tier_flows(tier):
                     if not tier.f_idx or self.tree_witness(tier, xbuf):
                         continue
-                    # an unlucky tree is not proof of infeasibility
+                    # an unlucky tree is not proof of infeasibility; a tree
+                    # fitted to this step's demands often realizes them
                     self.tree_misses += 1
+                    if self.demand_witness(tier, xbuf):
+                        continue
                     self.maxflow_witnesses += 1
                 # one max flow gives the rows, or the min cut that splits the
                 # tier (always, when an implied inflow is negative)
-                drop = self.band_flow(tier, xbuf, cur)
+                drop = self.band_flow(tier, xbuf)
                 if drop >= 0:
                     break
             else:

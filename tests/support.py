@@ -189,6 +189,19 @@ def frontend_subsets(sys: BipartiteSystem):
         yield from (set(c) for c in combinations(idx, r))
 
 
+def dynamics_digest(traj) -> str:
+    """SHA-256 over what a run's dynamics fix: the bytes of times, states
+    and inflows, then repr of events and boundary events.  Routing rows and
+    stats are left out: a tier's rows are one of its valid witnesses, and
+    the counts say which solver found it."""
+    digest = hashlib.sha256()
+    for name in ("times", "states", "inflows"):
+        digest.update(np.ascontiguousarray(getattr(traj, name)).tobytes())
+    for part in (traj.events, traj.boundary_events):
+        digest.update(repr(part).encode())
+    return digest.hexdigest()
+
+
 def trajectory_digest(traj) -> str:
     """SHA-256 over everything integrate_fluid returns: the bytes of times,
     states, inflows and routings, then repr of events (which builds every

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from gmsr.cli import Scenario, ScenarioError, load_scenario, run_command
+from gmsr.fluid_dyn import integrate_fluid
 from gmsr.fluid_opt import solve_fluid_optimum
+from gmsr.stochastic import simulate
 
 SCENARIOS = Path(str(files("gmsr").joinpath("scenarios")))
 
@@ -292,6 +294,48 @@ def test_simulate_file_count_and_content(tmp_path, scenario_file):
     last_t = rows[-1]["t"]
     finals = {r["backend_id"]: float(r["workload"]) for r in rows if r["t"] == last_t}
     assert rec["final"] == finals
+
+
+def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path, scenario_file):
+    # backend ids that csv quotes, and runs longer than one block of rows;
+    # the reference writes every cell's repr through csv.writer
+    quoted = {"b1": 'b,1', "b2": 'b"2'}
+    doc = _scenario_doc()
+    for b in doc["backends"]:
+        b["id"] = quoted[b["id"]]
+    scn_path = scenario_file(
+        backends=doc["backends"], initial={quoted[b]: v for b, v in doc["initial"].items()},
+        edges=[[f, quoted[b]] for f, b in doc["edges"]], horizon=1.0)
+    scn = load_scenario(scn_path)
+    sys_, bids = scn.system, scn.system.backend_ids
+
+    def reference(header, rows) -> bytes:
+        out = tmp_path / "reference.csv"
+        with out.open("w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+        return out.read_bytes()
+
+    assert run_command(["fluid", scn_path, "--out", str(tmp_path), "--thin", "3"]) == 0
+    traj = integrate_fluid(sys_, scn.initial, scn.horizon, scn.integrator)
+    idx = [*range(0, len(traj), 3), len(traj) - 1]
+    assert len(idx) > 300
+    states = traj.states[idx]
+    cols = (states, sys_.rates_at(states), sys_.gradients_at(states), traj.inflows[idx])
+    assert (tmp_path / "trajectory.csv").read_bytes() == reference(
+        ["t", "backend_id", "workload", "service_rate", "gradient", "inflow"],
+        ([repr(float(traj.times[k])), bid, *(repr(float(c[r, j])) for c in cols)]
+         for r, k in enumerate(idx) for j, bid in enumerate(bids)))
+
+    assert run_command(["simulate", scn_path, "--out", str(tmp_path), "--scales", "300",
+                        "--seeds", "1", "--seed-base", "5"]) == 0
+    run = simulate(sys_, scn.initial, 300, scn.horizon, policy=scn.policy, seed=5)
+    assert len(run) > 300
+    assert (tmp_path / "sim_c300_s5.csv").read_bytes() == reference(
+        ["t", "backend_id", "workload", "arrivals", "departures"],
+        ([repr(float(run.times[i])), bid, repr(float(run.y[i, j])), int(run.arrivals[i, j]),
+          int(run.departures[i, j])] for i in range(len(run)) for j, bid in enumerate(bids)))
 
 
 def test_simulate_deterministic_per_seed_base(tmp_path, scenario_file):

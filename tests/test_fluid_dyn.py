@@ -23,6 +23,7 @@ from gmsr.tiers import compute_tiers, tie_masks
 
 from support import (
     WIDE_TASKS,
+    dynamics_digest,
     feasible_random_system,
     fig1_system,
     random_system,
@@ -424,11 +425,13 @@ def test_orbit_through_boundary_clamps_is_continued_with_its_clamps():
 
 def test_steps_that_reuse_tiers_count_the_tree_misses_of_a_full_step():
     # a sliding run that alternates steps reusing the previous step's tiers
-    # with tree misses that max flow resolves: a step after a miss must be
-    # computed in full, or the misses of its unmoved tiers go uncounted.
-    # Counts and digest recorded from the integrator that recomputed every
-    # step (repr(stats) in the current KernelStats fields); Hill curves
-    # only, so they do not depend on the platform's libm
+    # with tree misses that the demand tree resolves: a step after a miss
+    # must be computed in full, or the misses of its unmoved tiers go
+    # uncounted.  The miss count and the dynamics digest were recorded from
+    # the integrator that recomputed every step, and are unchanged since
+    # that integrator ran a max flow on each miss; the full digest (routing
+    # rows and repr(stats) included) is that of the demand tree's rows.
+    # Hill curves only, so they do not depend on the platform's libm
     sys = make_system(
         frontends=[("f0", 0.1637412074158224), ("f1", 0.117948418019704),
                    ("f2", 0.49317825783393143)],
@@ -444,9 +447,11 @@ def test_steps_that_reuse_tiers_count_the_tree_misses_of_a_full_step():
     n0 = [2.0304793594370336, 0.008353006846236077, 2.0675929897014598,
           2.79637694974464, 1.544059960203668]
     traj = integrate_fluid(sys, n0, 1017 * 0.05, IntegratorConfig(h=0.05))
-    assert traj.stats == KernelStats(tree_misses=986, maxflow_witnesses=986, patterns=4)
+    assert traj.stats == KernelStats(tree_misses=986, maxflow_witnesses=0, patterns=4)
+    assert dynamics_digest(traj) == (
+        "03a5d89e4a09d41b698fcee44e57b7643519ea7830555c345fdebe30ffbdfa43")
     assert trajectory_digest(traj) == (
-        "07a97a42757846ad6cf079c48bc7c29a6cfdfd05639b13bfcd8cedb53f74a1c5")
+        "02edb251eaa02d648200bd510ad87c84f2871d450c7b19d168b0a0a13466d4b7")
 
 
 def test_step_budget_is_refused_before_recording():
@@ -599,10 +604,12 @@ def test_kernel_stats_count_the_work_on_a_16x16_system(monkeypatch):
     plain = integrate_fluid(sys, n0, 0.5)
 
     counts = dict.fromkeys(
-        ("tree_misses", "negative_inflows", "band_flows", "cut_returns", "flows", "patterns"),
+        ("tree_misses", "demand_trees", "negative_inflows", "band_flows", "cut_returns",
+         "flows", "patterns"),
         0)
     kernel = fluid_dyn._Kernel
     _counting(monkeypatch, kernel, "tree_witness", counts, "tree_misses", lambda ok: not ok)
+    _counting(monkeypatch, kernel, "demand_witness", counts, "demand_trees", lambda ok: ok)
     _counting(monkeypatch, kernel, "tier_flows", counts, "negative_inflows", lambda ok: not ok)
     _counting(monkeypatch, kernel, "band_flow", counts, "band_flows", lambda drop: True)
     _counting(monkeypatch, kernel, "band_flow", counts, "cut_returns", lambda drop: drop >= 0)
@@ -615,17 +622,19 @@ def test_kernel_stats_count_the_work_on_a_16x16_system(monkeypatch):
     assert traj.states.tobytes() == plain.states.tobytes()
     assert stats.tree_misses == counts["tree_misses"]
     assert stats.patterns == counts["patterns"]
-    # every miss runs exactly one witness flow
-    assert stats.tree_misses == stats.maxflow_witnesses
-    # one flow method on one network per tier: it runs once per tree miss
-    # and once per tier with a negative implied inflow (which skips its
-    # tree, since no routing has a negative inflow), and nothing else runs
-    # a flow
+    # every miss tries the demand tree, and runs one witness flow when that
+    # misses too
+    assert stats.tree_misses == stats.maxflow_witnesses + counts["demand_trees"]
+    # one flow method on one network per tier: it runs once per miss of
+    # both trees and once per tier with a negative implied inflow (which
+    # skips the trees, since no routing has a negative inflow), and nothing
+    # else runs a flow
     assert counts["flows"] == counts["band_flows"]
     assert counts["flows"] == stats.maxflow_witnesses + counts["negative_inflows"]
     # every tier found bad is split once, by the min cut of that flow
     assert stats.cuts == counts["cut_returns"]
     assert stats.tree_misses > 0 and counts["negative_inflows"] > 0
+    assert counts["demand_trees"] > 0 and stats.maxflow_witnesses > 0
     assert counts["cut_returns"] > counts["negative_inflows"]
     assert sum(1 for ev in traj.events if ev.kind == "split") <= stats.cuts
 
@@ -666,7 +675,9 @@ _RATES = st.one_of(
 
 
 @st.composite
-def _transport_cases(draw):
+def _band_systems(draw):
+    """A system of 2-7 frontends and backends with unit Hill curves, and tie
+    masks that keep a nonempty subset of each frontend's edges."""
     nf = draw(st.integers(2, 7))
     nb = draw(st.integers(2, 7))
     edge = [[draw(st.booleans()) for _ in range(nb)] for _ in range(nf)]
@@ -685,6 +696,13 @@ def _transport_cases(draw):
         nbrs = sorted(sys.backends_of_frontend[i])
         keep = draw(st.lists(st.sampled_from(nbrs), min_size=1, max_size=len(nbrs)))
         masks.append(sum(1 << j for j in set(keep)))
+    return sys, tuple(masks)
+
+
+@st.composite
+def _transport_cases(draw):
+    sys, masks = draw(_band_systems())
+    nf, nb = len(sys.frontends), len(sys.backends)
     # demands at the feasibility boundary: each frontend's whole rate on one
     # tied backend, so some subsets meet their supply exactly; then some
     # mass moved from one backend to another (which overloads the sets that
@@ -709,7 +727,7 @@ def _transport_cases(draw):
         a = draw(st.sampled_from([2e-12, 1e-9, 1e-3, 0.5]))
         w[dst] += w[neg] + a
         w[neg] = -a
-    return sys, tuple(masks), w
+    return sys, masks, w
 
 
 @settings(max_examples=300, deadline=None)
@@ -756,6 +774,63 @@ def test_one_flow_verdict_and_cut_match_full_enumeration(case):
                 assert used <= set(_tier_neighbours(sys, tier, i, masks))
 
 
+# -- the demand tree -----------------------------------------------------------------
+
+
+@st.composite
+def _demand_tree_cases(draw):
+    """Band systems with balanced demands at Hall boundaries: each
+    frontend's rate on one or two tied backends, so the frontend sets whose
+    flow lands inside their neighbourhood meet it exactly; then mass moved
+    between two backends of one tier (which overloads the sets that lose
+    it by a hair or by much), and each demand nudged by up to 2 ulps."""
+    sys, masks = draw(_band_systems())
+    nf, nb = len(sys.frontends), len(sys.backends)
+    w = [0.0] * nb
+    for i in range(nf):
+        tied = [j for j in range(nb) if masks[i] >> j & 1]
+        j, k = draw(st.sampled_from(tied)), draw(st.sampled_from(tied))
+        part = sys.lambdas[i] * draw(st.sampled_from([0.0, 0.25, 0.5]))
+        w[j] += sys.lambdas[i] - part
+        w[k] += part
+    tiers = [tier for tier in fluid_dyn._build_pattern(sys, masks).tiers if tier.f_idx]
+    tier = draw(st.sampled_from(tiers))
+    src, dst = draw(st.sampled_from(tier.b_idx)), draw(st.sampled_from(tier.b_idx))
+    moved = min(w[src], draw(st.sampled_from([0.0, 1e-15, 1e-12, 1e-10, 1e-6, 0.1])))
+    w[src] -= moved
+    w[dst] += moved
+    for j in range(nb):
+        for _ in range(abs(ulps := draw(st.integers(-2, 2)))):
+            w[j] = max(0.0, math.nextafter(w[j], math.copysign(math.inf, ulps)))
+    return sys, masks, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(_demand_tree_cases())
+def test_an_accepted_demand_tree_is_a_witness_the_band_flow_accepts(case):
+    sys, masks, w = case
+    nf, nb = len(sys.frontends), len(sys.backends)
+    kernel = fluid_dyn._Kernel(sys, IntegratorConfig())
+    kernel.wbuf[:] = w
+    for tier in fluid_dyn._build_pattern(sys, masks).tiers:
+        if not tier.f_idx:
+            continue
+        xbuf = [0.0] * (nf * nb)
+        if not kernel.demand_witness(tier, xbuf):
+            continue
+        net = fluid_dyn._tier_network(sys, tier)
+        witness, _ = net.solve([w[j] for j in net.b_idx])
+        assert witness is not None
+        # the rows are simplex rows on band edges that realize the demands
+        x = np.reshape(xbuf, (nf, nb))
+        for i in tier.f_idx:
+            assert min(x[i]) >= 0.0 and abs(x[i].sum() - 1.0) <= 1e-12
+            assert {j for j in range(nb) if x[i, j] > 0.0} <= set(
+                _tier_neighbours(sys, tier, i, masks))
+        inflow = np.asarray(sys.lambdas)[list(tier.f_idx)] @ x[list(tier.f_idx)]
+        assert max(abs(inflow[j] - w[j]) for j in tier.b_idx) <= 1e-12
+
+
 # -- V at split rows -----------------------------------------------------------------
 
 
@@ -781,14 +856,90 @@ def _rows_off_the_band(sys, traj, cfg) -> list[int]:
     return off
 
 
-@pytest.mark.parametrize("task", WIDE_TASKS, ids=lambda t: f"{t[0]}x{t[1]}-s{t[2]}-n{t[3]}")
+def _task_id(task) -> str:
+    return f"{task[0]}x{task[1]}-s{task[2]}-n{task[3]}"
+
+
+# Per wide task: the dynamics digest and the pattern-tree misses, cuts and
+# patterns, all recorded from the integrator that ran a max flow on every
+# tree miss, and the max flows left once the demand tree runs first.  The
+# wide systems have exponential curves, so the digests use the platform's
+# math.exp (glibc's here).
+_WIDE_PINS = {
+    "16x16-s1-n104": ("c8ba4a9b05b535ee26d19a86de0cc006c17aac21ccb1d8f822e911a83ef2f8d9",
+                      1482, 312, 8, 312),
+    "16x16-s1-n102": ("50fd43a75e670d208132615a99e5f46beceda74d8d900533b9c64bfa615d058d",
+                      1105, 53, 10, 42),
+    "32x32-s0-n101": ("b8ab243ced8e1d2bfd9871b019425ae7ac5dae981ec407b7dffd2f6d4a7c43db",
+                      253, 50, 16, 55),
+}
+
+
+@pytest.mark.parametrize("task", WIDE_TASKS, ids=_task_id)
 def test_v_does_not_rise_at_split_rows_of_the_wide_tasks(task):
     sys, n0, horizon = wide_task(*task)
     traj = integrate_fluid(sys, n0, horizon)
-    assert traj.stats.cuts > 0
+    digest, misses, cuts, patterns, flows = _WIDE_PINS[_task_id(task)]
+    assert dynamics_digest(traj) == digest
+    assert traj.stats == KernelStats(tree_misses=misses, maxflow_witnesses=flows, cuts=cuts,
+                                     patterns=patterns)
     assert _split_rows_where_v_rises(sys, traj) == []
-    # GMSR routes every job to a tied-best backend: rows stay on band edges
+    # GMSR routes every job to a tied-best backend: rows stay on band edges,
+    # and every row is a routing that realizes the step's inflows
     assert _rows_off_the_band(sys, traj, IntegratorConfig()) == []
+    for x in traj.routings:
+        assert validate_routing(sys, x, tol=1e-9) == []
+    realized = np.einsum("f,kfb->kb", np.asarray(sys.lambdas), traj.routings)
+    assert np.abs(realized - traj.inflows).max() <= 1e-12
+
+
+def test_wide_rows_after_each_witness_kind_match_one_step_runs(monkeypatch):
+    # a tier's rows come from the pattern's tree, the step's demand tree, a
+    # max flow, or, after a cut, from its pieces: whichever it is, a row is
+    # what a fresh one-step run from the same workload gives
+    kernel = fluid_dyn._Kernel
+    step, demand, flow = kernel.sliding_step, kernel.demand_witness, kernel.band_flow
+    now = [0.0]
+    found: dict[str, set[int]] = {}
+
+    def note(kind: str) -> None:
+        found.setdefault(kind, set()).add(round(now[0] / IntegratorConfig().h))
+
+    def timed_step(self, n, dirty, t):
+        now[0] = t
+        return step(self, n, dirty, t)
+
+    def noted_demand(self, tier, xbuf):
+        ok = demand(self, tier, xbuf)
+        if ok:
+            note("demand tree")
+        return ok
+
+    def noted_flow(self, tier, xbuf):
+        drop = flow(self, tier, xbuf)
+        note("max flow" if drop < 0 else "cut")
+        return drop
+
+    runs = []
+    for task in WIDE_TASKS:
+        sys, n0, horizon = wide_task(*task)
+        found.clear()
+        monkeypatch.setattr(kernel, "sliding_step", timed_step)
+        monkeypatch.setattr(kernel, "demand_witness", noted_demand)
+        monkeypatch.setattr(kernel, "band_flow", noted_flow)
+        traj = integrate_fluid(sys, n0, horizon)
+        monkeypatch.undo()
+        rows = set()
+        for kind_rows in found.values():
+            first = sorted(kind_rows)
+            rows.update(k + d for k in (*first[:2], first[-1]) for d in (0, 1))
+        runs.append((sys, traj, sorted(k for k in rows if k < len(traj)), set(found)))
+    # the 16x16 tasks resolve every miss by the demand tree or a cut; only
+    # the 32x32 task has tiers whose witness still takes a max flow
+    assert [kinds for *_, kinds in runs] == [
+        {"demand tree", "cut"}, {"demand tree", "cut"}, {"demand tree", "max flow", "cut"}]
+    for sys, traj, rows, _ in runs:
+        _assert_rows_match_one_step_runs(sys, traj, IntegratorConfig(), rows)
 
 
 def _random_square_run(n: int, seed: int):
@@ -876,7 +1027,7 @@ def test_a_frontend_whose_band_edges_all_lie_on_the_cut_keeps_them(monkeypatch):
 
     # a cut that changes no tie mask cannot split the tier: the run stops
     # and names the tier and the time
-    monkeypatch.setattr(fluid_dyn._Kernel, "band_flow", lambda self, tier, xbuf, masks: 0)
+    monkeypatch.setattr(fluid_dyn._Kernel, "band_flow", lambda self, tier, xbuf: 0)
     with pytest.raises(IntegrationError,
                        match=r"min cut of tier \['b1', 'b2', 'b3'\] at t=0 changes no mask"):
         integrate_fluid(sys, [1.0, 1.0, 1.0], 0.05, cfg)
