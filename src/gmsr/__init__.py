@@ -24,7 +24,6 @@ from gmsr.fluid_dyn import (
     sliding_drift,
 )
 from gmsr.fluid_opt import (
-    CapacityMarginError,
     ConvergenceError,
     FluidOptimum,
     InfeasibleSystemError,
@@ -107,7 +106,6 @@ __all__ = [
     "stability_decomposition",
     "transportation_feasible",
     # fluid_opt
-    "CapacityMarginError",
     "ConvergenceError",
     "FluidOptimum",
     "InfeasibleSystemError",

@@ -36,7 +36,6 @@ __all__ = [
     "OverloadEquilibrium",
     "InfeasibleSystemError",
     "ConvergenceError",
-    "CapacityMarginError",
     "solve_fluid_optimum",
     "kkt_residual",
     "brute_force_optimum",
@@ -45,7 +44,7 @@ __all__ = [
 
 SUPPORT_EPS = 1e-8  # routing entries above this count as carrying flow
 _KKT_TOL = 1e-8  # the largest KKT residual an optimum is returned with
-_CAP_MARGIN = 1.0 - 1e-9  # keep inflows strictly inside the caps
+_CAP_MARGIN = 1.0 - 1e-9  # the grid oracle keeps its inflows strictly inside the caps
 
 
 class InfeasibleSystemError(ValueError):
@@ -61,9 +60,9 @@ class InfeasibleSystemError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The solver stopped without a certified optimum: its decomposition
-    rounds ran out (`.residual` is inf), a min cut failed to split a block
-    (inf as well), or the assembled optimum's KKT residual exceeds 1e-8.
+    """The solver stopped without a certified optimum: a min cut failed to
+    split a block or a level bracket's low end underflowed to 0 (`.residual`
+    is inf for both), or the assembled optimum's KKT residual exceeds 1e-8.
     `.iterations` is the number of rounds used."""
 
     def __init__(self, residual: float, iterations: int):
@@ -75,33 +74,21 @@ class ConvergenceError(RuntimeError):
         )
 
 
-class CapacityMarginError(RuntimeError):
-    """Feasible arrivals whose optimum puts some inflows at or past
-    (1 − 1e-9)·cap, outside what the solver resolves.  `.backends` names
-    them: the backends of a finished block that reach the margin, or every
-    backend of a block whose gradient level lies below the bisection
-    bracket."""
-
-    def __init__(self, backends: tuple[str, ...]):
-        self.backends = backends
-        super().__init__(
-            f"arrivals are within 1e-9 (relative) of the capacity of backends "
-            f"{list(backends)}; the solver keeps every inflow below (1 - 1e-9)·cap, "
-            "so it cannot represent this optimum"
-        )
-
-
 @dataclass(frozen=True)
 class FluidOptimum:
     """The optimum and the work that found it.
 
+    N* is finite for every strictly feasible system, however close its
+    arrivals are to capacity.
     blocks: the finished decomposition blocks, as (frontend indices,
         backend indices); a block's backends share one gradient level, and
         those with μ_b′(0) at or below it stay at N = 0.
-    rounds: blocks examined (level bisection plus transportation flow).
+    rounds: blocks examined (level bisection plus transportation flow), at
+        most 2|B| − 1.
     max_flows: every max flow run: the feasibility witness, then one per
         round.
-    bisection_steps: total-service evaluations over all level bisections.
+    bisection_steps: total-service evaluations over all level brackets and
+        bisections.
     The counts are 0 and blocks empty for optima found another way.
     """
 
@@ -183,16 +170,18 @@ def kkt_residual(sys: BipartiteSystem, n: np.ndarray, x: np.ndarray) -> float:
     return worst_gap + worst_excess + balance
 
 
-def _level(curves, g_zero, lam_c: float) -> tuple[float, bool, int]:
-    """A block's common gradient level γ, whether the bracket holds it, and
-    the bisection steps spent.
+def _level(curves, g_zero, lam_c: float) -> tuple[float | None, int]:
+    """A block's common gradient level γ and the total-service evaluations
+    spent finding it.
 
     Backend b takes N_b(γ) = (μ_b′)⁻¹(γ), or 0 when γ ≥ μ_b′(0), so the
-    block's total service Σ_b μ_b(N_b(γ)) falls as γ rises; bisection on
-    [1e-18·max μ′(0), max μ′(0)] finds where it meets lam_c.  It stops once
-    the bracket's midpoint rounds onto an end, which leaves γ as the full
-    200 halvings would.  When the total service at the low end is still at
-    or below lam_c, the low end is returned, unbracketed.
+    block's total service Σ_b μ_b(N_b(γ)) falls as γ rises, from the sum of
+    the caps as γ → 0 to 0 at max μ′(0).  The first bracket is
+    [1e-18·max μ′(0), max μ′(0)]; while the total service at its low end is
+    still at or below lam_c, the bracket moves down a factor 1e-18 at a
+    time.  Linear bisection then stops once the bracket's midpoint rounds
+    onto an end, which leaves γ as the full 200 halvings would.  γ is None
+    when the low end underflows to 0 first.
     """
     def total_rate(gamma: float) -> float:
         out = 0.0
@@ -204,8 +193,11 @@ def _level(curves, g_zero, lam_c: float) -> tuple[float, bool, int]:
     g_max = max(g_zero)
     lo, hi = 1e-18 * g_max, g_max
     steps = 1
-    if total_rate(lo) <= lam_c:
-        return lo, False, steps
+    while total_rate(lo) <= lam_c:
+        lo, hi = 1e-18 * lo, lo
+        if lo == 0.0:
+            return None, steps
+        steps += 1
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -215,10 +207,10 @@ def _level(curves, g_zero, lam_c: float) -> tuple[float, bool, int]:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi), True, steps
+    return 0.5 * (lo + hi), steps
 
 
-def solve_fluid_optimum(sys: BipartiteSystem, max_iter: int = 100_000) -> FluidOptimum:
+def solve_fluid_optimum(sys: BipartiteSystem) -> FluidOptimum:
     """Minimize total workload subject to per-backend flow balance.
 
     Raises InfeasibleSystemError (with a witness subset) when some frontend
@@ -226,11 +218,12 @@ def solve_fluid_optimum(sys: BipartiteSystem, max_iter: int = 100_000) -> FluidO
     algorithm (module docstring): each round takes one block, finds its
     gradient level (a lone backend's inflow is the block's arrival rate)
     and runs a transportation max flow, which either routes the block or
-    splits it by its min cut.  After max_iter rounds, or if the assembled
-    optimum's KKT residual exceeds 1e-8, it raises ConvergenceError.  A
-    finished block whose inflows reach (1 − 1e-9)·cap, or whose level lies
-    below the bisection bracket, raises CapacityMarginError naming its
-    backends.
+    splits it by its min cut into two blocks with fewer backends each, so
+    at most 2|B| − 1 rounds run.  Any strictly feasible system gets its
+    optimum, however close its arrivals are to capacity.  It raises
+    ConvergenceError when a min cut does not split its block, when a level
+    bracket's low end underflows to 0, or when the assembled optimum's KKT
+    residual exceeds 1e-8.
 
     A frontend with zero arrival rate routes nothing and joins no block; its
     routing row is uniform over its neighbours.
@@ -256,35 +249,28 @@ def solve_fluid_optimum(sys: BipartiteSystem, max_iter: int = 100_000) -> FluidO
         lam_c = sum(lam[i] for i in fr)
         if lam_c <= 0:
             continue  # backends no arrivals reach keep N = 0
-        if rounds == max_iter:
-            raise ConvergenceError(math.inf, rounds)
         rounds += 1
         if len(ba) == 1:  # the balance pins a lone backend's inflow
-            level, bracketed = [services[ba[0]].inverse(lam_c)], True
+            level = [services[ba[0]].inverse(lam_c)]
         else:
-            gamma, bracketed, used = _level(
-                [services[j] for j in ba], [g_zero[j] for j in ba], lam_c)
+            gamma, used = _level([services[j] for j in ba], [g_zero[j] for j in ba], lam_c)
             steps += used
+            if gamma is None:
+                raise ConvergenceError(math.inf, rounds)
             level = [services[j].gradient_inverse(gamma) if gamma < g_zero[j] else 0.0
                      for j in ba]
         demand = {bids[j]: services[j].value(nj) for j, nj in zip(ba, level)}
         ok, flow, low = transportation_feasible(
             sys, {fids[i] for i in fr}, {bids[j] for j in ba}, demand)
-        if ok and bracketed:
-            at_margin = tuple(bids[j] for j in ba
-                              if demand[bids[j]] >= _CAP_MARGIN * services[j].cap)
-            if at_margin:
-                raise CapacityMarginError(at_margin)
+        if ok:
             n[list(ba)] = level
             x[list(fr)] = flow[list(fr)]
             blocks.append((fr, ba))
             continue
         # the frontends whose block neighbours all lie on the min cut's source
         # side overload them at this level: they form the lower-gradient block
-        low = set(low or ())  # None: the flow routes the block, so nothing splits
+        low = set(low)
         if not low or len(low) == len(ba):
-            if not bracketed:  # the whole block needs a level below the bracket
-                raise CapacityMarginError(tuple(bids[j] for j in ba))
             raise ConvergenceError(math.inf, rounds)  # the cut does not split
         inside = set(ba)
         lower = {i for i in fr
@@ -406,7 +392,7 @@ def equilibrium_rates(sys: BipartiteSystem) -> OverloadEquilibrium:
     """
     witness, dec, throughput = _augmented_cut(sys)
     nb = len(sys.backends)
-    rates = np.array([fn.cap for fn in sys.services])
+    rates = np.array([fn.cap for fn in sys.services], dtype=float)
     workloads = np.full(nb, np.inf)
     if dec.backends:
         sub = BipartiteSystem(

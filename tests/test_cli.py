@@ -2,7 +2,6 @@
 outputs, exit codes, and the report round-trip guarantee."""
 
 import csv
-import functools
 import json
 import math
 from importlib.resources import files
@@ -179,18 +178,17 @@ def test_bad_flags_exit_1(tmp_path, capsys, argv):
 
 
 def test_optimum_exits_3_when_the_solver_does_not_converge(tmp_path, monkeypatch, capsys):
-    import gmsr.cli
+    import gmsr.fluid_opt
 
-    # fig1 needs three decomposition rounds
-    monkeypatch.setattr(gmsr.cli, "solve_fluid_optimum",
-                        functools.partial(solve_fluid_optimum, max_iter=2))
+    # fig1 needs three decomposition rounds; no optimum passes a KKT check of 1
+    monkeypatch.setattr(gmsr.fluid_opt, "kkt_residual", lambda *args: 1.0)
     assert run_command(["optimum", str(SCENARIOS / "fig1.json"), "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "ConvergenceError" in err and "after 2 rounds" in err
+    assert "ConvergenceError" in err and "after 3 rounds" in err
     assert not (tmp_path / "optimum.json").exists()
 
 
-def test_optimum_exits_3_near_capacity(tmp_path, scenario_file, capsys):
+def test_optimum_exits_0_near_capacity(tmp_path, scenario_file, capsys):
     scn_path = scenario_file(
         frontends=[{"id": "f1", "lambda": 1.0 - 1e-10}],
         backends=[{"id": "b1", "service": {"kind": "hill", "cap": 1.0, "half": 1.0}}],
@@ -199,8 +197,25 @@ def test_optimum_exits_3_near_capacity(tmp_path, scenario_file, capsys):
     )
     assert run_command(["validate", scn_path]) == 0
     assert "feasible: true" in capsys.readouterr().out
-    assert run_command(["optimum", scn_path, "--out", str(tmp_path)]) == 3
-    assert "CapacityMarginError" in capsys.readouterr().err
+    assert run_command(["optimum", scn_path, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "optimum.json").read_text())
+    assert doc["kkt_residual"] <= 1e-8
+
+
+def test_overload_solves_a_stable_part_near_capacity(tmp_path, scenario_file):
+    # f1 overloads b1; the stable part f2 -> b2 runs within 1e-10 of b2's cap
+    scn_path = scenario_file(
+        frontends=[{"id": "f1", "lambda": 5.0}, {"id": "f2", "lambda": 1.0 - 1e-10}],
+        backends=[{"id": b, "service": {"kind": "hill", "cap": 1.0, "half": 1.0}}
+                  for b in ("b1", "b2")],
+        edges=[["f1", "b1"], ["f2", "b2"]],
+        initial={"b1": 0.0, "b2": 0.0},
+    )
+    assert run_command(["overload", scn_path, "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "overload.json").read_text())
+    assert doc["stable_backends"] == ["b2"]
+    assert doc["equilibrium_rates"] == {"b1": 1.0, "b2": 1.0 - 1e-10}
+    assert doc["total_equilibrium_rate"] == doc["opt_tp"] == 2.0 - 1e-10
 
 
 # ---------------------------------------------------------------------------
