@@ -28,8 +28,8 @@ dynamics with fixed-step explicit Euler in two modes:
 
 The integrator records states, routings, realized inflows, tier-change
 events, and boundary clamps, at every step.  One step is a pure function of
-the workload vector, and the integrator uses that twice, without changing a
-single output bit:
+the workload vector, and the integrator uses that three times, without
+changing a single output bit:
 
 * Incremental steps.  The Euler update notes which backends' workloads
   changed bits.  Only those backends' curves are re-evaluated; when no
@@ -37,9 +37,21 @@ single output bit:
   argmax, the routing and inflows too).  In sliding mode, when the tie
   pattern is the previous step's and that step needed no repair (no
   split or tree miss), only the tiers holding a moved
-  backend are recomputed.  After a split, only the split tier's pieces
+  backend are recomputed; when each moved backend is a tier of its own,
+  its implied inflow stays the tier's λ and its frontends' rows stay, so
+  only its drift is.  After a split, only the split tier's pieces
   and the tiers not reached yet are recomputed; the others keep their
   rows.
+* Frozen routing.  A step that keeps the inflow and routing rows of the
+  step before records them by reference, as the index of the last rows
+  written.  After a step that kept them and left every gradient's bits
+  unchanged, the backends that move (a draining backend, say, whose Hill
+  or exponential curve decays geometrically and never reaches a bitwise
+  fixed point) follow scalar recurrences n_j ← n_j + h·(w_j − μ_j(n_j))
+  with fixed w_j.  The integrator steps those alone, with the kernel's
+  arithmetic, until a gradient changes bits, an update would clamp, leave
+  the finite range or stop a mover, or the next checkpoint row (below) is
+  reached, and records the rows in one block.
 * Exact orbits.  A Brent checkpoint (R. P. Brent, BIT 20, 1980) holds the
   workload vector at power-of-two rows.  Once a row repeats an earlier one
   bit for bit with period P (P = 1 is a fixed point, caught at once), every
@@ -213,6 +225,10 @@ class FluidTrajectory:
     and the per-backend arrival inflows λ·x it induces.  boundary_events
     lists (time, backend id) pairs where an Euler step undershot zero and
     was clamped.  stats counts the kernel's work (see ``KernelStats``).
+
+    The arrays are writeable, C-contiguous, and hold one row per instant;
+    two runs share no memory.  ``integrate_fluid`` may return them as views
+    on its own recording (``base`` is then not None) rather than copies.
     """
 
     times: np.ndarray
@@ -336,12 +352,14 @@ class _TierStruct:
 
 
 class _Pattern:
-    __slots__ = ("tiers", "sets", "groups")
+    __slots__ = ("tiers", "sets", "groups", "single")
 
     def __init__(self, tiers, sets, groups):
         self.tiers = tiers    # tuple[_TierStruct, ...]
         self.sets = sets      # frozenset of per-tier node_set (for event diffs)
         self.groups = groups  # per tier (f_idx, b_idx), as tie_components gives them
+        # bitmask of the backends that form a tier on their own
+        self.single = sum(t.b_mask for t in tiers if len(t.b_idx) == 1)
 
 
 def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
@@ -644,17 +662,32 @@ class _Kernel:
     # Both take the workload vector and the bitmask of backends whose
     # workload changed bits since the last call, and the step's time (for
     # errors), fill vbuf/wbuf/xbuf, and return (tie pattern used, whether a
-    # tier was split, bitmask of backends whose drift was computed afresh).
-    # A step reuses what its inputs leave unchanged bit for bit, so it gives
-    # the same bits as computing everything.
+    # tier was split, bitmask of backends whose drift was computed afresh,
+    # frozen).  frozen is None when the step wrote its inflow and routing
+    # rows; otherwise they are the last step's bit for bit, and frozen is the
+    # bitmask of backends that ``frozen_run`` may step on while their
+    # gradients hold (0 when a gradient changed bits).  A step reuses what
+    # its inputs leave unchanged bit for bit, so it gives the same bits as
+    # computing everything.
 
-    def sliding_step(self, n: list[float], dirty: int, t: float) -> tuple[_Pattern, bool, int]:
+    def sliding_step(self, n: list[float], dirty: int, t: float
+                     ) -> tuple[_Pattern, bool, int, int | None]:
         every, nb = self.every, self.nb
-        if self.curves(n, self.bits.get(dirty) or self.members(dirty)) or self.masks is None:
+        dirty_b = self.bits.get(dirty) or self.members(dirty)
+        regraded = self.curves(n, dirty_b)
+        if regraded or self.masks is None:
             fresh = tie_masks(self.neighbors, self.g, self.cfg.tie_band)
             if fresh != self.masks:
                 self.masks, self.pattern, self.clean = fresh, self.pattern_for(fresh), False
         pattern = self.pattern
+        if self.clean and not dirty & ~pattern.single:
+            # the last step solved this pattern outright, and each moved
+            # backend is a tier of its own: w_j stays the tier's λ and its
+            # frontends' rows stay, so only v_j = w_j − μ_j moves
+            v, w, mu = self.vbuf, self.wbuf, self.mu
+            for j in dirty_b:
+                v[j] = w[j] - mu[j]
+            return pattern, False, dirty, 0 if regraded else pattern.single
         if self.clean and dirty != every:
             # the last step solved this pattern outright; a tier none of
             # whose backends moved would repeat its flows and rows
@@ -714,11 +747,13 @@ class _Kernel:
             todo = [piece for piece in used.tiers if piece.b_mask & redo]
         # only a split changes the pattern used
         self.clean = used is pattern and self.tree_misses == misses
-        return used, used is not pattern, active
+        return used, used is not pattern, active, None
 
-    def argmax_step(self, n: list[float], dirty: int, t: float) -> tuple[_Pattern, bool, int]:
+    def argmax_step(self, n: list[float], dirty: int, t: float
+                    ) -> tuple[_Pattern, bool, int, int | None]:
         v, w, mu = self.vbuf, self.wbuf, self.mu
-        if self.curves(n, self.bits.get(dirty) or self.members(dirty)) or self.masks is None:
+        dirty_b = self.bits.get(dirty) or self.members(dirty)
+        if self.curves(n, dirty_b) or self.masks is None:
             # whole-rate argmax routing
             g, lam, nb = self.g, self.lam, self.nb
             xbuf = self.xbuf = [0.0] * len(self.xbuf)
@@ -739,11 +774,68 @@ class _Kernel:
             fresh = tie_masks(self.neighbors, self.g, self.cfg.tie_band)
             if fresh != self.masks:
                 self.masks, self.pattern = fresh, self.pattern_for(fresh)
-            return self.pattern, False, self.every
+            return self.pattern, False, self.every, None
         # the argmax, the routing and the inflows follow the gradients alone
-        for j in self.members(dirty):
+        for j in dirty_b:
             v[j] = w[j] - mu[j]
-        return self.pattern, False, dirty
+        return self.pattern, False, dirty, self.every
+
+    def frozen_rows(self, n: list[float], movers, h: float, limit: int,
+                    avoid: list[float] | None) -> array:
+        """Up to `limit` rows from n on, while the steps from them would keep
+        their inflow and routing rows and every gradient: each mover takes
+        its ``frozen_run`` (stopping short of its value in `avoid`, the
+        checkpoint row, when given), and the rows end before the first step
+        at which one mover's run stops.  Returns the rows (n first) as one
+        flat array and leaves n at the row after them."""
+        runs = []
+        for j in movers:
+            run = self.frozen_run(j, n[j], h, limit, math.nan if avoid is None else avoid[j])
+            limit = len(run)
+            if not limit:
+                return array("d")
+            runs.append(run)
+        nb = self.nb
+        block = array("d", n) * limit
+        for j, run in zip(movers, runs):
+            block[nb + j::nb] = array("d", run[:limit - 1])
+            n[j] = run[limit - 1]
+        return block
+
+    def frozen_run(self, j: int, x: float, h: float, limit: int, avoid: float) -> list[float]:
+        """The workloads backend j takes in frozen steps from x, at most
+        `limit` of them: each is x + h·(w_j − μ_j(x)) of the one before,
+        with the arithmetic of ``curves`` and the Euler update.  Stops before
+        a step at whose start j's gradient differs from g[j] in bits, or
+        whose update would clamp, leave the finite range, keep x, or equal
+        `avoid` (a NaN avoids nothing)."""
+        is_hill, a, b, c, _ = self.par[j]
+        g, w = self.g[j], self.wbuf[j]
+        out = []
+        if is_hill:  # as in curves: μ = a·x/t, μ′ = a·b/t², t = x + b
+            ab = a * b
+            for _ in range(limit):
+                t = x + b
+                if ab / (t * t) != g:
+                    break
+                x1 = x + h * (w - a * x / t)
+                if not 0.0 <= x1 <= 1e300 or x1 == x or x1 == avoid:
+                    break
+                out.append(x1)
+                x = x1
+        else:  # μ = a − a·e, μ′ = c·e, e = exp(−b·x) floored at 1e-300
+            for _ in range(limit):
+                e = math.exp(-b * x)
+                if e < 1e-300:
+                    e = 1e-300
+                if c * e != g:
+                    break
+                x1 = x + h * (w - (a - a * e))
+                if not 0.0 <= x1 <= 1e300 or x1 == x or x1 == avoid:
+                    break
+                out.append(x1)
+                x = x1
+        return out
 
 
 def _classify(prev_sets: frozenset | None, new_sets: frozenset, split: bool) -> str:
@@ -774,12 +866,14 @@ def integrate_fluid(
     out).
 
     A step depends on nothing but the workload vector, so it is computed
-    incrementally from the previous one where that gives the same bits (see
-    the module docstring).  Once the workload vector repeats an earlier row
-    bit for bit, the run continues the orbit by copying: every later row,
-    event and boundary clamp repeats the one a period before it, at its own
-    time (events at q·h, clamps at q·h + h), exactly as computing it would.
-    Copied rows add nothing to ``stats``.  Recorded events build their
+    incrementally from the previous one where that gives the same bits, and
+    a stretch of steps that keep their routing and gradients steps only the
+    backends that move (see the module docstring).  Once the workload vector
+    repeats an earlier row bit for bit, the run continues the orbit by
+    copying: every later row, event and boundary clamp repeats the one a
+    period before it, at its own time (events at q·h, clamps at q·h + h),
+    exactly as computing it would.  Copied rows add nothing to ``stats``,
+    and neither do frozen steps, which count no witness or flow.  Recorded events build their
     ``tiers`` when it is first read.
 
     Raises ValueError before recording anything when round(horizon/h)
@@ -807,8 +901,9 @@ def integrate_fluid(
     n = [float(v) for v in n_arr]
 
     states = array("d")
-    inflows = array("d")
+    inflows = array("d")  # the inflow and routing rows that steps wrote
     routings = array("d")
+    kept = array("q")  # rows whose inflows and routings are those of the row before
     events: list[TierEvent] = []
     boundary: list[tuple[float, str]] = []
     prev_sets: frozenset | None = None
@@ -825,14 +920,15 @@ def integrate_fluid(
     ckpt_bytes = array("d", n).tobytes()
     period = 0  # set once the workload row repeats an earlier one
 
-    for step_no in range(steps + 1):
+    step_no = 0
+    while True:
         t = step_no * h
         if period:
             # this row repeats row step_no − period bit for bit; only its
             # event depends on the row before, so replay that row's pattern
             used, split, g = replay
         else:
-            used, split, active = step(n, dirty, t)
+            used, split, active, frozen = step(n, dirty, t)
             g = k.g
         used_sets = used.sets
 
@@ -848,8 +944,11 @@ def integrate_fluid(
             break  # the rest of the run is copied
 
         states.extend(n)
-        inflows.extend(w)
-        routings.extend(k.xbuf)
+        if frozen is None:
+            inflows.extend(w)
+            routings.extend(k.xbuf)
+        else:
+            kept.append(step_no)
         if step_no == ckpt_row:
             ckpt_marks = (len(events), len(boundary))
             ckpt_step = (used, split, g[:])
@@ -877,14 +976,31 @@ def integrate_fluid(
             if nj != n[j] or (nj == 0.0 and math.copysign(1.0, nj) != math.copysign(1.0, n[j])):
                 n[j] = nj
                 dirty |= 1 << j
+        step_no += 1
         if not dirty:  # a fixed point: period 1 from this row
             period, replay = 1, (used, split, g)
             marks = (len(events), len(boundary) - clamped.bit_count())
         elif n == ckpt and array("d", n).tobytes() == ckpt_bytes:
-            period, replay, marks = step_no + 1 - ckpt_row, ckpt_step, ckpt_marks
-        elif not (step_no + 1) & step_no:
-            ckpt_row, ckpt = step_no + 1, n[:]
+            period, replay, marks = step_no - ckpt_row, ckpt_step, ckpt_marks
+        elif not step_no & (step_no - 1):
+            ckpt_row, ckpt = step_no, n[:]
             ckpt_bytes = array("d", n).tobytes()
+        elif frozen and not clamped and not dirty & ~frozen:
+            # the step kept its rows and every gradient, so the next steps
+            # move only the same backends until one of them changes its
+            # gradient's bits: record those rows at once, up to the row
+            # before the next checkpoint row (or the last row)
+            limit = min(steps + 1, 1 << step_no.bit_length()) - 1 - step_no
+            if limit > 0:
+                # a row can repeat the checkpoint only if the others do already
+                orbit = all(n[j] == ckpt[j] for j in range(nb) if not dirty >> j & 1)
+                block = k.frozen_rows(n, bits.get(dirty) or members(dirty), h, limit,
+                                      ckpt if orbit else None)
+                if block:
+                    states += block
+                    taken = len(block) // nb
+                    kept.extend(range(step_no, step_no + taken))
+                    step_no += taken
 
     rows = len(states) // nb
     if rows <= steps:
@@ -900,11 +1016,25 @@ def integrate_fluid(
             for q, (_, bid) in _tile(boundary[marks[1]:], lambda b: round(b[0] / h) - 1,
                                      period, steps - 1)
         )
+    index = None  # the row of inflows and routings that each recorded row has
+    if kept:
+        wrote = np.ones(rows, dtype=bool)
+        wrote[np.frombuffer(kept, dtype=np.int64)] = False
+        del kept
+        index = np.cumsum(wrote, dtype=np.intp)
+        index -= 1
+        del wrote
+    states = _tile_rows(states, None, rows, steps + 1, (nb,), period)
+    routings = _tile_rows(routings, index, rows, steps + 1, (nf, nb), period)
+    inflows = _tile_rows(inflows, index, rows, steps + 1, (nb,), period)
+    del index
+    times = np.arange(steps + 1, dtype=float)
+    times *= h  # k·h, built in place
     return FluidTrajectory(
-        times=np.arange(steps + 1) * h,
-        states=_tile_rows(states, rows, steps + 1, (nb,), period),
-        routings=_tile_rows(routings, rows, steps + 1, (nf, nb), period),
-        inflows=_tile_rows(inflows, rows, steps + 1, (nb,), period),
+        times=times,
+        states=states,
+        routings=routings,
+        inflows=inflows,
         events=tuple(events),
         boundary_events=tuple(boundary),
         stats=k.stats(),
@@ -927,12 +1057,19 @@ def _tile(templates: list, row_of, period: int, last: int):
         shift += period
 
 
-def _tile_rows(buf: array, rows: int, total: int, shape: tuple[int, ...],
-               period: int) -> np.ndarray:
-    """The `rows` rows recorded in buf, then rows up to `total` that repeat
-    the row `period` before them, copied in doubling blocks."""
+def _tile_rows(buf: array, index: np.ndarray | None, rows: int, total: int,
+               shape: tuple[int, ...], period: int) -> np.ndarray:
+    """`total` rows: the `rows` recorded ones (buf's rows, or buf's rows by
+    index), then rows that repeat the row `period` before them, copied in
+    doubling blocks.  With no index and nothing to repeat, a view on buf."""
+    recorded = np.frombuffer(buf, dtype=float).reshape((-1, *shape))
+    if index is None and rows == total:
+        return recorded
     out = np.empty((total, *shape))
-    out[:rows] = np.frombuffer(buf, dtype=float).reshape((rows, *shape))
+    if index is None:
+        out[:rows] = recorded
+    else:  # mode="clip" writes straight into out; "raise" would buffer it
+        recorded.take(index, axis=0, out=out[:rows], mode="clip")
     start, filled = rows - period, rows
     while filled < total:
         span = min(filled - start, total - filled)  # a whole number of periods

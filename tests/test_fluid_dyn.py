@@ -1,5 +1,8 @@
 import math
 import time
+import tracemalloc
+from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmsr import fluid_dyn
+from gmsr.cli import load_scenario
 from gmsr.flownet import TransportNetwork
 from gmsr.fluid_dyn import (
     IntegrationError,
@@ -18,7 +22,7 @@ from gmsr.fluid_dyn import (
     sliding_drift,
 )
 from gmsr.fluid_opt import solve_fluid_optimum
-from gmsr.model import hill, make_system, validate_routing
+from gmsr.model import hill, make_system, saturating_exponential, validate_routing
 from gmsr.tiers import compute_tiers, tie_masks
 
 from support import (
@@ -369,6 +373,182 @@ def test_partly_frozen_steps_are_what_stepping_gives(mode):
     assert len(partial) > 20000 and moved[-1].tolist() == [True, False, False]
     rows = [*partial[:5], *partial[::150], *partial[-5:], len(traj) - 1]
     _assert_rows_match_one_step_runs(sys, traj, cfg, rows)
+
+
+def _drain(curve):
+    """f1 feeds a steep Hill backend b1 (μ′ ≥ 3 at its balance) and never b2,
+    whose gradient stays at most 1: b2 drains with no inflow forever."""
+    return make_system([("f1", 0.5)], [("b1", hill(4.0, 1.0)), ("b2", curve)],
+                       [("f1", "b1"), ("f1", "b2")])
+
+
+def _frozen_cases():
+    scn = load_scenario(Path(str(files("gmsr").joinpath("scenarios"))) / "overload_disjoint.json")
+    # (system, start, horizon, h, rows to check, digest recorded from the
+    # integrator that computed every frozen step through the whole kernel)
+    return {
+        # both tiers are one backend with its frontend; b1 diverges and moves
+        # its gradient at every step, so the rows stay but nothing freezes
+        "overload_disjoint": (
+            scn.system, scn.initial, 20.0, 1e-3, [0, 1, 2, *range(3, 20001, 97), 20000],
+            "e6deeebe335e0284e9857cd018fe962cc0b580965c59b2b0383bce899ee109b7"),
+        # b2's exponential gradient changes at every step until its workload
+        # is below about 1e-13 (from row 3700 on); then exp(-x) takes each
+        # value below 1 for a few steps, frozen stretches of 1 to 98 rows
+        # that end at a gradient change or at a checkpoint row (4096), until
+        # the fixed point at row 4213.  This digest uses the platform's exp
+        "exp_drain": (
+            _drain(saturating_exponential(1.0, 1.0)), [0.2, 5.0], 60.0, 0.01,
+            [*range(0, 3690, 97), *range(3690, 4230), 6000],
+            "eabb8001a9fd92e976224a9f007c8c8aab65da009f6e66fcfa02055d36d63ace"),
+        # b2's Hill gradient holds its bits once x + 1 rounds to 1 (row 739):
+        # one frozen stretch that stops at each checkpoint row (1024, ...,
+        # 8192) and ends at a fixed point, x = 4.4e-323, at row 14487.  Hill
+        # curves use only correctly rounded arithmetic
+        "hill_drain": (
+            _drain(hill(1.0, 1.0)), [0.2, 1.0], 1000.0, 0.05,
+            [*range(0, 20001, 97), *range(670, 745),
+             *(r + d for r in (1024, 2048, 4096, 8192, 14487) for d in range(-3, 4)), 20000],
+            "464fe08387f7fc0286aef65c3bc0b5a7acf8d4e4a29c980a37b42959e1df4265"),
+    }
+
+
+@pytest.mark.parametrize("mode", ["sliding", "strict-argmax"])
+@pytest.mark.parametrize("case", ["overload_disjoint", "exp_drain", "hill_drain"])
+def test_frozen_routing_rows_are_what_stepping_gives(case, mode):
+    sys, n0, horizon, h, rows, digest = _frozen_cases()[case]
+    cfg = IntegratorConfig(h=h, mode=mode)
+    traj = integrate_fluid(sys, n0, horizon, cfg)
+    # f1 routes to b1 alone all along, so both modes give the same run
+    assert trajectory_digest(traj) == digest
+    _assert_rows_match_one_step_runs(sys, traj, cfg, rows)
+
+
+@pytest.mark.parametrize("mode, curve, digest", [
+    ("sliding", hill,
+     "a628c6c2c091dd2c5172b0db1951a6c24ffcd899b952541dea3f01a20b951bfc"),
+    ("strict-argmax", hill,
+     "e557b0f2550b50d0f3f355fd19c035c89a76fbbe7472b9a638f600e7eeaf6a8e"),
+    ("sliding", saturating_exponential,
+     "ad9939751230e99d987f3128dc21744fd4dcee7a3a6c8597665e1b04607958bc"),
+    ("strict-argmax", saturating_exponential,
+     "99980ebf135b1ea012c9b3dc1c3190965553940ac8da9c074182597cb87938b7"),
+], ids=["sliding-hill", "strict-argmax-hill", "sliding-exp", "strict-argmax-exp"])
+def test_a_frozen_stretch_ends_where_a_gradient_changes_the_routing(mode, curve, digest):
+    # b1 sits at balance (μ = 1·1/2 = λ) with gradient 0.25.  b2 drains, and
+    # its gradient climbs toward its value at zero, its cap: 1e-15 above the
+    # tie band's cut (sliding) or above 0.25 (strict argmax).  So b2 joins
+    # f1's band, or takes f1's whole rate, only once its workload is about
+    # 5e-16, where its gradient holds its bits for several steps at a time:
+    # a frozen stretch must stop at the step whose gradient changes
+    cut = 0.25 - 1e-3 if mode == "sliding" else 0.25
+    sys = make_system([("f1", 0.5)],
+                      [("b1", hill(1.0, 1.0)), ("b2", curve(cut * (1 + 1e-15), 1.0))],
+                      [("f1", "b1"), ("f1", "b2")])
+    cfg = IntegratorConfig(h=0.05, mode=mode)
+    traj = integrate_fluid(sys, [1.0, 1.0], 200.0, cfg)
+    # recorded from the integrator that computed every frozen step through
+    # the whole kernel; the exponential digests use the platform's exp
+    assert trajectory_digest(traj) == digest
+    joined = [round(ev.time / cfg.h) for ev in traj.events if ev.time > 50.0][0]
+    assert 2700 < joined < 3000
+    _assert_rows_match_one_step_runs(
+        sys, traj, cfg, [*range(0, 4001, 97), *range(joined - 60, joined + 5), 4000])
+
+
+@pytest.mark.parametrize("mode", ["sliding", "strict-argmax"])
+def test_a_frozen_stretch_stops_before_a_clamp(mode):
+    # b2's exp(-10⁴·x) is floored at 1e-300 while x > 0.0691, so its
+    # gradient holds its bits while x falls by h·cap = 0.1 a step, from 1.08
+    # to 0.08, and the next update undershoots zero.  From there b2's
+    # gradient, 2e4 at zero, takes f1's rate, and b2 clamps every other step
+    sys = make_system([("f1", 0.5)],
+                      [("b1", hill(1.0, 1.0)), ("b2", saturating_exponential(2.0, 1e4))],
+                      [("f1", "b1"), ("f1", "b2")])
+    cfg = IntegratorConfig(h=0.05, mode=mode)
+    traj = integrate_fluid(sys, [1.0, 1.08], 5.0, cfg)
+    # recorded from the integrator that computed every frozen step through
+    # the whole kernel; it uses the platform's exp
+    assert trajectory_digest(traj) == (
+        "3a77aef0356632bca7a221fa5a6171bb2a912dab3dccd69475abeef9d0fd7977")
+    assert traj.boundary_events[0] == (10 * cfg.h + cfg.h, "b2")  # the update out of row 10
+    _assert_rows_match_one_step_runs(sys, traj, cfg, range(len(traj)))
+
+
+@pytest.mark.parametrize("mode", ["sliding", "strict-argmax"])
+def test_orbits_that_frozen_stretches_enter_are_copied(mode, monkeypatch):
+    computed = [0]  # rows the kernel steps or a frozen stretch computes
+
+    def counting(method):
+        def wrapped(self, *args):
+            out = method(self, *args)
+            computed[0] += len(out) // self.nb if method is frozen_rows else 1
+            return out
+        return wrapped
+
+    frozen_rows = fluid_dyn._Kernel.frozen_rows
+    for name in ("sliding_step", "argmax_step", "frozen_rows"):
+        monkeypatch.setattr(fluid_dyn._Kernel, name, counting(getattr(fluid_dyn._Kernel, name)))
+    runs = [
+        # b2's drain ends at a fixed point, x = 4.4e-323, in a frozen stretch
+        (_drain(hill(1.0, 1.0)), [0.2, 1.0], 1000.0, 0.05, (1, 14487)),
+        # one Hill backend whose Euler map ends alternating between two
+        # neighbouring floats near 0.041, with its gradient's bits unchanged
+        (make_system([("f1", 0.19821564634933192)],
+                     [("b1", hill(1.8069482967130726, 0.3329145871160809))], [("f1", "b1")]),
+         [1.0], 500.0, 0.25, (2, 19)),
+    ]
+    for sys, n0, horizon, h, orbit in runs:
+        computed[0] = 0
+        traj = integrate_fluid(sys, n0, horizon, IntegratorConfig(h=h, mode=mode))
+        assert _orbit(traj.states) == orbit
+        # the rows from the first copied one on are copies, as in any orbit
+        assert computed[0] == _repeat_row(*orbit)
+
+
+_ARRAYS = ("times", "states", "inflows", "routings")
+
+
+def test_returned_arrays_are_writeable_rows_of_their_own():
+    runs = {
+        # every row written: states, inflows and routings can be views on
+        # the recording
+        "fresh": lambda: integrate_fluid(_n_model_04_06(), [3.0, 0.5], 2.0,
+                                         IntegratorConfig(mode="strict-argmax")),
+        # b2's frozen drain: inflows and routings taken from few rows by index
+        "frozen": lambda: integrate_fluid(_drain(hill(1.0, 1.0)), [0.2, 1.0], 100.0,
+                                          IntegratorConfig(h=0.05)),
+        # a fixed point at row 5132 of 20001: every array tiled
+        "tiled": lambda: integrate_fluid(fig1_system(), np.zeros(5), 20.0),
+    }
+    for name, run in runs.items():
+        a, b = run(), run()
+        arrays = [getattr(traj, field) for traj in (a, b) for field in _ARRAYS]
+        for i, x in enumerate(arrays):
+            assert not any(np.shares_memory(x, y) for y in arrays[i + 1:]), name
+        for field in _ARRAYS:
+            arr = getattr(a, field)
+            assert arr.flags.writeable and arr.flags.c_contiguous, (name, field)
+            for k in (0, len(arr) // 2, len(arr) - 2):
+                after = arr[k + 1].copy()
+                arr[k] = -1.0
+                assert np.array_equal(arr[k + 1], after), (name, field, k)
+
+
+@pytest.mark.parametrize("mode", ["sliding", "strict-argmax"])
+def test_recording_peak_stays_near_the_returned_arrays(mode):
+    # acceptance system 4 drains b1 for most of its 200k steps: its inflow
+    # and routing rows are recorded once per change and taken by index, and
+    # its states returned as the recording itself
+    sys, n0 = _acceptance_system(4)
+    tracemalloc.start()
+    try:
+        traj = integrate_fluid(sys, n0, 200.0, IntegratorConfig(mode=mode))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = sum(getattr(traj, field).nbytes for field in _ARRAYS)
+    assert peak <= 1.25 * returned + 1e6, (peak, returned)
 
 
 @st.composite
