@@ -255,8 +255,13 @@ def certify_trajectory(
     n_star = slack.n_star if slack.n_star is not None else solve_fluid_optimum(sys).n_star
     n_star_sum = float(n_star.sum())
 
-    rates = sys.rates_at(traj.states)
-    v = np.abs(traj.inflows - rates).sum(axis=1)
+    # |inflow − μ(N)| and (N − Ñ)⁺ are formed in place: one temporary of the
+    # states' size at a time
+    dev = sys.rates_at(traj.states)
+    np.subtract(traj.inflows, dev, out=dev)
+    np.abs(dev, out=dev)
+    v = dev.sum(axis=1)
+    del dev
     tol = 1e-7 + 10.0 * h
     violations: list[str] = []
 
@@ -268,7 +273,10 @@ def certify_trajectory(
 
     inside = np.all(traj.states <= slack.n_tilde, axis=1)
     entry_idx = int(np.argmax(inside)) if bool(inside.any()) else None
-    j_vals = np.maximum(traj.states - slack.n_tilde, 0.0).sum(axis=1)
+    over = traj.states - slack.n_tilde
+    np.maximum(over, 0.0, out=over)
+    j_vals = over.sum(axis=1)
+    del over
     rate_min = min(slack.delta, float(sys.rates_at(slack.n_tilde).min()))
     deadline = float(j_vals[0]) / rate_min
 

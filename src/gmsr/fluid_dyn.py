@@ -34,7 +34,10 @@ changing a single output bit:
 * Incremental steps.  The Euler update notes which backends' workloads
   changed bits.  Only those backends' curves are re-evaluated; when no
   gradient changed, the tie masks and pattern are reused (and, under strict
-  argmax, the routing and inflows too).  In sliding mode, when the tie
+  argmax, the routing and inflows too).  Under strict argmax a step whose
+  gradients moved recomputes the masks and each frontend's argmax, and
+  when no argmax moved it keeps the routing and inflows and recomputes
+  only the moved backends' drifts.  In sliding mode, when the tie
   pattern is the previous step's and that step needed no repair (no
   split or tree miss), only the tiers holding a moved
   backend are recomputed; when each moved backend is a tier of its own,
@@ -42,16 +45,27 @@ changing a single output bit:
   only its drift is.  After a split, only the split tier's pieces
   and the tiers not reached yet are recomputed; the others keep their
   rows.
-* Frozen routing.  A step that keeps the inflow and routing rows of the
+* Held routing.  A step that keeps the inflow and routing rows of the
   step before records them by reference, as the index of the last rows
-  written.  After a step that kept them and left every gradient's bits
-  unchanged, the backends that move (a draining backend, say, whose Hill
-  or exponential curve decays geometrically and never reaches a bitwise
-  fixed point) follow scalar recurrences n_j ← n_j + h·(w_j − μ_j(n_j))
-  with fixed w_j.  The integrator steps those alone, with the kernel's
-  arithmetic, until a gradient changes bits, an update would clamp, leave
-  the finite range or stop a mover, or the next checkpoint row (below) is
-  reached, and records the rows in one block.
+  written.  Until a tie mask changes (or, under strict argmax, an argmax
+  does) the routing stays, so each moving backend follows its own scalar
+  recurrence n_j ← n_j + h·(w_j − μ_j(n_j)) with fixed w_j: a draining
+  backend, say, whose gradient changes bits at nearly every step (in
+  sliding mode, while each moving backend is a tier of its own).  After
+  a step that kept its rows, the integrator steps those recurrences alone,
+  with the kernel's arithmetic, and records the rows in one block.  Each
+  mover runs inside a window of its gradient in which no mask or argmax
+  can change (pairwise conditions between the gradients, exact in
+  floating point); where one leaves its window the masks are tested at
+  that row, and if they stand the block goes on in new windows.  A block
+  ends before a row whose masks or argmax differ, before an update that
+  would clamp, leave the finite range or stop a mover, before a row equal
+  to the Brent checkpoint row, and ahead of the next checkpoint row
+  (below).
+  Where the windows hold for one row only, the block ends there.  A block
+  that takes one row or none (an argmax that flips every step or two, or
+  two gradients that move together toward a tie) makes the next attempts
+  wait, up to 63 kept steps.
 * Exact orbits.  A Brent checkpoint (R. P. Brent, BIT 20, 1980) holds the
   workload vector at power-of-two rows.  Once a row repeats an earlier one
   bit for bit with period P (P = 1 is a fixed point, caught at once), every
@@ -94,6 +108,7 @@ demand trees' schedules are cached with the tier, and
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from dataclasses import dataclass, field
 
@@ -193,7 +208,8 @@ def _lazy_event(time: float, kind: str, tiers: tuple) -> TierEvent:
 class KernelStats:
     """Work the sliding kernel did on one run, counted over computed steps
     (rows copied after a bitwise fixed point or along an exact orbit add
-    nothing).  A step that reuses tiers of the previous one counts exactly
+    nothing, and neither do rows stepped in held blocks, which solve no
+    tier).  A step that reuses tiers of the previous one counts exactly
     what recomputing them would; a tier solved before a split in the same
     step is not solved, or counted, again.
 
@@ -452,6 +468,7 @@ class _Kernel:
         self.masks: tuple[int, ...] | None = None
         self.pattern: _Pattern | None = None
         self.clean = False
+        self.best: list[int] | None = None  # strict argmax: each frontend's, as last written
         # reusable per-step buffers
         self.zero_row = [0.0] * self.nb
         self.mu = [0.0] * self.nb
@@ -663,19 +680,18 @@ class _Kernel:
     # workload changed bits since the last call, and the step's time (for
     # errors), fill vbuf/wbuf/xbuf, and return (tie pattern used, whether a
     # tier was split, bitmask of backends whose drift was computed afresh,
-    # frozen).  frozen is None when the step wrote its inflow and routing
-    # rows; otherwise they are the last step's bit for bit, and frozen is the
-    # bitmask of backends that ``frozen_run`` may step on while their
-    # gradients hold (0 when a gradient changed bits).  A step reuses what
-    # its inputs leave unchanged bit for bit, so it gives the same bits as
-    # computing everything.
+    # held).  held is None when the step wrote its inflow and routing rows;
+    # otherwise they are the last step's bit for bit, and held is the bitmask
+    # of backends that ``held_rows`` may step on while the tie masks (and,
+    # under strict argmax, the argmax) stay.  A step reuses what its inputs
+    # leave unchanged bit for bit, so it gives the same bits as computing
+    # everything.
 
     def sliding_step(self, n: list[float], dirty: int, t: float
                      ) -> tuple[_Pattern, bool, int, int | None]:
         every, nb = self.every, self.nb
         dirty_b = self.bits.get(dirty) or self.members(dirty)
-        regraded = self.curves(n, dirty_b)
-        if regraded or self.masks is None:
+        if self.curves(n, dirty_b) or self.masks is None:
             fresh = tie_masks(self.neighbors, self.g, self.cfg.tie_band)
             if fresh != self.masks:
                 self.masks, self.pattern, self.clean = fresh, self.pattern_for(fresh), False
@@ -687,7 +703,7 @@ class _Kernel:
             v, w, mu = self.vbuf, self.wbuf, self.mu
             for j in dirty_b:
                 v[j] = w[j] - mu[j]
-            return pattern, False, dirty, 0 if regraded else pattern.single
+            return pattern, False, dirty, pattern.single
         if self.clean and dirty != every:
             # the last step solved this pattern outright; a tier none of
             # whose backends moved would repeat its flows and rows
@@ -754,69 +770,126 @@ class _Kernel:
         v, w, mu = self.vbuf, self.wbuf, self.mu
         dirty_b = self.bits.get(dirty) or self.members(dirty)
         if self.curves(n, dirty_b) or self.masks is None:
-            # whole-rate argmax routing
-            g, lam, nb = self.g, self.lam, self.nb
-            xbuf = self.xbuf = [0.0] * len(self.xbuf)
-            for j in range(nb):
-                w[j] = 0.0
-            for i, nbrs in enumerate(self.neighbors):
-                best = nbrs[0]
-                top = g[best]
+            g = self.g
+            fresh = tie_masks(self.neighbors, g, self.cfg.tie_band)
+            if fresh != self.masks:
+                self.masks, self.pattern = fresh, self.pattern_for(fresh)
+            best = []
+            for nbrs in self.neighbors:
+                b = nbrs[0]
+                top = g[b]
                 for j in nbrs:
                     gj = g[j]
                     if gj > top:  # strictly greater: lowest index wins ties
                         top = gj
-                        best = j
-                xbuf[i * nb + best] = 1.0
-                w[best] += lam[i]
-            for j in range(nb):
-                v[j] = w[j] - mu[j]
-            fresh = tie_masks(self.neighbors, self.g, self.cfg.tie_band)
-            if fresh != self.masks:
-                self.masks, self.pattern = fresh, self.pattern_for(fresh)
-            return self.pattern, False, self.every, None
-        # the argmax, the routing and the inflows follow the gradients alone
+                        b = j
+                best.append(b)
+            if best != self.best:
+                # whole-rate argmax routing: new rows
+                self.best = best
+                lam, nb = self.lam, self.nb
+                xbuf = self.xbuf = [0.0] * len(self.xbuf)
+                for j in range(nb):
+                    w[j] = 0.0
+                for i, j in enumerate(best):
+                    xbuf[i * nb + j] = 1.0
+                    w[j] += lam[i]
+                for j in range(nb):
+                    v[j] = w[j] - mu[j]
+                return self.pattern, False, self.every, None
+        # every frontend's argmax stays, and with it the routing and inflows
         for j in dirty_b:
             v[j] = w[j] - mu[j]
         return self.pattern, False, dirty, self.every
 
-    def frozen_rows(self, n: list[float], movers, h: float, limit: int,
-                    avoid: list[float] | None) -> array:
-        """Up to `limit` rows from n on, while the steps from them would keep
-        their inflow and routing rows and every gradient: each mover takes
-        its ``frozen_run`` (stopping short of its value in `avoid`, the
-        checkpoint row, when given), and the rows end before the first step
-        at which one mover's run stops.  Returns the rows (n first) as one
-        flat array and leaves n at the row after them."""
-        runs = []
-        for j in movers:
-            run = self.frozen_run(j, n[j], h, limit, math.nan if avoid is None else avoid[j])
-            limit = len(run)
-            if not limit:
-                return array("d")
-            runs.append(run)
+    def held_rows(self, states: array, n: list[float], mask: int, h: float, limit: int,
+                  avoid: list[float] | None) -> int:
+        """Up to `limit` rows from n on, while the step out of each would keep
+        its inflow and routing rows and move the same backends, the movers
+        in `mask`.  Each mover runs its ``held_run`` within a gradient window
+        from ``windows``, and the rows end before the first step at which
+        one mover's run stops.  There the movers' gradients are tested with
+        ``holds``; when they pass, the rows go on in new windows, unless the
+        last windows held for one row only.  g is left as it was: the next
+        step's ``curves`` re-evaluates every mover, sees any gradient change
+        and recomputes the masks.  Appends the rows (n first) to `states`,
+        leaves n at the row after them, and returns how many it took."""
+        g, w = self.g, self.wbuf
+        movers = self.members(mask)
+        fronts = [i for i, nbrs in enumerate(self.neighbors) if any(mask >> j & 1 for j in nbrs)]
         nb = self.nb
-        block = array("d", n) * limit
-        for j, run in zip(movers, runs):
-            block[nb + j::nb] = array("d", run[:limit - 1])
-            n[j] = run[limit - 1]
-        return block
+        taken = 0
+        trial, pace = g[:], [0.0] * nb
+        span = 64  # rows the next windows are sized for
+        while limit > 0:
+            rise = 0  # the movers whose gradients rise (their workloads fall)
+            for j in movers:
+                mu, gj = self.curve(j, n[j])
+                trial[j] = gj
+                # how far the gradient moves in the next step (a step that
+                # leaves [0, 1e300] ends the rows anyway)
+                x1 = n[j] + h * (w[j] - mu)
+                pace[j] = abs(self.curve(j, x1)[1] - gj) if 0.0 <= x1 <= 1e300 else 0.0
+                if w[j] < mu:
+                    rise |= 1 << j
+            if not self.holds(fronts, trial):
+                break
+            lo, hi = self.windows(rise, mask & ~rise, fronts, trial, pace, span)
+            take, first = limit, movers[0]
+            runs = []
+            for j in movers:
+                run = self.held_run(j, n[j], h, take, lo[j], hi[j],
+                                    math.nan if avoid is None else avoid[j])
+                if len(run) < take:
+                    take, first = len(run), j
+                    if not take:
+                        return taken
+                runs.append(run)
+            start = len(states)
+            states += array("d", n) * take
+            for j, run in zip(movers, runs):
+                states[start + nb + j::nb] = run[:take - 1]
+                n[j] = run[take - 1]
+            taken += take
+            if take == 1:
+                # windows that hold for one row only: two movers whose
+                # gradients move together toward a tie, say, which bounds
+                # on each alone cannot follow; stepping costs less here
+                break
+            limit -= take
+            span = min(2 * max(span, take), limit)
+            # the mover whose run ended the rows runs first next time, so the
+            # others do not step past where it stops
+            movers = [first, *(j for j in movers if j != first)]
+        return taken
 
-    def frozen_run(self, j: int, x: float, h: float, limit: int, avoid: float) -> list[float]:
-        """The workloads backend j takes in frozen steps from x, at most
-        `limit` of them: each is x + h·(w_j − μ_j(x)) of the one before,
-        with the arithmetic of ``curves`` and the Euler update.  Stops before
-        a step at whose start j's gradient differs from g[j] in bits, or
-        whose update would clamp, leave the finite range, keep x, or equal
-        `avoid` (a NaN avoids nothing)."""
+    def curve(self, j: int, x: float) -> tuple[float, float]:
+        """μ_j(x) and μ′_j(x), with the arithmetic of ``curves``."""
         is_hill, a, b, c, _ = self.par[j]
-        g, w = self.g[j], self.wbuf[j]
-        out = []
+        if is_hill:
+            t = x + b
+            return a * x / t, a * b / (t * t)
+        e = math.exp(-b * x)
+        if e < 1e-300:
+            e = 1e-300
+        return a - a * e, c * e
+
+    def held_run(self, j: int, x: float, h: float, limit: int, lo: float, hi: float,
+                 avoid: float) -> array:
+        """The workloads backend j takes in held steps from x, at most `limit`
+        of them: each is x + h·(w_j − μ_j(x)) of the one before, with the
+        arithmetic of ``curves`` and the Euler update.  Stops before a step
+        at whose start j's gradient lies outside [lo, hi], or whose update
+        would clamp, leave the finite range, keep x, or equal `avoid` (a NaN
+        avoids nothing)."""
+        is_hill, a, b, c, _ = self.par[j]
+        w = self.wbuf[j]
+        out = array("d")
         if is_hill:  # as in curves: μ = a·x/t, μ′ = a·b/t², t = x + b
             ab = a * b
             for _ in range(limit):
                 t = x + b
-                if ab / (t * t) != g:
+                if not lo <= ab / (t * t) <= hi:
                     break
                 x1 = x + h * (w - a * x / t)
                 if not 0.0 <= x1 <= 1e300 or x1 == x or x1 == avoid:
@@ -828,7 +901,7 @@ class _Kernel:
                 e = math.exp(-b * x)
                 if e < 1e-300:
                     e = 1e-300
-                if c * e != g:
+                if not lo <= c * e <= hi:
                     break
                 x1 = x + h * (w - (a - a * e))
                 if not 0.0 <= x1 <= 1e300 or x1 == x or x1 == avoid:
@@ -836,6 +909,159 @@ class _Kernel:
                 out.append(x1)
                 x = x1
         return out
+
+    def holds(self, fronts, grads: list[float]) -> bool:
+        """True when the given frontends' tie masks (and, under strict
+        argmax, their argmaxes) at `grads` are the stored ones."""
+        masks, best, band = self.masks, self.best, self.cfg.tie_band
+        for i in fronts:
+            nbrs = self.neighbors[i]
+            b = nbrs[0]
+            top = grads[b]
+            for j in nbrs:
+                gj = grads[j]
+                if gj > top:
+                    top = gj
+                    b = j
+            if best is not None and b != best[i]:
+                return False
+            cut = top - band
+            m = 0
+            for j in nbrs:
+                if grads[j] >= cut:
+                    m |= 1 << j
+            if m != masks[i]:
+                return False
+        return True
+
+    def windows(self, rise: int, fall: int, fronts, grads: list[float], pace: list[float],
+                span: int) -> tuple[list[float], list[float]]:
+        """Per-backend bounds (lo, hi) on the gradients, such that the given
+        frontends keep their tie masks and, under strict argmax, their
+        argmaxes while every gradient stays within its bounds (``holds``
+        must be true at `grads`).  A backend outside the bitmasks `rise` and
+        `fall` keeps its gradient (lo = hi = its value in `grads`).  A mover
+        in `rise` may only rise from its value, and one in `fall` only fall,
+        by at most `span` times its `pace`, the change of its next step (a
+        pace of 0 sets no such bound).
+
+        Each frontend's masks and argmax follow from pairwise conditions: a
+        backend in the band stays at or above g_l − band for every other
+        band member l; one outside stays below g_t − band, t the band's top
+        (lowest index on ties); and under strict argmax every other
+        neighbour stays below g_t (at most g_t when its index is higher).  A
+        condition that the bounds already meet is left as it is; one that
+        two movers move toward is split in proportion to their paces.
+        Bounds are exact in floating point: `top − band` is rounded as
+        ``tie_masks`` rounds it, and _below/_above invert that rounding."""
+        lo, hi = grads[:], grads[:]
+        for j in self.members(rise):
+            hi[j] = grads[j] + pace[j] * span if pace[j] > 0.0 else math.inf
+        for j in self.members(fall):
+            lo[j] = grads[j] - pace[j] * span if pace[j] > 0.0 else -math.inf
+        band, strict = self.cfg.tie_band, self.best is not None
+
+        def share(x, y):  # x's part of a slack that x and y move into
+            both = pace[x] + pace[y]
+            return pace[x] / both if both > 0.0 else 0.5
+
+        def at_least(x, y, d):  # make lo[x] >= hi[y] - d
+            gx, bound = grads[x], grads[y] - d
+            down, up = lo[x] < gx, hi[y] > grads[y]
+            if down and up:  # split the slack [bound, gx]
+                bound = min(max(gx - (gx - bound) * share(x, y), bound), gx)
+            if down and bound > lo[x]:
+                lo[x] = bound
+            if up:
+                hi[y] = min(hi[y], _below(bound if down else gx, d))
+
+        def less(x, y, d):  # make hi[x] < lo[y] - d
+            gx, bound = grads[x], grads[y] - d
+            up, down = hi[x] > gx, lo[y] < grads[y]
+            if up and down:  # split the slack (gx, bound]
+                split = gx + (bound - gx) * share(x, y)
+                if gx < split <= bound:
+                    bound = split
+            if up:
+                hi[x] = min(hi[x], math.nextafter(bound, -math.inf))
+            if down:
+                lo[y] = max(lo[y], _above(bound, d) if up
+                            else math.nextafter(_below(gx, d), math.inf))
+
+        for i in fronts:
+            nbrs, m = self.neighbors[i], self.masks[i]
+            t = nbrs[0]
+            for j in nbrs:
+                if grads[j] > grads[t]:
+                    t = j
+            for k in nbrs:
+                if m >> k & 1:
+                    for l in nbrs:
+                        if l != k and m >> l & 1 and lo[k] < hi[l] - band:
+                            at_least(k, l, band)
+                elif hi[k] >= lo[t] - band:
+                    less(k, t, band)
+                if strict and k != t:
+                    if k < t:
+                        if hi[k] >= lo[t]:
+                            less(k, t, 0.0)
+                    elif lo[t] < hi[k]:
+                        at_least(t, k, 0.0)
+        return lo, hi
+
+
+def _below(v: float, d: float) -> float:
+    """The largest float g with g − d ≤ v (g − d rounded)."""
+    return _edge(lambda g: g - d <= v, v + d)
+
+
+def _above(v: float, d: float) -> float:
+    """The smallest float g with g − d ≥ v (g − d rounded)."""
+    return math.nextafter(_edge(lambda g: g - d < v, v + d), math.inf)
+
+
+def _edge(ok, g: float) -> float:
+    """The largest float at which `ok` holds, for a predicate that holds at
+    −inf and up to some float and fails above it, and at inf.  Searched
+    from g: a few steps of one ulp, which find it when g is its rounded
+    estimate, then a galloping search over the floats in order."""
+    for _ in range(4):
+        if ok(g):
+            up = math.nextafter(g, math.inf)
+            if not ok(up):
+                return g
+            g = up
+        else:
+            g = math.nextafter(g, -math.inf)
+    lo = hi = _key(g)  # find keys lo < hi with ok at lo and not at hi
+    step = 1
+    if ok(g):
+        while ok(_unkey(hi)):
+            lo, hi, step = hi, min(hi + step, _INF_KEY), 2 * step
+    else:
+        while not ok(_unkey(lo)):
+            hi, lo, step = lo, max(lo - step, -_INF_KEY), 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if ok(_unkey(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return _unkey(lo)
+
+
+def _key(x: float) -> int:
+    """An integer that orders the floats as their values (±0 give 0)."""
+    (bits,) = struct.unpack("<q", struct.pack("<d", x))
+    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
+
+
+def _unkey(key: int) -> float:
+    """The float of a ``_key``."""
+    return struct.unpack("<d", struct.pack("<q", key if key >= 0 else -key | -(1 << 63)))[0]
+
+
+_INF_KEY = _key(math.inf)
 
 
 def _classify(prev_sets: frozenset | None, new_sets: frozenset, split: bool) -> str:
@@ -867,14 +1093,20 @@ def integrate_fluid(
 
     A step depends on nothing but the workload vector, so it is computed
     incrementally from the previous one where that gives the same bits, and
-    a stretch of steps that keep their routing and gradients steps only the
-    backends that move (see the module docstring).  Once the workload vector
-    repeats an earlier row bit for bit, the run continues the orbit by
-    copying: every later row, event and boundary clamp repeats the one a
-    period before it, at its own time (events at q·h, clamps at q·h + h),
-    exactly as computing it would.  Copied rows add nothing to ``stats``,
-    and neither do frozen steps, which count no witness or flow.  Recorded events build their
+    a stretch of steps that keep their routing steps only the backends that
+    move (see the module docstring).  Once the workload vector repeats an
+    earlier row bit for bit, the run continues the orbit by copying: every
+    later row, event and boundary clamp repeats the one a period before it,
+    at its own time (events at q·h, clamps at q·h + h), exactly as computing
+    it would.  Copied rows add nothing to ``stats``, and neither do held
+    steps, which count no witness or flow.  Recorded events build their
     ``tiers`` when it is first read.
+
+    An event is recorded at every change of the tie pattern, however soon
+    it changes back.  Under strict argmax a frontend whose two best
+    backends trade places every step or two (chatter) records an event at
+    each flip: acceptance system 0 records about 119k events in 200k steps.
+    Such a flip cycle is not collapsed into one event.
 
     Raises ValueError before recording anything when round(horizon/h)
     exceeds the step budget of 10**8 steps.
@@ -903,7 +1135,7 @@ def integrate_fluid(
     states = array("d")
     inflows = array("d")  # the inflow and routing rows that steps wrote
     routings = array("d")
-    kept = array("q")  # rows whose inflows and routings are those of the row before
+    uses = array("q")  # per written inflow and routing row, the rows that use it
     events: list[TierEvent] = []
     boundary: list[tuple[float, str]] = []
     prev_sets: frozenset | None = None
@@ -919,6 +1151,7 @@ def integrate_fluid(
     ckpt_row, ckpt = 0, n[:]
     ckpt_bytes = array("d", n).tobytes()
     period = 0  # set once the workload row repeats an earlier one
+    idle = backoff = 0  # blocks to skip, and how many to skip after the next empty one
 
     step_no = 0
     while True:
@@ -928,7 +1161,7 @@ def integrate_fluid(
             # event depends on the row before, so replay that row's pattern
             used, split, g = replay
         else:
-            used, split, active, frozen = step(n, dirty, t)
+            used, split, active, held = step(n, dirty, t)
             g = k.g
         used_sets = used.sets
 
@@ -944,11 +1177,12 @@ def integrate_fluid(
             break  # the rest of the run is copied
 
         states.extend(n)
-        if frozen is None:
+        if held is None:
             inflows.extend(w)
             routings.extend(k.xbuf)
+            uses.append(1)
         else:
-            kept.append(step_no)
+            uses[-1] += 1
         if step_no == ckpt_row:
             ckpt_marks = (len(events), len(boundary))
             ckpt_step = (used, split, g[:])
@@ -985,22 +1219,23 @@ def integrate_fluid(
         elif not step_no & (step_no - 1):
             ckpt_row, ckpt = step_no, n[:]
             ckpt_bytes = array("d", n).tobytes()
-        elif frozen and not clamped and not dirty & ~frozen:
-            # the step kept its rows and every gradient, so the next steps
-            # move only the same backends until one of them changes its
-            # gradient's bits: record those rows at once, up to the row
-            # before the next checkpoint row (or the last row)
+        elif held and not clamped and not dirty & ~held:
+            # the step kept its rows, so the next steps may keep them too and
+            # move only the same backends: record those rows at once, up to
+            # the row before the next checkpoint row (or the last row)
             limit = min(steps + 1, 1 << step_no.bit_length()) - 1 - step_no
-            if limit > 0:
+            if idle:  # the last blocks took one row or none: try later
+                idle -= 1
+            elif limit > 0:
                 # a row can repeat the checkpoint only if the others do already
                 orbit = all(n[j] == ckpt[j] for j in range(nb) if not dirty >> j & 1)
-                block = k.frozen_rows(n, bits.get(dirty) or members(dirty), h, limit,
-                                      ckpt if orbit else None)
-                if block:
-                    states += block
-                    taken = len(block) // nb
-                    kept.extend(range(step_no, step_no + taken))
-                    step_no += taken
+                taken = k.held_rows(states, n, dirty, h, limit, ckpt if orbit else None)
+                uses[-1] += taken
+                step_no += taken
+                if taken > 1:
+                    backoff = 0
+                else:
+                    idle = backoff = min(2 * backoff + 1, 63)
 
     rows = len(states) // nb
     if rows <= steps:
@@ -1017,13 +1252,9 @@ def integrate_fluid(
                                      period, steps - 1)
         )
     index = None  # the row of inflows and routings that each recorded row has
-    if kept:
-        wrote = np.ones(rows, dtype=bool)
-        wrote[np.frombuffer(kept, dtype=np.int64)] = False
-        del kept
-        index = np.cumsum(wrote, dtype=np.intp)
-        index -= 1
-        del wrote
+    if len(uses) < rows:
+        index = np.repeat(np.arange(len(uses), dtype=np.intp), np.frombuffer(uses, dtype=np.int64))
+    del uses
     states = _tile_rows(states, None, rows, steps + 1, (nb,), period)
     routings = _tile_rows(routings, index, rows, steps + 1, (nf, nb), period)
     inflows = _tile_rows(inflows, index, rows, steps + 1, (nb,), period)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -482,12 +483,12 @@ def test_orbits_that_frozen_stretches_enter_are_copied(mode, monkeypatch):
     def counting(method):
         def wrapped(self, *args):
             out = method(self, *args)
-            computed[0] += len(out) // self.nb if method is frozen_rows else 1
+            computed[0] += out if method is held_rows else 1
             return out
         return wrapped
 
-    frozen_rows = fluid_dyn._Kernel.frozen_rows
-    for name in ("sliding_step", "argmax_step", "frozen_rows"):
+    held_rows = fluid_dyn._Kernel.held_rows
+    for name in ("sliding_step", "argmax_step", "held_rows"):
         monkeypatch.setattr(fluid_dyn._Kernel, name, counting(getattr(fluid_dyn._Kernel, name)))
     runs = [
         # b2's drain ends at a fixed point, x = 4.4e-323, in a frozen stretch
@@ -497,6 +498,9 @@ def test_orbits_that_frozen_stretches_enter_are_copied(mode, monkeypatch):
         (make_system([("f1", 0.19821564634933192)],
                      [("b1", hill(1.8069482967130726, 0.3329145871160809))], [("f1", "b1")]),
          [1.0], 500.0, 0.25, (2, 19)),
+        # a period-36 cycle whose gradient changes at every row, entered in
+        # held stretches (test_a_held_stretch_stops_before_the_row_that_repeats_the_checkpoint)
+        (_cycling_hill(), [2.0], 10.75 * 3000, 10.75, (36, 427)),
     ]
     for sys, n0, horizon, h, orbit in runs:
         computed[0] = 0
@@ -504,6 +508,207 @@ def test_orbits_that_frozen_stretches_enter_are_copied(mode, monkeypatch):
         assert _orbit(traj.states) == orbit
         # the rows from the first copied one on are copies, as in any orbit
         assert computed[0] == _repeat_row(*orbit)
+
+
+def _record_held_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """Wrap the kernel's steps and held blocks.  The returned list fills with
+    the first and last row of each held block of the next run."""
+    blocks: list[tuple[int, int]] = []
+    row = [0]  # the row the next step or block starts at
+
+    def counting(method, held):
+        def wrapped(self, *args):
+            out = method(self, *args)
+            rows = out if held else 1
+            if held and rows:
+                blocks.append((row[0], row[0] + rows - 1))
+            row[0] += rows
+            return out
+        return wrapped
+
+    for name in ("sliding_step", "argmax_step", "held_rows"):
+        method = getattr(fluid_dyn._Kernel, name)
+        monkeypatch.setattr(fluid_dyn._Kernel, name, counting(method, name == "held_rows"))
+    return blocks
+
+
+def _b1_at_balance(b2_curve):
+    """f1 (λ = 1) feeds b1, which sits at balance from N = 0.8 (μ = 2·0.8/1.6
+    = 1 exactly, gradient 0.625), and b2, which receives nothing while its
+    gradient stays below b1's."""
+    return make_system([("f1", 1.0)], [("b1", hill(2.0, 0.8)), ("b2", b2_curve)],
+                       [("f1", "b1"), ("f1", "b2")])
+
+
+def _cycling_hill():
+    """One Hill backend at λ = 1/2, N* = 1, where h = 10.75 gives h·μ′(N*) ≈
+    2.69: the Euler map cycles rather than converging."""
+    return make_system([("f1", 0.5)], [("b1", hill(1.0, 1.0))], [("f1", "b1")])
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ("sliding", "917955e6a3645e65c799e29f3ee13471dea48e1b3d5e134341c24a8db690cd0a"),
+    ("strict-argmax", "4ed6b373925a828dc41efe94077869d0337910f832616f15fd5f9b0a643d157b"),
+])
+def test_held_stretches_end_at_a_mask_change_and_at_an_argmax_flip(mode, digest, monkeypatch):
+    # b2 drains from 1 with no inflow, and its gradient 1/(1 + N)² rises at
+    # every step.  It enters f1's tie band (0.05 below b1's 0.625) at row
+    # 183, a slide event, with no argmax flip; under strict argmax f1 routes
+    # to b1 until b2's gradient passes b1's at row 206, which changes no
+    # mask.  Held stretches must end on the rows before both
+    blocks = _record_held_blocks(monkeypatch)
+    sys = _b1_at_balance(hill(1.0, 1.0))
+    cfg = IntegratorConfig(h=0.01, tie_band=0.05, mode=mode)
+    traj = integrate_fluid(sys, [0.8, 1.0], 4.0, cfg)
+    # recorded from the integrator that stepped these rows through the kernel
+    assert trajectory_digest(traj) == digest
+    grads = np.array([sys.gradients_at(n) for n in traj.states[:184]])
+    assert np.all(np.diff(grads[:, 1]) > 0)
+    assert [(round(ev.time / cfg.h), ev.kind) for ev in traj.events][0] == (183, "slide")
+    assert (129, 182) in blocks
+    if mode == "strict-argmax":
+        assert np.nonzero(traj.routings[:, 0, 1])[0][0] == 206
+        assert (184, 205) in blocks
+    _assert_rows_match_one_step_runs(sys, traj, cfg, [*range(0, 250), 400])
+
+
+@pytest.mark.parametrize("mode", ["sliding", "strict-argmax"])
+def test_a_held_stretch_whose_gradient_moves_stops_before_a_clamp(mode, monkeypatch):
+    # b2's gradient 0.6·exp(−2N) stays below b1's and changes at every step
+    # while b2 drains by up to h·cap = 0.6 a step; near zero h·μ′ = 1.2, so
+    # the update out of row 51 undershoots zero
+    blocks = _record_held_blocks(monkeypatch)
+    sys = _b1_at_balance(saturating_exponential(0.3, 2.0))
+    cfg = IntegratorConfig(h=2.0, mode=mode)
+    traj = integrate_fluid(sys, [0.8, 30.0], 200.0, cfg)
+    # recorded from the integrator that stepped these rows through the
+    # kernel; it uses the platform's exp
+    assert trajectory_digest(traj) == (
+        "2ebbf72c05327c4258a508c4f4059419a74682fa8533a640c297223f6df6df18")
+    assert traj.boundary_events[0] == (51 * cfg.h + cfg.h, "b2")
+    assert blocks[-1] == (33, 50)
+    _assert_rows_match_one_step_runs(sys, traj, cfg, range(len(traj)))
+
+
+@pytest.mark.parametrize("mode", ["sliding", "strict-argmax"])
+def test_a_held_stretch_stops_before_the_row_that_repeats_the_checkpoint(mode, monkeypatch):
+    # from row 427 the run repeats every 36 rows, each with a gradient of
+    # its own.  Row 548 repeats the checkpoint row 512, so the held stretch
+    # from row 513 must stop at row 546, where the kernel's step finds the
+    # orbit, and every later row is a copy
+    blocks = _record_held_blocks(monkeypatch)
+    sys = _cycling_hill()
+    cfg = IntegratorConfig(h=10.75, mode=mode)
+    traj = integrate_fluid(sys, [2.0], 10.75 * 3000, cfg)
+    # recorded from the integrator that stepped these rows through the kernel
+    assert trajectory_digest(traj) == (
+        "81978f58f3b50e7f13acb753e190c7fc66918f3d1a711d1546bb2931559215e8")
+    assert _orbit(traj.states) == (36, 427)
+    assert len(np.unique(traj.states[427:463])) == 36
+    assert blocks[-1] == (513, 546)
+    _assert_rows_match_one_step_runs(sys, traj, cfg, [*range(400, 600), 3000])
+
+
+def test_held_stretches_of_gradients_that_move_together(monkeypatch):
+    # fig1 from all ones under strict argmax: b1 and b5 drain side by side,
+    # b1's gradient a little below b5's, so f4's argmax holds only while b1
+    # stays below b5.  Windows on each gradient alone hold for one row at a
+    # time there, so held stretches take one row and leave the next to the
+    # kernel, until the slide at row 3445; then they run to the end
+    blocks = _record_held_blocks(monkeypatch)
+    sys = fig1_system()
+    cfg = IntegratorConfig(mode="strict-argmax")
+    traj = integrate_fluid(sys, np.ones(5), 50.0, cfg)
+    # recorded from the integrator that stepped these rows through the kernel
+    assert trajectory_digest(traj) == (
+        "4ce511ef9368aecf6fc79b7cc73bdbc5b656ef23e3fdf387ff3fa7de244894e3")
+    assert [(round(ev.time / cfg.h), ev.kind) for ev in traj.events][-1] == (3445, "slide")
+    assert sum(first == last for first, last in blocks) > 40
+    assert blocks[-1] == (32769, 49999)
+    _assert_rows_match_one_step_runs(
+        sys, traj, cfg, [*range(0, 3500, 11), *range(3430, 3460), *range(32760, 32775), 50000])
+
+
+@st.composite
+def _window_cases(draw):
+    nb, nf = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    band = draw(st.sampled_from([1e-3, 0.05, 0.3]))
+    edges = [(f"f{i}", f"b{j}") for i in range(nf)
+             for j in sorted(draw(st.sets(st.integers(0, nb - 1), min_size=1)))]
+    sys = make_system([(f"f{i}", 0.1) for i in range(nf)],
+                      [(f"b{j}", hill(1.0, 1.0)) for j in range(nb)], edges)
+    # gradients at, or a few ulps from, another's or another's ± band: the
+    # rounded cut top − band decides the masks there
+    grads: list[float] = []
+    for _ in range(nb):
+        if grads and draw(st.booleans()):
+            g = draw(st.sampled_from(grads)) + draw(st.sampled_from([0.0, band, -band]))
+            for _ in range(draw(st.integers(0, 3))):
+                g = math.nextafter(g, draw(st.sampled_from([math.inf, -math.inf])))
+            grads.append(max(g, 0.0))
+        else:
+            grads.append(draw(st.floats(0.0, 2.0)))
+    movers = draw(st.integers(1, 2**nb - 1))
+    rise = draw(st.integers(0, 2**nb - 1)) & movers
+    pace = [draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.1])) for _ in range(nb)]
+    span = draw(st.sampled_from([1, 64, 10**5]))
+    # the movers' gradients somewhere else: a step of about the band
+    other = [g + draw(st.floats(-2 * band, 2 * band)) if movers >> j & 1 else g
+             for j, g in enumerate(grads)]
+    return sys, band, grads, movers, rise, pace, span, draw(st.booleans()), other
+
+
+def _argmaxes(neighbors, grads) -> list[int]:
+    return [max(nbrs, key=lambda j: (grads[j], -j)) for nbrs in neighbors]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_window_cases())
+def test_gradient_windows_keep_every_mask_and_argmax(case):
+    # every corner of the box of windows (a mask or argmax condition is a
+    # pairwise comparison, so its worst case is a corner) keeps the masks
+    # and, under strict argmax, the argmax of each frontend next to a mover;
+    # ``holds`` tells whether gradients elsewhere keep them
+    sys, band, grads, movers, rise, pace, span, strict, other = case
+    k = fluid_dyn._Kernel(sys, IntegratorConfig(tie_band=band,
+                                                mode="strict-argmax" if strict else "sliding"))
+    k.masks = tie_masks(k.neighbors, grads, band)
+    k.best = _argmaxes(k.neighbors, grads) if strict else None
+    fronts = [i for i, nbrs in enumerate(k.neighbors) if any(movers >> j & 1 for j in nbrs)]
+
+    def keeps(at) -> bool:
+        masks, best = tie_masks(k.neighbors, at, band), _argmaxes(k.neighbors, at)
+        return all(masks[i] == k.masks[i] and (not strict or best[i] == k.best[i])
+                   for i in fronts)
+
+    assert k.holds(fronts, grads)
+    assert k.holds(fronts, other) == keeps(other)
+    lo, hi = k.windows(rise, movers & ~rise, fronts, grads, pace, span)
+    moving = [j for j in range(len(grads)) if movers >> j & 1]
+    for j, g in enumerate(grads):
+        assert lo[j] <= g <= hi[j]
+        if j not in moving:
+            assert lo[j] == g == hi[j]
+        elif rise >> j & 1:
+            assert lo[j] == g
+        else:
+            assert hi[j] == g
+    for corner in itertools.product(*[(lo[j], hi[j]) for j in moving]):
+        at = list(grads)
+        for j, g in zip(moving, corner):
+            at[j] = min(max(g, -1e300), 1e300)
+        assert keeps(at), (corner, lo, hi)
+
+
+@given(st.floats(-4.0, 4.0), st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
+       st.sampled_from([0.0, 1e-300, 1e-20, 1e-9]))
+def test_the_band_inverses_are_exact(v, d, nudge):
+    # near v = −d, g − d rounds to v for g across very many floats below d
+    for v in (v, nudge - d):
+        g = fluid_dyn._below(v, d)
+        assert g - d <= v < math.nextafter(g, math.inf) - d
+        g = fluid_dyn._above(v, d)
+        assert g - d >= v > math.nextafter(g, -math.inf) - d
 
 
 _ARRAYS = ("times", "states", "inflows", "routings")
