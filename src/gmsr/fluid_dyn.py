@@ -28,7 +28,7 @@ dynamics with fixed-step explicit Euler in two modes:
 
 The integrator records states, routings, realized inflows, tier-change
 events, and boundary clamps, at every step.  One step is a pure function of
-the workload vector, and the integrator uses that three times, without
+the workload vector, and the integrator uses that four times, without
 changing a single output bit:
 
 * Incremental steps.  The Euler update notes which backends' workloads
@@ -66,6 +66,27 @@ changing a single output bit:
   that takes one row or none (an argmax that flips every step or two, or
   two gradients that move together toward a tie) makes the next attempts
   wait, up to 63 kept steps.
+* Tier blocks.  In sliding mode a tier of several backends writes new rows
+  at every step: its implied inflows move with the workloads.  After a
+  step that wrote its rows, solved its pattern outright (no split or tree
+  miss), clamped nothing and moved a backend of such a tier, the
+  integrator steps the moving tiers in blocks of rows, in two phases.  A
+  scalar run, compiled per set of moving tiers, steps their recurrences
+  with the kernel's arithmetic (curves; per tier s −= μ_j and denom +=
+  1/μ″_j in backend order, then v_j = (1/μ″_j)·(s/denom); v = λ_T − μ for
+  a tier of one backend; n_j + h·v_j), and stops before an update that
+  would clamp, leave [0, 1e300], or move no backend of a tier of several.
+  Then numpy forms the block's rows, one vector operation per scalar one
+  of the kernel and in its order: μ, μ′ and 1/μ″ from the run's states
+  (exp values only from the run's math.exp), the implied inflows with
+  their clip, each frontend's tie mask as ``tiers.tie_masks`` forms it,
+  and the pattern tree's elimination and normalization.  The block ends
+  before the first row whose masks change, whose implied inflow lies
+  below -1e-12 or whose tree flow lies below -1e-9, ahead of a row equal
+  to the Brent checkpoint row, and ahead of the next checkpoint row; the
+  row after it always goes back to the kernel, and so does a tier that
+  stops moving (held rows take it over).  Empty blocks wait as held ones
+  do.
 * Exact orbits.  A Brent checkpoint (R. P. Brent, BIT 20, 1980) holds the
   workload vector at power-of-two rows.  Once a row repeats an earlier one
   bit for bit with period P (P = 1 is a fixed point, caught at once), every
@@ -208,10 +229,12 @@ def _lazy_event(time: float, kind: str, tiers: tuple) -> TierEvent:
 class KernelStats:
     """Work the sliding kernel did on one run, counted over computed steps
     (rows copied after a bitwise fixed point or along an exact orbit add
-    nothing, and neither do rows stepped in held blocks, which solve no
-    tier).  A step that reuses tiers of the previous one counts exactly
-    what recomputing them would; a tier solved before a split in the same
-    step is not solved, or counted, again.
+    nothing, and neither do rows stepped in held blocks or tier blocks,
+    which solve no witness: a tier block takes only rows that its
+    pattern's trees solve, which count nothing).  A step that reuses tiers
+    of the previous one counts exactly what recomputing them would; a tier
+    solved before a split in the same step is not solved, or counted,
+    again.
 
     tree_misses:       tier witnesses from the pattern's spanning tree that
                        came out negative.
@@ -368,7 +391,7 @@ class _TierStruct:
 
 
 class _Pattern:
-    __slots__ = ("tiers", "sets", "groups", "single")
+    __slots__ = ("tiers", "sets", "groups", "single", "blocks")
 
     def __init__(self, tiers, sets, groups):
         self.tiers = tiers    # tuple[_TierStruct, ...]
@@ -376,6 +399,7 @@ class _Pattern:
         self.groups = groups  # per tier (f_idx, b_idx), as tie_components gives them
         # bitmask of the backends that form a tier on their own
         self.single = sum(t.b_mask for t in tiers if len(t.b_idx) == 1)
+        self.blocks = {}      # bitmask of the moving tiers' backends -> _TierBlock
 
 
 def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
@@ -435,6 +459,186 @@ def _tier_network(sys: BipartiteSystem, tier: _TierStruct) -> TransportNetwork:
     f_ids, b_ids = sys.frontend_ids, sys.backend_ids
     return TransportNetwork(sys, [f_ids[i] for i in tier.f_idx], [b_ids[j] for j in tier.b_idx],
                             {(f_ids[i], b_ids[j]) for i, j in tier.band})
+
+
+class _TierBlock:
+    """The tiers of one tie pattern that move in a tier block: their scalar
+    run, and the numpy form of their rows and checks (``_Kernel.tier_rows``).
+
+    The movers are numbered locally: first the backends of each moving tier
+    of several backends (pattern order, each in b_idx order), then the
+    backends that move as tiers of their own."""
+
+    def __init__(self, k: _Kernel, pattern: _Pattern, moving: int):
+        moved = [t for t in pattern.tiers if t.b_mask & moving]
+        self.tiers = [t for t in moved if len(t.b_idx) > 1]
+        singles = [t for t in moved if len(t.b_idx) == 1]
+        movers = [j for t in self.tiers for j in t.b_idx]
+        self.wide = len(movers)  # the movers of tiers of several backends
+        movers += [t.b_idx[0] for t in singles]
+        self.movers = movers
+        self.cols = np.array(movers, dtype=np.intp)
+        self.wcol = {j: c for c, j in enumerate(movers[:self.wide])}
+        par = [k.par[j] for j in movers]
+        self.kinds = []  # per curve kind: its local columns and their parameters
+        for hill_kind in (True, False):
+            cols = [c for c, p in enumerate(par) if p[0] is hill_kind]
+            if cols:
+                a, b, c, d = (np.array(v) for v in zip(*(par[c][1:] for c in cols)))
+                self.kinds.append((hill_kind, cols, a, b, a * b if hill_kind else c,
+                                   c if hill_kind else d))
+        self.exp_cols = [c for c, p in enumerate(par) if not p[0]]
+        self.groups, start = [], 0
+        for t in self.tiers:
+            self.groups.append((t.lam_sum, range(start, start + len(t.b_idx))))
+            start += len(t.b_idx)
+        self.singles = [(c, t.lam_sum) for c, t in enumerate(singles, start)]
+        self.run = _scalar_run(par, self.groups, self.singles)
+        # the frontends next to a mover, each with its neighbours padded by
+        # index nb (a gradient of -inf) and its tie mask over them
+        fronts = [i for i, nbrs in enumerate(k.neighbors) if any(moving >> j & 1 for j in nbrs)]
+        deg = max(len(k.neighbors[i]) for i in fronts)
+        nbr = [list(k.neighbors[i]) + [k.nb] * (deg - len(k.neighbors[i])) for i in fronts]
+        self.nbr = np.array(nbr, dtype=np.intp)
+        self.expect = np.array([[k.masks[i] >> j & 1 == 1 for j in row]
+                                for i, row in zip(fronts, nbr)])
+
+    def rows(self, k: _Kernel, x: np.ndarray, e: np.ndarray):
+        """Rows of the scalar run's states x (one row per step, a column per
+        mover; e: the run's exp values, a column per exponential mover), as
+        the kernel's ``curves``, ``tier_flows`` and ``tree_witness`` compute
+        them, one operation of theirs per vector operation.  Returns the
+        number of leading rows that keep the tie masks and solve every
+        moving tier by its pattern's tree, with the rows' μ, μ′, 1/μ″ and
+        drifts per mover, inflows per mover of a tier of several backends,
+        and routing rows."""
+        rows, m, nb = len(x), len(self.movers), k.nb
+        mu, g, ic = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m))
+        for hill_kind, cols, a, b, c, d in self.kinds:
+            if hill_kind:  # b: half, c: cap·half, d: 2·cap·half
+                xs = x[:, cols]
+                t = xs + b
+                t2 = t * t
+                out = (a * xs / t, c / t2, -(t2 * t) / d)
+            else:  # b: rate, c: cap·rate, d: cap·rate²
+                out = (a - a * e, c * e, -1.0 / (d * e))
+            for arr, val in zip((mu, g, ic), out):
+                arr[:, cols] = val
+        v = np.empty((rows, m))
+        for lam_sum, cols in self.groups:
+            s = lam_sum - mu[:, cols[0]]
+            denom = 0.0 + ic[:, cols[0]]
+            for c in cols[1:]:
+                s -= mu[:, c]
+                denom += ic[:, c]
+            s /= denom
+            for c in cols:
+                v[:, c] = ic[:, c] * s
+        for c, lam_sum in self.singles:
+            v[:, c] = lam_sum - mu[:, c]
+        w = v[:, :self.wide] + mu[:, :self.wide]
+        bad = np.any(w < -1e-12, axis=1)
+        w[w < 0.0] = 0.0  # float dust; -0.0 stays
+        # the tie masks of the frontends next to a mover, as tie_masks forms them
+        grads = np.empty((rows, nb + 1))
+        grads[:] = [*k.g, -math.inf]
+        grads[:, self.cols] = g
+        near = grads[:, self.nbr]
+        cut = near.max(axis=2)
+        cut -= k.cfg.tie_band
+        bad |= np.any((near >= cut[:, :, None]) != self.expect, axis=(1, 2))
+        # routing rows from each moving tier's pattern tree, as eliminate fills them
+        nf, lam, wcol = k.nf, k.lam, self.wcol
+        x_rows = np.empty((rows, nf, nb))
+        x_rows[:] = np.reshape(k.xbuf, (nf, nb))
+        for tier in self.tiers:
+            x_rows[:, tier.f_idx] = 0.0
+            acc = {node: np.zeros(rows) for node in tier.node_set}
+            for node, parent in tier.schedule:
+                if node < nf:
+                    flow = lam[node] - acc[node]
+                    i, j = node, parent - nf
+                else:
+                    flow = w[:, wcol[node - nf]] - acc[node]
+                    i, j = parent, node - nf
+                bad |= flow < -1e-9
+                flow[flow < 0.0] = 0.0  # -0.0 stays
+                acc[parent] += flow
+                x_rows[:, i, j] = flow
+            for i in tier.f_idx:  # simplex coordinates; no flow takes the fallback
+                total = np.zeros(rows)
+                for j in tier.b_idx:
+                    total += x_rows[:, i, j]
+                none = total <= 0.0
+                if none.any():
+                    total[none] = 1.0
+                    x_rows[none, i] = 0.0
+                    x_rows[none, i, tier.fallback_backend[i]] = 1.0
+                x_rows[:, i] /= total[:, None]
+        good = int(np.argmax(bad)) if bad.any() else rows
+        return good, mu, g, ic, v, w, x_rows
+
+
+def _scalar_run(par, groups, singles):
+    """The scalar run of a tier block, compiled for its movers (``_TierBlock``
+    numbering; par: their curve parameters as ``_Kernel.par`` holds them).
+
+    run(xs, es, h, limit) starts from the movers' workloads, the list xs,
+    and steps them up to `limit` times as the kernel does: ``curves``, then
+    per tier s −= μ_j and denom += 1/μ″_j in b_idx order, v_j = (1/μ″_j)·
+    (s/denom), and n_j + h·v_j (v_j = λ_T − μ_j for a tier of one backend).
+    It appends each step's new workloads to xs and each step's exp values
+    to es, and stops before an update that leaves [0, 1e300] or moves no
+    mover of a tier of several backends.  Unrolled per mover, with the
+    parameters bound as locals, it runs at a fraction of a generic loop's
+    cost per row."""
+    consts, body = {}, []
+    wide = sum(len(cols) for _, cols in groups)
+    for c, (is_hill, a, b, cc, d) in enumerate(par):
+        consts[f"a{c}"] = a
+        if is_hill:  # as in curves: μ = a·x/t, 1/μ″ = −t³/c, t = x + b
+            consts[f"b{c}"] = b
+            body += [f"t = x{c} + b{c}", f"m{c} = a{c} * x{c} / t"]
+            if c < wide:
+                consts[f"c{c}"] = cc
+                body += [f"i{c} = -(t * t * t) / c{c}"]
+        else:  # μ = a − a·e, 1/μ″ = −1/(d·e), e = exp(−b·x) floored at 1e-300
+            consts[f"r{c}"] = -b
+            body += [f"e{c} = exp(r{c} * x{c})", f"if e{c} < 1e-300:", f"    e{c} = 1e-300",
+                     f"m{c} = a{c} - a{c} * e{c}"]
+            if c < wide:
+                consts[f"d{c}"] = d
+                body += [f"i{c} = -1.0 / (d{c} * e{c})"]
+    for g, (lam_sum, cols) in enumerate(groups):
+        consts[f"lt{g}"] = lam_sum
+        body.append(f"q = (lt{g} - {' - '.join(f'm{c}' for c in cols)})"
+                    f" / (0.0 + {' + '.join(f'i{c}' for c in cols)})")
+        body += [f"y{c} = x{c} + h * (i{c} * q)" for c in cols]
+    for c, lam_sum in singles:
+        consts[f"ls{c}"] = lam_sum
+        body.append(f"y{c} = x{c} + h * (ls{c} - m{c})")
+    every = range(len(par))
+    body += [
+        f"if not ({' and '.join(f'0.0 <= y{c} <= 1e300' for c in every)})"
+        f" or ({' and '.join(f'y{c} == x{c}' for c in range(wide))}):",
+        "    break",
+        f"xs += ({''.join(f'y{c}, ' for c in every)})",
+        *([f"es += ({''.join(f'e{c}, ' for c, p in enumerate(par) if not p[0])})"]
+          if not all(p[0] for p in par) else []),
+        *(f"x{c} = y{c}" for c in every),
+    ]
+    names = ", ".join(consts)
+    src = "\n".join([
+        f"def bind({names}):",
+        f"    def run(xs, es, h, limit, {', '.join(f'{n}={n}' for n in consts)}, exp=exp):",
+        f"        {''.join(f'x{c}, ' for c in every)}= xs",
+        "        for _ in range(limit):",
+        *(f"            {line}" for line in body),
+        "    return run",
+    ])
+    scope = {"exp": math.exp}
+    exec(compile(src, "<tier block run>", "exec"), scope)
+    return scope["bind"](*consts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -863,6 +1067,94 @@ class _Kernel:
             movers = [first, *(j for j in movers if j != first)]
         return taken
 
+    def tier_rows(self, rec: tuple[array, array, array, array], n: list[float], dirty: int,
+                  h: float, limit: int, ckpt: list[float]) -> tuple[int, int]:
+        """A tier block: up to `limit` rows from n on, while the step at each
+        would solve the stored tie pattern outright (no split or tree miss)
+        and move the same tiers, those holding a backend in `dirty`, one of
+        several backends among them.  Takes the rows in spans of 64 rows and
+        more, each stepped by the movers' scalar run (``_scalar_run``), then
+        built and checked with numpy (``_TierBlock.rows``); ends before the
+        first row that fails a check, before a row the scalar run did not
+        reach, ahead of a row equal to `ckpt`, and after `limit` rows.
+        Appends the rows (n first) to rec, the states, inflow, routing and
+        use recordings, leaves n at the row after them and the kernel's
+        buffers as the step at the last of them leaves them, and returns
+        how many it took and the bitmask of backends whose workload the last
+        update changed (dirty when it took none)."""
+        states, inflows, routings, uses = rec
+        pattern, nb = self.pattern, self.nb
+        moving = 0
+        for tier in pattern.tiers:
+            if tier.b_mask & dirty:
+                moving |= tier.b_mask
+        blk = pattern.blocks.get(moving)
+        if blk is None:
+            blk = _TierBlock(self, pattern, moving)
+            if len(pattern.blocks) < 64:
+                pattern.blocks[moving] = blk
+        movers, cols = blk.movers, blk.cols
+        # a row can repeat the checkpoint only if the others do already
+        orbit = all(n[j] == ckpt[j] for j in range(nb) if not moving >> j & 1)
+        at = [ckpt[j] for j in movers]
+        x = [n[j] for j in movers]
+        size = max(64, min(1024, (1 << 16) // (self.nf * nb)))  # bounds the numpy temporaries
+        span = 64
+        taken, last = 0, None
+        while taken < limit:
+            xs, es = x[:], []
+            try:
+                blk.run(xs, es, h, min(span, limit - taken))
+            except ZeroDivisionError:
+                pass  # the kernel raises it at that row, if the run gets there
+            run = np.array(xs).reshape(-1, len(movers))
+            reached = len(run) - 1
+            if not reached:
+                break
+            with np.errstate(all="ignore"):
+                good, *rows = blk.rows(self, run[:reached],
+                                       np.array(es).reshape(reached, len(blk.exp_cols)))
+            if orbit:
+                hits = np.all(run[1:good + 1] == at, axis=1)
+                if hits.any():
+                    good = int(np.argmax(hits))  # the row before the hit is the kernel's
+            if good:
+                *_, w, x_rows = rows
+                row = np.empty((good, nb))
+                row[:] = n
+                row[:, cols] = run[:good]
+                states.frombytes(row.data.cast("B"))
+                row[:] = self.wbuf
+                row[:, cols[:blk.wide]] = w[:good]
+                inflows.frombytes(row.data.cast("B"))
+                routings.frombytes(x_rows[:good].data.cast("B"))
+                uses.extend(array("q", [1]) * good)
+                taken += good
+                last = good - 1, run, rows
+                x = run[good].tolist()
+            if good < span:
+                break
+            span = min(2 * span, size)
+        if last is None:
+            return 0, dirty
+        r, run, (mu, g, ic, v, w, x_rows) = last
+        mu, g, ic, v, w = (a[r].tolist() for a in (mu, g, ic, v, w))
+        for c, j in enumerate(movers):
+            self.mu[j], self.g[j], self.ic[j], self.vbuf[j] = mu[c], g[c], ic[c], v[c]
+            if c < blk.wide:
+                self.wbuf[j] = w[c]
+        xbuf = self.xbuf
+        for tier in blk.tiers:
+            for i in tier.f_idx:
+                xbuf[i * nb:(i + 1) * nb] = x_rows[r, i].tolist()
+        moved = run[r + 1].view(np.int64) != run[r].view(np.int64)
+        dirty = 0
+        for c, j in enumerate(movers):
+            n[j] = x[c]
+            if moved[c]:
+                dirty |= 1 << j
+        return taken, dirty
+
     def curve(self, j: int, x: float) -> tuple[float, float]:
         """μ_j(x) and μ′_j(x), with the arithmetic of ``curves``."""
         is_hill, a, b, c, _ = self.par[j]
@@ -1094,13 +1386,14 @@ def integrate_fluid(
     A step depends on nothing but the workload vector, so it is computed
     incrementally from the previous one where that gives the same bits, and
     a stretch of steps that keep their routing steps only the backends that
-    move (see the module docstring).  Once the workload vector repeats an
-    earlier row bit for bit, the run continues the orbit by copying: every
-    later row, event and boundary clamp repeats the one a period before it,
-    at its own time (events at q·h, clamps at q·h + h), exactly as computing
-    it would.  Copied rows add nothing to ``stats``, and neither do held
-    steps, which count no witness or flow.  Recorded events build their
-    ``tiers`` when it is first read.
+    move, and a stretch of steps whose tie pattern and trees hold steps the
+    moving tiers in blocks (see the module docstring).  Once the workload
+    vector repeats an earlier row bit for bit, the run continues the orbit
+    by copying: every later row, event and boundary clamp repeats the one a
+    period before it, at its own time (events at q·h, clamps at q·h + h),
+    exactly as computing it would.  Copied rows add nothing to ``stats``,
+    and neither do held steps or tier blocks, which count no witness or
+    flow.  Recorded events build their ``tiers`` when it is first read.
 
     An event is recorded at every change of the tie pattern, however soon
     it changes back.  Under strict argmax a frontend whose two best
@@ -1219,18 +1512,26 @@ def integrate_fluid(
         elif not step_no & (step_no - 1):
             ckpt_row, ckpt = step_no, n[:]
             ckpt_bytes = array("d", n).tobytes()
-        elif held and not clamped and not dirty & ~held:
+        elif not clamped and (held and not dirty & ~held or held is None and k.clean
+                              and dirty & ~k.pattern.single):
             # the step kept its rows, so the next steps may keep them too and
-            # move only the same backends: record those rows at once, up to
-            # the row before the next checkpoint row (or the last row)
+            # move only the same backends; or it solved its pattern outright
+            # (only sliding steps do) and moved a tier of several backends,
+            # which the next steps may solve outright too: record those rows
+            # at once, up to the row before the next checkpoint row (or the
+            # last row)
             limit = min(steps + 1, 1 << step_no.bit_length()) - 1 - step_no
             if idle:  # the last blocks took one row or none: try later
                 idle -= 1
             elif limit > 0:
-                # a row can repeat the checkpoint only if the others do already
-                orbit = all(n[j] == ckpt[j] for j in range(nb) if not dirty >> j & 1)
-                taken = k.held_rows(states, n, dirty, h, limit, ckpt if orbit else None)
-                uses[-1] += taken
+                if held:
+                    # a row can repeat the checkpoint only if the others do already
+                    orbit = all(n[j] == ckpt[j] for j in range(nb) if not dirty >> j & 1)
+                    taken = k.held_rows(states, n, dirty, h, limit, ckpt if orbit else None)
+                    uses[-1] += taken
+                else:
+                    taken, dirty = k.tier_rows((states, inflows, routings, uses), n, dirty, h,
+                                               limit, ckpt)
                 step_no += taken
                 if taken > 1:
                     backoff = 0

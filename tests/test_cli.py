@@ -2,6 +2,7 @@
 outputs, exit codes, and the report round-trip guarantee."""
 
 import csv
+import hashlib
 import json
 import math
 from importlib.resources import files
@@ -278,6 +279,59 @@ def test_fluid_outputs(tmp_path, scenario_file):
                 assert bid in scn.system.backend_index
             for fid in filter(None, fpart.split(",")):
                 assert fid in scn.system.frontend_index
+
+
+# sha256 of what `gmsr fluid` and `gmsr certify` write on bundled scenarios,
+# recorded from the integrator that stepped every row of a tier of several
+# backends through the kernel.  Their Hill curves use only correctly rounded
+# arithmetic, so the files do not depend on the platform's libm.  The
+# certificate's fitted_rate goes through np.log and a least-squares fit, so
+# it is compared to 12 digits and its digest is of the rest of the document
+_OUTPUT_PINS = {
+    ("fluid", "n_model"): {
+        "trajectory.csv": "b195a7c609ba6eb4ff32a6785109747b4d0831d3c6bd241f88964b1d0315a42d",
+        "events.csv": "2ef946a7655bb71949d47b496a7848a9b9cd0e80448239d391f71d17795b641e",
+    },
+    ("certify", "n_model"): {
+        "certificate.json": ("12f369bb27f6a73d16ef8c20592aed1777b0ea2842161c850f17f3d6582713e8",
+                             0.1803887350155864),
+    },
+    ("fluid", "fig1"): {
+        "trajectory.csv": "435a0741758de798d038fb87ae3b1d57fd2d390207c35cb6fe9c38da3e9a7213",
+        "events.csv": "9703d90fa5785ea93415d294d1079344a934a1108ceb496343d5a4ecb3ff2374",
+    },
+    ("certify", "fig1"): {
+        "certificate.json": ("d322394685a96bb01b544c643cc8c6eed689bbd9f7d127a9aea74ef34753a7aa",
+                             4.014711545191143),
+    },
+    # at H = 20 rather than its bundled 500
+    ("fluid", "overload_nmodel"): {
+        "trajectory.csv": "07a7a7bc829394a4f17cc29d5e08eac172d7911e7bb6510f595280c597f5fac6",
+        "events.csv": "9703d90fa5785ea93415d294d1079344a934a1108ceb496343d5a4ecb3ff2374",
+    },
+}
+
+
+@pytest.mark.parametrize("command, name", list(_OUTPUT_PINS))
+def test_fluid_and_certify_write_the_pinned_bytes(tmp_path, command, name):
+    # n_model, fig1 and overload_nmodel slide in tiers of two backends
+    scn_path = SCENARIOS / f"{name}.json"
+    if name == "overload_nmodel":
+        doc = json.loads(scn_path.read_text(encoding="utf-8"))
+        doc["horizon"] = 20.0
+        scn_path = tmp_path / scn_path.name
+        scn_path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_command([command, str(scn_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(_OUTPUT_PINS[command, name])
+    for file, pin in _OUTPUT_PINS[command, name].items():
+        data = (out / file).read_bytes()
+        if file == "certificate.json":
+            doc = json.loads(data)
+            pin, rate = pin
+            assert doc.pop("fitted_rate") == pytest.approx(rate, rel=1e-12)
+            data = json.dumps(doc).encode()
+        assert hashlib.sha256(data).hexdigest() == pin, file
 
 
 def test_simulate_file_count_and_content(tmp_path, scenario_file):

@@ -510,26 +510,29 @@ def test_orbits_that_frozen_stretches_enter_are_copied(mode, monkeypatch):
         assert computed[0] == _repeat_row(*orbit)
 
 
-def _record_held_blocks(monkeypatch) -> list[tuple[int, int]]:
-    """Wrap the kernel's steps and held blocks.  The returned list fills with
-    the first and last row of each held block of the next run."""
-    blocks: list[tuple[int, int]] = []
+def _record_blocks(monkeypatch) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Wrap the kernel's steps, held blocks and tier blocks.  The returned
+    lists fill with the first and last row of each held block and of each
+    tier block of the next run."""
+    held: list[tuple[int, int]] = []
+    tier: list[tuple[int, int]] = []
     row = [0]  # the row the next step or block starts at
 
-    def counting(method, held):
+    def counting(method, blocks):
         def wrapped(self, *args):
             out = method(self, *args)
-            rows = out if held else 1
-            if held and rows:
+            rows = 1 if blocks is None else out if blocks is held else out[0]
+            if blocks is not None and rows:
                 blocks.append((row[0], row[0] + rows - 1))
             row[0] += rows
             return out
         return wrapped
 
-    for name in ("sliding_step", "argmax_step", "held_rows"):
+    for name, blocks in (("sliding_step", None), ("argmax_step", None), ("held_rows", held),
+                         ("tier_rows", tier)):
         method = getattr(fluid_dyn._Kernel, name)
-        monkeypatch.setattr(fluid_dyn._Kernel, name, counting(method, name == "held_rows"))
-    return blocks
+        monkeypatch.setattr(fluid_dyn._Kernel, name, counting(method, blocks))
+    return held, tier
 
 
 def _b1_at_balance(b2_curve):
@@ -556,7 +559,7 @@ def test_held_stretches_end_at_a_mask_change_and_at_an_argmax_flip(mode, digest,
     # 183, a slide event, with no argmax flip; under strict argmax f1 routes
     # to b1 until b2's gradient passes b1's at row 206, which changes no
     # mask.  Held stretches must end on the rows before both
-    blocks = _record_held_blocks(monkeypatch)
+    blocks, _ = _record_blocks(monkeypatch)
     sys = _b1_at_balance(hill(1.0, 1.0))
     cfg = IntegratorConfig(h=0.01, tie_band=0.05, mode=mode)
     traj = integrate_fluid(sys, [0.8, 1.0], 4.0, cfg)
@@ -577,7 +580,7 @@ def test_a_held_stretch_whose_gradient_moves_stops_before_a_clamp(mode, monkeypa
     # b2's gradient 0.6·exp(−2N) stays below b1's and changes at every step
     # while b2 drains by up to h·cap = 0.6 a step; near zero h·μ′ = 1.2, so
     # the update out of row 51 undershoots zero
-    blocks = _record_held_blocks(monkeypatch)
+    blocks, _ = _record_blocks(monkeypatch)
     sys = _b1_at_balance(saturating_exponential(0.3, 2.0))
     cfg = IntegratorConfig(h=2.0, mode=mode)
     traj = integrate_fluid(sys, [0.8, 30.0], 200.0, cfg)
@@ -596,7 +599,7 @@ def test_a_held_stretch_stops_before_the_row_that_repeats_the_checkpoint(mode, m
     # its own.  Row 548 repeats the checkpoint row 512, so the held stretch
     # from row 513 must stop at row 546, where the kernel's step finds the
     # orbit, and every later row is a copy
-    blocks = _record_held_blocks(monkeypatch)
+    blocks, _ = _record_blocks(monkeypatch)
     sys = _cycling_hill()
     cfg = IntegratorConfig(h=10.75, mode=mode)
     traj = integrate_fluid(sys, [2.0], 10.75 * 3000, cfg)
@@ -615,7 +618,7 @@ def test_held_stretches_of_gradients_that_move_together(monkeypatch):
     # stays below b5.  Windows on each gradient alone hold for one row at a
     # time there, so held stretches take one row and leave the next to the
     # kernel, until the slide at row 3445; then they run to the end
-    blocks = _record_held_blocks(monkeypatch)
+    blocks, _ = _record_blocks(monkeypatch)
     sys = fig1_system()
     cfg = IntegratorConfig(mode="strict-argmax")
     traj = integrate_fluid(sys, np.ones(5), 50.0, cfg)
@@ -627,6 +630,146 @@ def test_held_stretches_of_gradients_that_move_together(monkeypatch):
     assert blocks[-1] == (32769, 49999)
     _assert_rows_match_one_step_runs(
         sys, traj, cfg, [*range(0, 3500, 11), *range(3430, 3460), *range(32760, 32775), 50000])
+
+
+def _one_frontend(lam: float, *curves):
+    """f1 at rate lam, with an edge to each of the backends b1, b2, ..."""
+    return make_system([("f1", lam)], [(f"b{j + 1}", c) for j, c in enumerate(curves)],
+                       [("f1", f"b{j + 1}") for j in range(len(curves))])
+
+
+def _tier_block_cases():
+    # (system, start, horizon, h, the last row of a tier block, digest
+    # recorded from the integrator that stepped every row of a tier of
+    # several backends through the kernel).  Hill curves only, so the
+    # digests do not depend on the platform's libm
+    return {
+        # b1 and b2 fill side by side, one tier from the start, while b3
+        # drains with no inflow; b3's gradient enters f1's band at row 290
+        "mask": (
+            _one_frontend(1.5, hill(1.0, 1.0), hill(1.0, 1.0), hill(1.0, 1.0)),
+            [0.0, 0.0, 3.0], 5.0, 0.01, 289,
+            "3d3aa904a4f2890d58a3bc0c0b3965255ce259464012053482b7e709076d43e1"),
+        # the tier drains, b2 (the flatter) the faster, until its implied
+        # inflow is negative at row 298 and a min cut splits it off
+        "negative": (
+            _one_frontend(1.0, hill(2.0, 0.25), hill(2.0, 1.0)), [3.0, 3.0], 4.0, 0.01, 297,
+            "f6da93cb43d9c35d4cb346e1cc1e4a4b990238eaf7a7a95ab3fae493ec939ad1"),
+        # two frontends over two backends, overloaded: from row 222 the
+        # pattern's tree routes a negative flow, and the demand tree the drift
+        "miss": (
+            make_system([("f1", 2.0), ("f2", 2.0)],
+                        [("b1", hill(1.0, 8.0)), ("b2", hill(0.5, 2.0))],
+                        [("f1", "b1"), ("f1", "b2"), ("f2", "b1"), ("f2", "b2")]),
+            [1.0, 10.0], 80.0, 0.2, 221,
+            "9b9f49d293995bf50c87cadca714ef356bd2093d931df81c58ca97427758e41b"),
+        # two equal backends drain side by side by about h·cap = 1.5 a step,
+        # and the update out of row 29 undershoots zero
+        "clamp": (
+            _one_frontend(0.01, hill(1.0, 1.0), hill(1.0, 1.0)), [40.0, 40.0], 60.0, 1.5, 28,
+            "46421bc3abd22302f718be2c6f948b32ad5457f32b6ba01042eb93f653f0dfe4"),
+        # two equal backends whose Euler map cycles, as _cycling_hill's does,
+        # with period 18 from row 445: row 530 repeats the checkpoint row 512,
+        # so the block from row 513 leaves rows 529 on to the kernel
+        "checkpoint": (
+            _one_frontend(1.0, hill(1.0, 1.0), hill(1.0, 1.0)), [2.0, 2.0], 10.75 * 3000, 10.75,
+            528,
+            "a2203f53b9b22e17c8ded4d27cfecb26d036b40941d410f76faa00858f87f48b"),
+    }
+
+
+@pytest.mark.parametrize("case", ["mask", "negative", "miss", "clamp", "checkpoint"])
+def test_tier_blocks_end_before_the_row_the_kernel_must_step(case, monkeypatch):
+    # a tier block ends before a row whose masks change, whose implied
+    # inflow is negative, whose pattern tree misses, whose update clamps,
+    # or whose update repeats the checkpoint row
+    _, blocks = _record_blocks(monkeypatch)
+    sys, n0, horizon, h, last, digest = _tier_block_cases()[case]
+    cfg = IntegratorConfig(h=h)
+    traj = integrate_fluid(sys, n0, horizon, cfg)
+    assert trajectory_digest(traj) == digest
+    first = next(a for a, b in blocks if b == last)
+    assert first < last
+    if case in ("mask", "negative"):
+        kind = "slide" if case == "mask" else "split"
+        assert [(round(ev.time / h), ev.kind) for ev in traj.events][-1] == (last + 1, kind)
+    elif case == "miss":
+        # one-step runs compute two rows: the miss is row last + 1's, and
+        # the demand tree resolves it and the next
+        assert integrate_fluid(sys, traj.states[last], h, cfg).stats.tree_misses == 1
+        assert integrate_fluid(sys, traj.states[last + 1], h, cfg).stats == KernelStats(
+            tree_misses=2, patterns=1)
+    elif case == "clamp":
+        assert traj.boundary_events[0] == ((last + 1) * h + h, "b1")
+    else:
+        assert _orbit(traj.states) == (18, 445)
+        assert np.array_equal(traj.states[last + 2], traj.states[512])
+    _assert_rows_match_one_step_runs(
+        sys, traj, cfg, [*range(first - 1, first + 2), *range(last - 1, last + 3),
+                         *range(0, len(traj), 17), len(traj) - 1])
+
+
+def test_tier_block_rows_read_inflow_dust_as_the_kernel_does():
+    # the "negative" case's tier at a state between its rows 297 and 298
+    # (found by bisection) where b2's implied inflow is float dust,
+    # -3.7e-13: the kernel reads it as 0 and solves the tier outright, and a
+    # tier block's rows must be that step's rows bit for bit
+    sys = _one_frontend(1.0, hill(2.0, 0.25), hill(2.0, 1.0))
+    n = [0.4167211067222448, 0.33322447983580405]
+    cfg = IntegratorConfig(h=0.01)
+    k = fluid_dyn._Kernel(sys, cfg)
+    k.sliding_step(n[:], k.every, 0.0)
+    assert k.clean and -1e-12 <= k.vbuf[1] + k.mu[1] < 0.0 == k.wbuf[1]
+    block = fluid_dyn._TierBlock(k, k.pattern, k.every)
+    good, *_, w, x_rows = block.rows(k, np.array([[n[j] for j in block.movers]]),
+                                     np.empty((1, 0)))
+    one = integrate_fluid(sys, n, cfg.h, cfg)
+    assert good == 1
+    assert w[0].tobytes() == one.inflows[0].tobytes()
+    assert x_rows[0].tobytes() == one.routings[0].tobytes()
+
+
+def test_a_tier_block_leaves_the_rows_of_a_tier_that_stopped_in_it(monkeypatch):
+    # two copies of a one-frontend tier of two backends: the first reaches
+    # its fixed point at row 1679, inside the tier block from row 1025; the
+    # second at row 1730, where the block ends.  The kernel's step at row
+    # 1730 recomputes only the second tier, and keeps the first one's rows
+    # and drifts from the block's last row
+    _, blocks = _record_blocks(monkeypatch)
+    sys = make_system([("f1", 0.5), ("f2", 0.5)],
+                      [("b1", hill(1.0, 1.0)), ("b2", hill(1.0, 2.0)),
+                       ("b3", hill(1.0, 1.0)), ("b4", hill(1.0, 2.0))],
+                      [("f1", "b1"), ("f1", "b2"), ("f2", "b3"), ("f2", "b4")])
+    cfg = IntegratorConfig(h=0.05)
+    traj = integrate_fluid(sys, [0.3, 0.3, 0.0, 0.0], 150.0, cfg)
+    # recorded from the integrator that stepped every row of a tier of
+    # several backends through the kernel; Hill curves only
+    assert trajectory_digest(traj) == (
+        "de929f968d682fc17af1e7abc85a8e0fd064953dae545e2150babe63937661ba")
+    bits = traj.states.view(np.int64)
+    moved = bits[1:] != bits[:-1]
+    assert [int(np.nonzero(moved[:, pair].any(axis=1))[0][-1]) + 1
+            for pair in ([0, 1], [2, 3])] == [1679, 1730]
+    assert (1025, 1729) in blocks
+    _assert_rows_match_one_step_runs(sys, traj, cfg, [*range(1675, 1685), *range(1726, 1740)])
+
+
+@pytest.mark.parametrize("run", ["n_model", "acceptance-0"])
+def test_tier_block_rows_are_what_stepping_gives(run, monkeypatch):
+    # the bundled n_model at H = 50 is one tier of two backends from row
+    # 498 on; acceptance system 0 slides in tiers of several backends until
+    # its fixed point at row 18658.  Tier blocks step most rows of both
+    _, blocks = _record_blocks(monkeypatch)
+    if run == "n_model":
+        sys, n0, horizon = _n_model_04_06(), [0.0, 0.0], 50.0
+    else:
+        sys, n0 = _acceptance_system(0)
+        horizon = 200.0
+    cfg = IntegratorConfig()
+    traj = integrate_fluid(sys, n0, horizon, cfg)
+    assert sum(b - a + 1 for a, b in blocks) > _fixed_from(traj.states) // 2
+    _assert_rows_match_one_step_runs(
+        sys, traj, cfg, [r for a, b in blocks for r in (a, a + 1, b)])
 
 
 @st.composite
@@ -740,15 +883,23 @@ def test_returned_arrays_are_writeable_rows_of_their_own():
                 assert np.array_equal(arr[k + 1], after), (name, field, k)
 
 
-@pytest.mark.parametrize("mode", ["sliding", "strict-argmax"])
+@pytest.mark.parametrize("mode", ["sliding", "strict-argmax", "overload_nmodel"])
 def test_recording_peak_stays_near_the_returned_arrays(mode):
     # acceptance system 4 drains b1 for most of its 200k steps: its inflow
     # and routing rows are recorded once per change and taken by index, and
-    # its states returned as the recording itself
-    sys, n0 = _acceptance_system(4)
+    # its states returned as the recording itself.  The bundled
+    # overload_nmodel slides as one tier of two backends all along: tier
+    # blocks write every row, and their temporaries are bounded by the
+    # block size, not by the horizon
+    if mode == "overload_nmodel":
+        scn = load_scenario(Path(str(files("gmsr").joinpath("scenarios"))) / f"{mode}.json")
+        sys, n0, horizon, cfg = scn.system, scn.initial, 100.0, scn.integrator
+    else:
+        sys, n0 = _acceptance_system(4)
+        horizon, cfg = 200.0, IntegratorConfig(mode=mode)
     tracemalloc.start()
     try:
-        traj = integrate_fluid(sys, n0, 200.0, IntegratorConfig(mode=mode))
+        traj = integrate_fluid(sys, n0, horizon, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -767,20 +918,42 @@ def _small_runs(draw):
     return sys, n0, IntegratorConfig(h=h, mode=mode), draw(st.integers(200, 3000))
 
 
-@settings(max_examples=80, deadline=None)
-@given(_small_runs())
-def test_incremental_steps_match_one_step_runs(run):
-    sys, n0, cfg, steps = run
-    traj = integrate_fluid(sys, n0, steps * cfg.h, cfg)
-    assert len(traj) == steps + 1
-    rows = [0, 1, 2, *range(3, steps, max(1, steps // 40)), steps - 1, steps]
-    orbit = _orbit(traj.states)
-    if orbit is not None:
-        period, start = orbit
-        repeat = _repeat_row(period, start)
-        rows += [r for r in (start - 1, start, start + 1, *range(repeat - 2, repeat + 3))
-                 if 0 <= r <= steps]
-    _assert_rows_match_one_step_runs(sys, traj, cfg, rows)
+def test_incremental_steps_match_one_step_runs(monkeypatch):
+    tier_rows = fluid_dyn._Kernel.tier_rows
+    block_rows = [0]  # rows the examples' tier blocks took
+
+    def counting(self, *args):
+        out = tier_rows(self, *args)
+        block_rows[0] += out[0]
+        return out
+
+    monkeypatch.setattr(fluid_dyn._Kernel, "tier_rows", counting)
+    # the draw of seed 0 with h = 1e-3 in sliding mode, whose tier blocks
+    # run to checkpoint rows: about one sliding draw in ten takes a tier
+    # block, so this example keeps the count below from hanging on chance
+    rng = np.random.default_rng(0)
+    seed0 = feasible_random_system(rng)
+    n0 = rng.uniform(0.0, 3.0, size=len(seed0.backends))
+
+    @settings(max_examples=80, deadline=None)
+    @given(_small_runs())
+    @example((seed0, n0, IntegratorConfig(), 3000))
+    def check(run):
+        sys, n0, cfg, steps = run
+        traj = integrate_fluid(sys, n0, steps * cfg.h, cfg)
+        assert len(traj) == steps + 1
+        rows = [0, 1, 2, *range(3, steps, max(1, steps // 40)), steps - 1, steps]
+        orbit = _orbit(traj.states)
+        if orbit is not None:
+            period, start = orbit
+            repeat = _repeat_row(period, start)
+            rows += [r for r in (start - 1, start, start + 1, *range(repeat - 2, repeat + 3))
+                     if 0 <= r <= steps]
+        _assert_rows_match_one_step_runs(sys, traj, cfg, rows)
+
+    check()
+    # the property covers tier blocks: some sliding examples take them
+    assert block_rows[0] > 0
 
 
 def test_orbit_through_boundary_clamps_is_continued_with_its_clamps():
