@@ -28,7 +28,7 @@ dynamics with fixed-step explicit Euler in two modes:
 
 The integrator records states, routings, realized inflows, tier-change
 events, and boundary clamps, at every step.  One step is a pure function of
-the workload vector, and the integrator uses that four times, without
+the workload vector, and the integrator uses that three times, without
 changing a single output bit:
 
 * Incremental steps.  The Euler update notes which backends' workloads
@@ -45,48 +45,38 @@ changing a single output bit:
   only its drift is.  After a split, only the split tier's pieces
   and the tiers not reached yet are recomputed; the others keep their
   rows.
-* Held routing.  A step that keeps the inflow and routing rows of the
-  step before records them by reference, as the index of the last rows
-  written.  Until a tie mask changes (or, under strict argmax, an argmax
-  does) the routing stays, so each moving backend follows its own scalar
-  recurrence n_j ← n_j + h·(w_j − μ_j(n_j)) with fixed w_j: a draining
-  backend, say, whose gradient changes bits at nearly every step (in
-  sliding mode, while each moving backend is a tier of its own).  After
-  a step that kept its rows, the integrator steps those recurrences alone,
-  with the kernel's arithmetic, and records the rows in one block.  Each
-  mover runs inside a window of its gradient in which no mask or argmax
-  can change (pairwise conditions between the gradients, exact in
-  floating point); where one leaves its window the masks are tested at
-  that row, and if they stand the block goes on in new windows.  A block
-  ends before a row whose masks or argmax differ, before an update that
-  would clamp, leave the finite range or stop a mover, before a row equal
-  to the Brent checkpoint row, and ahead of the next checkpoint row
-  (below).
-  Where the windows hold for one row only, the block ends there.  A block
-  that takes one row or none (an argmax that flips every step or two, or
-  two gradients that move together toward a tie) makes the next attempts
-  wait, up to 63 kept steps.
-* Tier blocks.  In sliding mode a tier of several backends writes new rows
-  at every step: its implied inflows move with the workloads.  After a
-  step that wrote its rows, solved its pattern outright (no split or tree
-  miss), clamped nothing and moved a backend of such a tier, the
-  integrator steps the moving tiers in blocks of rows, in two phases.  A
-  scalar run, compiled per set of moving tiers, steps their recurrences
-  with the kernel's arithmetic (curves; per tier s −= μ_j and denom +=
-  1/μ″_j in backend order, then v_j = (1/μ″_j)·(s/denom); v = λ_T − μ for
-  a tier of one backend; n_j + h·v_j), and stops before an update that
-  would clamp, leave [0, 1e300], or move no backend of a tier of several.
-  Then numpy forms the block's rows, one vector operation per scalar one
-  of the kernel and in its order: μ, μ′ and 1/μ″ from the run's states
-  (exp values only from the run's math.exp), the implied inflows with
-  their clip, each frontend's tie mask as ``tiers.tie_masks`` forms it,
-  and the pattern tree's elimination and normalization.  The block ends
-  before the first row whose masks change, whose implied inflow lies
-  below -1e-12 or whose tree flow lies below -1e-9, ahead of a row equal
-  to the Brent checkpoint row, and ahead of the next checkpoint row; the
-  row after it always goes back to the kernel, and so does a tier that
-  stops moving (held rows take it over).  Empty blocks wait as held ones
-  do.
+* Blocks.  A step that keeps the inflow and routing rows of the step
+  before records them by reference, as the index of the last rows written.
+  Until a tie mask changes (or, under strict argmax, an argmax does) the
+  routing stays, so each moving backend follows its own scalar recurrence
+  n_j ← n_j + h·(w_j − μ_j(n_j)) with fixed w_j (in sliding mode, while
+  each moving backend is a tier of its own).  A sliding tier of several
+  backends writes new rows at every step instead: its implied inflows move
+  with the workloads.  After a step that kept its rows (a held block), or
+  one that wrote them, solved its pattern outright (no split or tree miss)
+  and moved a backend of a tier of several (a tier block), if it clamped
+  nothing, the integrator steps the movers in spans of rows, each in two
+  phases.  First the movers step with the kernel's arithmetic: each held
+  mover in a plain loop; the moving tiers in a scalar run compiled per set
+  of them (curves; per tier s −= μ_j and denom += 1/μ″_j in backend order,
+  then v_j = (1/μ″_j)·(s/denom); v = λ_T − μ for a tier of one backend;
+  n_j + h·v_j).  Both stop before an update that would clamp, leave [0,
+  1e300], or stop a held mover (move no backend of a tier of several).
+  Then numpy checks the rows, one vector operation per scalar one of the
+  kernel and in its order: the movers' gradients (exponential ones from
+  the run's math.exp values), each frontend's tie mask as
+  ``tiers.tie_masks`` forms it and, under strict argmax, its argmax.  A
+  pretest on each mover's least and greatest gradient skips the row-by-row
+  check where no row can fail: the conditions are pairwise, and top − band
+  rounds monotonically in top.  A tier block also forms its rows: μ and
+  1/μ″, the implied inflows with their clip, and the pattern tree's
+  elimination and normalization.  A block ends before the first row whose
+  masks or argmax change, whose implied inflow lies below -1e-12 or whose
+  tree flow lies below -1e-9, ahead of a row equal to the Brent checkpoint
+  row, and ahead of the next checkpoint row (below); the row after it goes
+  back to the kernel.  A held block records states only.  A block that
+  takes one row or none (an argmax that flips every step or two, say)
+  makes the next attempts wait, up to 63 kept steps.
 * Exact orbits.  A Brent checkpoint (R. P. Brent, BIT 20, 1980) holds the
   workload vector at power-of-two rows.  Once a row repeats an earlier one
   bit for bit with period P (P = 1 is a fixed point, caught at once), every
@@ -129,7 +119,6 @@ demand trees' schedules are cached with the tier, and
 from __future__ import annotations
 
 import math
-import struct
 from array import array
 from dataclasses import dataclass, field
 
@@ -229,8 +218,8 @@ def _lazy_event(time: float, kind: str, tiers: tuple) -> TierEvent:
 class KernelStats:
     """Work the sliding kernel did on one run, counted over computed steps
     (rows copied after a bitwise fixed point or along an exact orbit add
-    nothing, and neither do rows stepped in held blocks or tier blocks,
-    which solve no witness: a tier block takes only rows that its
+    nothing, and neither do rows stepped in blocks, which solve no witness:
+    a held block writes no rows, and a tier block takes only rows that its
     pattern's trees solve, which count nothing).  A step that reuses tiers
     of the previous one counts exactly what recomputing them would; a tier
     solved before a split in the same step is not solved, or counted,
@@ -399,7 +388,7 @@ class _Pattern:
         self.groups = groups  # per tier (f_idx, b_idx), as tie_components gives them
         # bitmask of the backends that form a tier on their own
         self.single = sum(t.b_mask for t in tiers if len(t.b_idx) == 1)
-        self.blocks = {}      # bitmask of the moving tiers' backends -> _TierBlock
+        self.blocks = {}      # (movers' bitmask, held, argmaxes) -> _TierBlock
 
 
 def _build_pattern(sys: BipartiteSystem, masks: tuple[int, ...]) -> _Pattern:
@@ -462,20 +451,22 @@ def _tier_network(sys: BipartiteSystem, tier: _TierStruct) -> TransportNetwork:
 
 
 class _TierBlock:
-    """The tiers of one tie pattern that move in a tier block: their scalar
-    run, and the numpy form of their rows and checks (``_Kernel.tier_rows``).
+    """The movers of one block (``_Kernel.tier_rows``) and the numpy form of
+    its checks and rows: a held block's movers move on fixed inflows, a
+    tier block's are the backends of the moving tiers.  The movers are
+    numbered locally: first the backends of each moving tier of several
+    backends (pattern order, each in b_idx order), then those that move on
+    their own (the held movers, or the tiers of one backend)."""
 
-    The movers are numbered locally: first the backends of each moving tier
-    of several backends (pattern order, each in b_idx order), then the
-    backends that move as tiers of their own."""
-
-    def __init__(self, k: _Kernel, pattern: _Pattern, moving: int):
-        moved = [t for t in pattern.tiers if t.b_mask & moving]
+    def __init__(self, k: _Kernel, pattern: _Pattern, moving: int, held: bool):
+        moved = [] if held else [t for t in pattern.tiers if t.b_mask & moving]
         self.tiers = [t for t in moved if len(t.b_idx) > 1]
         singles = [t for t in moved if len(t.b_idx) == 1]
         movers = [j for t in self.tiers for j in t.b_idx]
         self.wide = len(movers)  # the movers of tiers of several backends
-        movers += [t.b_idx[0] for t in singles]
+        # held movers Hill curves first, so that each kind's columns are a slice
+        movers += (sorted(k.members(moving), key=lambda j: not k.par[j][0]) if held
+                   else [t.b_idx[0] for t in singles])
         self.movers = movers
         self.cols = np.array(movers, dtype=np.intp)
         self.wcol = {j: c for c, j in enumerate(movers[:self.wide])}
@@ -485,6 +476,8 @@ class _TierBlock:
             cols = [c for c, p in enumerate(par) if p[0] is hill_kind]
             if cols:
                 a, b, c, d = (np.array(v) for v in zip(*(par[c][1:] for c in cols)))
+                if cols[-1] - cols[0] == len(cols) - 1:
+                    cols = slice(cols[0], cols[-1] + 1)
                 self.kinds.append((hill_kind, cols, a, b, a * b if hill_kind else c,
                                    c if hill_kind else d))
         self.exp_cols = [c for c, p in enumerate(par) if not p[0]]
@@ -493,27 +486,45 @@ class _TierBlock:
             self.groups.append((t.lam_sum, range(start, start + len(t.b_idx))))
             start += len(t.b_idx)
         self.singles = [(c, t.lam_sum) for c, t in enumerate(singles, start)]
-        self.run = _scalar_run(par, self.groups, self.singles)
-        # the frontends next to a mover, each with its neighbours padded by
-        # index nb (a gradient of -inf) and its tie mask over them
+        self.run = None if held else _scalar_run(par, self.groups, self.singles)
+        # the frontends next to a mover: their neighbours, tie masks and
+        # (under strict argmax, else -1) argmaxes; for numpy, the neighbours
+        # padded by index nb (a gradient of -inf), and the masks over them
         fronts = [i for i, nbrs in enumerate(k.neighbors) if any(moving >> j & 1 for j in nbrs)]
-        deg = max(len(k.neighbors[i]) for i in fronts)
+        best = k.best or [-1] * k.nf
+        self.fronts = [(k.neighbors[i], k.masks[i], best[i]) for i in fronts]
+        deg = max((len(k.neighbors[i]) for i in fronts), default=1)  # movers may have none
         nbr = [list(k.neighbors[i]) + [k.nb] * (deg - len(k.neighbors[i])) for i in fronts]
-        self.nbr = np.array(nbr, dtype=np.intp)
+        self.nbr = np.array(nbr, dtype=np.intp).reshape(-1, deg)
         self.expect = np.array([[k.masks[i] >> j & 1 == 1 for j in row]
-                                for i, row in zip(fronts, nbr)])
+                                for i, row in zip(fronts, nbr)]).reshape(-1, deg)
+        self.top = None if k.best is None else np.array([row.index(best[i])
+                                                         for i, row in zip(fronts, nbr)])
 
-    def rows(self, k: _Kernel, x: np.ndarray, e: np.ndarray):
-        """Rows of the scalar run's states x (one row per step, a column per
-        mover; e: the run's exp values, a column per exponential mover), as
-        the kernel's ``curves``, ``tier_flows`` and ``tree_witness`` compute
-        them, one operation of theirs per vector operation.  Returns the
-        number of leading rows that keep the tie masks and solve every
-        moving tier by its pattern's tree, with the rows' μ, μ′, 1/μ″ and
-        drifts per mover, inflows per mover of a tier of several backends,
-        and routing rows."""
-        rows, m, nb = len(x), len(self.movers), k.nb
-        mu, g, ic = np.empty((rows, m)), np.empty((rows, m)), np.empty((rows, m))
+    def held(self, k: _Kernel, x: list[float], h: float, limit: int):
+        """The held movers' steps from their workloads x, each its own
+        recurrence (``_Kernel.held_run``), cut to the shortest run: its
+        states, a row per step from x on, and how many leading rows keep the
+        tie masks and argmaxes (``keeps``); no rows when a mover takes no
+        step."""
+        runs, es = [], []
+        for j, xj in zip(self.movers, x):
+            run, e = k.held_run(j, xj, h, limit)
+            limit = min(limit, len(run) - 1)
+            if not limit:
+                return (), 0
+            runs.append(run)
+            if e is not None:
+                es.append(e)
+        run = np.array([xs[:limit + 1] for xs in runs]).T
+        e = np.array([ec[:limit] for ec in es]).T if es else None
+        return run, self.keeps(k, self.curves(run[:-1], e)[1])
+
+    def curves(self, x: np.ndarray, e: np.ndarray):
+        """μ, μ′ and 1/μ″ of the movers at the states x (a row per step; e:
+        the exp values of the exponential movers at x), one vector operation
+        per scalar one of ``_Kernel.curves``."""
+        mu, g, ic = (np.empty(x.shape) for _ in range(3))
         for hill_kind, cols, a, b, c, d in self.kinds:
             if hill_kind:  # b: half, c: cap·half, d: 2·cap·half
                 xs = x[:, cols]
@@ -524,7 +535,74 @@ class _TierBlock:
                 out = (a - a * e, c * e, -1.0 / (d * e))
             for arr, val in zip((mu, g, ic), out):
                 arr[:, cols] = val
-        v = np.empty((rows, m))
+        return mu, g, ic
+
+    def keeps(self, k: _Kernel, g: np.ndarray) -> int:
+        """The first row of g (the movers' gradients, a row per step) at which
+        a frontend next to a mover changes its tie mask, as ``tie_masks``
+        forms it, or under strict argmax its argmax (the first maximum over
+        its sorted neighbours); len(g) when none does.  When ``pretest``
+        fails, it runs on the first row alone, where it is exact, before the
+        rows are checked one by one."""
+        if self.pretest(k, g):
+            return len(g)
+        if len(g) == 1 or not self.pretest(k, g[:1]):
+            return 0
+        grads = np.empty((len(g), k.nb + 1))
+        grads[:] = [*k.g, -math.inf]
+        grads[:, self.cols] = g
+        near = grads[:, self.nbr]
+        cut = near.max(axis=2)
+        cut -= k.cfg.tie_band
+        bad = np.any((near >= cut[:, :, None]) != self.expect, axis=(1, 2))
+        if self.top is not None:
+            bad |= np.any(near.argmax(axis=2) != self.top, axis=1)
+        return int(np.argmax(bad)) if bad.any() else len(g)
+
+    def pretest(self, k: _Kernel, g: np.ndarray) -> bool:
+        """True when each mover's least and greatest gradient in g bound a box
+        in which every frontend next to a mover keeps its tie mask and, under
+        strict argmax, its argmax.  Each condition is pairwise, and
+        fl(top − band) is monotone in top: a band member j needs g_j ≥
+        fl(g_l − band) for every other neighbour l, a neighbour j outside the
+        band g_j < fl(g_l − band) for some l, and the argmax t g_j < g_t for
+        each neighbour j below t and g_j ≤ g_t for each above it."""
+        lo, hi = k.g[:], k.g[:]
+        for j, a, b in zip(self.movers, g.min(axis=0).tolist(), g.max(axis=0).tolist()):
+            lo[j], hi[j] = a, b
+        band = k.cfg.tie_band
+        for nbrs, m, t in self.fronts:
+            top_lo = top = second = -math.inf  # the greatest lo; the two greatest hi
+            for j in nbrs:
+                if lo[j] > top_lo:
+                    top_lo = lo[j]
+                if hi[j] > top:
+                    top, second, arg = hi[j], top, j
+                elif hi[j] > second:
+                    second = hi[j]
+            cut = top_lo - band
+            for j in nbrs:
+                if (lo[j] < (second if j == arg else top) - band if m >> j & 1
+                        else hi[j] >= cut):
+                    return False
+                if t >= 0 and j != t and (hi[j] >= lo[t] if j < t else hi[j] > lo[t]):
+                    return False
+        return True
+
+    def rows(self, k: _Kernel, x: np.ndarray, e: np.ndarray):
+        """Rows of a tier block's scalar run at the states x (e: its exp
+        values), as the kernel's ``curves``, ``tier_flows`` and
+        ``tree_witness`` compute them, one operation of theirs per vector
+        operation.  Returns the number of leading rows that keep the tie
+        masks (``keeps``; only those rows are formed further) and solve every
+        moving tier by its pattern's tree, with their μ, μ′, 1/μ″ and drifts
+        per mover, inflows per mover of a tier of several, and routing rows."""
+        m, nb = len(self.movers), k.nb
+        mu, g, ic = self.curves(x, e)
+        rows = self.keeps(k, g)  # the rows after them are the kernel's
+        if not rows:
+            return (0,)
+        mu, g, ic, v = mu[:rows], g[:rows], ic[:rows], np.empty((rows, m))
         for lam_sum, cols in self.groups:
             s = lam_sum - mu[:, cols[0]]
             denom = 0.0 + ic[:, cols[0]]
@@ -539,14 +617,6 @@ class _TierBlock:
         w = v[:, :self.wide] + mu[:, :self.wide]
         bad = np.any(w < -1e-12, axis=1)
         w[w < 0.0] = 0.0  # float dust; -0.0 stays
-        # the tie masks of the frontends next to a mover, as tie_masks forms them
-        grads = np.empty((rows, nb + 1))
-        grads[:] = [*k.g, -math.inf]
-        grads[:, self.cols] = g
-        near = grads[:, self.nbr]
-        cut = near.max(axis=2)
-        cut -= k.cfg.tie_band
-        bad |= np.any((near >= cut[:, :, None]) != self.expect, axis=(1, 2))
         # routing rows from each moving tier's pattern tree, as eliminate fills them
         nf, lam, wcol = k.nf, k.lam, self.wcol
         x_rows = np.empty((rows, nf, nb))
@@ -886,10 +956,10 @@ class _Kernel:
     # tier was split, bitmask of backends whose drift was computed afresh,
     # held).  held is None when the step wrote its inflow and routing rows;
     # otherwise they are the last step's bit for bit, and held is the bitmask
-    # of backends that ``held_rows`` may step on while the tie masks (and,
-    # under strict argmax, the argmax) stay.  A step reuses what its inputs
-    # leave unchanged bit for bit, so it gives the same bits as computing
-    # everything.
+    # of backends that a held block (``tier_rows``) may step while the tie
+    # masks (and, under strict argmax, the argmax) stay.  A step reuses what
+    # its inputs leave unchanged bit for bit, so it gives the same bits as
+    # computing everything.
 
     def sliding_step(self, n: list[float], dirty: int, t: float
                      ) -> tuple[_Pattern, bool, int, int | None]:
@@ -1006,137 +1076,89 @@ class _Kernel:
             v[j] = w[j] - mu[j]
         return self.pattern, False, dirty, self.every
 
-    def held_rows(self, states: array, n: list[float], mask: int, h: float, limit: int,
-                  avoid: list[float] | None) -> int:
-        """Up to `limit` rows from n on, while the step out of each would keep
-        its inflow and routing rows and move the same backends, the movers
-        in `mask`.  Each mover runs its ``held_run`` within a gradient window
-        from ``windows``, and the rows end before the first step at which
-        one mover's run stops.  There the movers' gradients are tested with
-        ``holds``; when they pass, the rows go on in new windows, unless the
-        last windows held for one row only.  g is left as it was: the next
-        step's ``curves`` re-evaluates every mover, sees any gradient change
-        and recomputes the masks.  Appends the rows (n first) to `states`,
-        leaves n at the row after them, and returns how many it took."""
-        g, w = self.g, self.wbuf
-        movers = self.members(mask)
-        fronts = [i for i, nbrs in enumerate(self.neighbors) if any(mask >> j & 1 for j in nbrs)]
-        nb = self.nb
-        taken = 0
-        trial, pace = g[:], [0.0] * nb
-        span = 64  # rows the next windows are sized for
-        while limit > 0:
-            rise = 0  # the movers whose gradients rise (their workloads fall)
-            for j in movers:
-                mu, gj = self.curve(j, n[j])
-                trial[j] = gj
-                # how far the gradient moves in the next step (a step that
-                # leaves [0, 1e300] ends the rows anyway)
-                x1 = n[j] + h * (w[j] - mu)
-                pace[j] = abs(self.curve(j, x1)[1] - gj) if 0.0 <= x1 <= 1e300 else 0.0
-                if w[j] < mu:
-                    rise |= 1 << j
-            if not self.holds(fronts, trial):
-                break
-            lo, hi = self.windows(rise, mask & ~rise, fronts, trial, pace, span)
-            take, first = limit, movers[0]
-            runs = []
-            for j in movers:
-                run = self.held_run(j, n[j], h, take, lo[j], hi[j],
-                                    math.nan if avoid is None else avoid[j])
-                if len(run) < take:
-                    take, first = len(run), j
-                    if not take:
-                        return taken
-                runs.append(run)
-            start = len(states)
-            states += array("d", n) * take
-            for j, run in zip(movers, runs):
-                states[start + nb + j::nb] = run[:take - 1]
-                n[j] = run[take - 1]
-            taken += take
-            if take == 1:
-                # windows that hold for one row only: two movers whose
-                # gradients move together toward a tie, say, which bounds
-                # on each alone cannot follow; stepping costs less here
-                break
-            limit -= take
-            span = min(2 * max(span, take), limit)
-            # the mover whose run ended the rows runs first next time, so the
-            # others do not step past where it stops
-            movers = [first, *(j for j in movers if j != first)]
-        return taken
-
     def tier_rows(self, rec: tuple[array, array, array, array], n: list[float], dirty: int,
-                  h: float, limit: int, ckpt: list[float]) -> tuple[int, int]:
-        """A tier block: up to `limit` rows from n on, while the step at each
-        would solve the stored tie pattern outright (no split or tree miss)
-        and move the same tiers, those holding a backend in `dirty`, one of
-        several backends among them.  Takes the rows in spans of 64 rows and
-        more, each stepped by the movers' scalar run (``_scalar_run``), then
-        built and checked with numpy (``_TierBlock.rows``); ends before the
-        first row that fails a check, before a row the scalar run did not
-        reach, ahead of a row equal to `ckpt`, and after `limit` rows.
-        Appends the rows (n first) to rec, the states, inflow, routing and
-        use recordings, leaves n at the row after them and the kernel's
-        buffers as the step at the last of them leaves them, and returns
-        how many it took and the bitmask of backends whose workload the last
-        update changed (dirty when it took none)."""
+                  h: float, limit: int, ckpt: list[float], held: bool) -> tuple[int, int]:
+        """A block: up to `limit` rows from n on, while the step at each would
+        move the same backends and either keep its inflow and routing rows
+        (`held`: the movers are the backends in `dirty`) or solve the stored
+        tie pattern outright (no split or tree miss), moving the tiers that
+        hold a backend in `dirty`, one of several backends among them.  Takes
+        the rows in spans of 8 rows (held) or 64 at first, growing fourfold,
+        each stepped by the movers' runs and checked with numpy
+        (``_TierBlock.held`` and ``_TierBlock.rows``, both through
+        ``_TierBlock.keeps``); ends before the first row that fails a check,
+        before a row the runs did not reach, ahead of a row equal to `ckpt`,
+        and after `limit` rows.
+        Appends the rows (n first) to rec, the states, inflow, routing and use
+        recordings (a held block its states only, adding its rows to the last
+        use), leaves n at the row after them, and returns how many it took and
+        the bitmask of backends whose workload the last update changed (dirty
+        when it took none).  A tier block leaves the kernel's buffers as the
+        step at its last row leaves them.  A held block leaves g as it was:
+        the next step's ``curves`` re-evaluates every mover, sees any gradient
+        change and recomputes the masks."""
         states, inflows, routings, uses = rec
         pattern, nb = self.pattern, self.nb
-        moving = 0
-        for tier in pattern.tiers:
-            if tier.b_mask & dirty:
-                moving |= tier.b_mask
-        blk = pattern.blocks.get(moving)
+        moving = dirty if held else sum(t.b_mask for t in pattern.tiers if t.b_mask & dirty)
+        key = (moving, held, self.best and tuple(self.best))  # tier blocks have no argmax
+        blk = pattern.blocks.get(key)
         if blk is None:
-            blk = _TierBlock(self, pattern, moving)
+            blk = _TierBlock(self, pattern, moving, held)
             if len(pattern.blocks) < 64:
-                pattern.blocks[moving] = blk
+                pattern.blocks[key] = blk
         movers, cols = blk.movers, blk.cols
         # a row can repeat the checkpoint only if the others do already
         orbit = all(n[j] == ckpt[j] for j in range(nb) if not moving >> j & 1)
         at = [ckpt[j] for j in movers]
         x = [n[j] for j in movers]
-        size = max(64, min(1024, (1 << 16) // (self.nf * nb)))  # bounds the numpy temporaries
-        span = 64
-        taken, last = 0, None
+        # bounds the numpy temporaries
+        size = max(64, min(4096 if held else 1024, (1 << 16) // (self.nf * nb)))
+        span, taken, last = 8 if held else 64, 0, None
         while taken < limit:
-            xs, es = x[:], []
-            try:
-                blk.run(xs, es, h, min(span, limit - taken))
-            except ZeroDivisionError:
-                pass  # the kernel raises it at that row, if the run gets there
-            run = np.array(xs).reshape(-1, len(movers))
-            reached = len(run) - 1
-            if not reached:
-                break
-            with np.errstate(all="ignore"):
-                good, *rows = blk.rows(self, run[:reached],
-                                       np.array(es).reshape(reached, len(blk.exp_cols)))
-            if orbit:
+            take = min(span, limit - taken)
+            if held:
+                run, good = blk.held(self, x, h, take)
+            else:
+                xs, es = x[:], []
+                try:
+                    blk.run(xs, es, h, take)
+                except ZeroDivisionError:
+                    pass  # the kernel raises it at that row, if the run gets there
+                run = np.array(xs).reshape(-1, len(movers))
+                reached = len(run) - 1
+                if not reached:
+                    break
+                with np.errstate(all="ignore"):
+                    good, *rows = blk.rows(self, run[:reached],
+                                           np.array(es).reshape(reached, len(blk.exp_cols)))
+            if orbit and good:
                 hits = np.all(run[1:good + 1] == at, axis=1)
                 if hits.any():
                     good = int(np.argmax(hits))  # the row before the hit is the kernel's
             if good:
-                *_, w, x_rows = rows
                 row = np.empty((good, nb))
                 row[:] = n
                 row[:, cols] = run[:good]
                 states.frombytes(row.data.cast("B"))
-                row[:] = self.wbuf
-                row[:, cols[:blk.wide]] = w[:good]
-                inflows.frombytes(row.data.cast("B"))
-                routings.frombytes(x_rows[:good].data.cast("B"))
-                uses.extend(array("q", [1]) * good)
+                if held:
+                    uses[-1] += good
+                else:
+                    *_, w, x_rows = rows
+                    row[:] = self.wbuf
+                    row[:, cols[:blk.wide]] = w[:good]
+                    inflows.frombytes(row.data.cast("B"))
+                    routings.frombytes(x_rows[:good].data.cast("B"))
+                    uses.extend(array("q", [1]) * good)
+                    last = good - 1, run, rows
                 taken += good
-                last = good - 1, run, rows
                 x = run[good].tolist()
             if good < span:
                 break
-            span = min(2 * span, size)
+            span = min(4 * span, size)
+        for c, j in enumerate(movers):
+            n[j] = x[c]
         if last is None:
-            return 0, dirty
+            return taken, dirty
         r, run, (mu, g, ic, v, w, x_rows) = last
         mu, g, ic, v, w = (a[r].tolist() for a in (mu, g, ic, v, w))
         for c, j in enumerate(movers):
@@ -1148,212 +1170,41 @@ class _Kernel:
             for i in tier.f_idx:
                 xbuf[i * nb:(i + 1) * nb] = x_rows[r, i].tolist()
         moved = run[r + 1].view(np.int64) != run[r].view(np.int64)
-        dirty = 0
-        for c, j in enumerate(movers):
-            n[j] = x[c]
-            if moved[c]:
-                dirty |= 1 << j
-        return taken, dirty
+        return taken, sum(1 << j for j, m in zip(movers, moved) if m)
 
-    def curve(self, j: int, x: float) -> tuple[float, float]:
-        """μ_j(x) and μ′_j(x), with the arithmetic of ``curves``."""
-        is_hill, a, b, c, _ = self.par[j]
-        if is_hill:
-            t = x + b
-            return a * x / t, a * b / (t * t)
-        e = math.exp(-b * x)
-        if e < 1e-300:
-            e = 1e-300
-        return a - a * e, c * e
-
-    def held_run(self, j: int, x: float, h: float, limit: int, lo: float, hi: float,
-                 avoid: float) -> array:
-        """The workloads backend j takes in held steps from x, at most `limit`
-        of them: each is x + h·(w_j − μ_j(x)) of the one before, with the
-        arithmetic of ``curves`` and the Euler update.  Stops before a step
-        at whose start j's gradient lies outside [lo, hi], or whose update
-        would clamp, leave the finite range, keep x, or equal `avoid` (a NaN
-        avoids nothing)."""
-        is_hill, a, b, c, _ = self.par[j]
+    def held_run(self, j: int, x: float, h: float, limit: int) -> tuple[array, array | None]:
+        """The workloads backend j takes in held steps from x (x first), at
+        most `limit` steps: each is x + h·(w_j − μ_j(x)) of the one before,
+        with the arithmetic of ``curves`` and the Euler update.  Stops before
+        an update that would clamp, leave the finite range or keep x.  For an
+        exponential curve, also the exp value at the start of each step; a
+        Hill curve's gradients numpy recomputes from the workloads, with the
+        same bits."""
+        is_hill, a, b, _, _ = self.par[j]
         w = self.wbuf[j]
-        out = array("d")
-        if is_hill:  # as in curves: μ = a·x/t, μ′ = a·b/t², t = x + b
-            ab = a * b
+        xs = array("d", (x,))
+        add = xs.append  # bound once: the loops run a row in a few hundred ns
+        if is_hill:  # as in curves: μ = a·x/t, t = x + b
             for _ in range(limit):
-                t = x + b
-                if not lo <= ab / (t * t) <= hi:
+                x1 = x + h * (w - a * x / (x + b))
+                if not 0.0 <= x1 <= 1e300 or x1 == x:
                     break
-                x1 = x + h * (w - a * x / t)
-                if not 0.0 <= x1 <= 1e300 or x1 == x or x1 == avoid:
-                    break
-                out.append(x1)
+                add(x1)
                 x = x1
-        else:  # μ = a − a·e, μ′ = c·e, e = exp(−b·x) floored at 1e-300
-            for _ in range(limit):
-                e = math.exp(-b * x)
-                if e < 1e-300:
-                    e = 1e-300
-                if not lo <= c * e <= hi:
-                    break
-                x1 = x + h * (w - (a - a * e))
-                if not 0.0 <= x1 <= 1e300 or x1 == x or x1 == avoid:
-                    break
-                out.append(x1)
-                x = x1
-        return out
-
-    def holds(self, fronts, grads: list[float]) -> bool:
-        """True when the given frontends' tie masks (and, under strict
-        argmax, their argmaxes) at `grads` are the stored ones."""
-        masks, best, band = self.masks, self.best, self.cfg.tie_band
-        for i in fronts:
-            nbrs = self.neighbors[i]
-            b = nbrs[0]
-            top = grads[b]
-            for j in nbrs:
-                gj = grads[j]
-                if gj > top:
-                    top = gj
-                    b = j
-            if best is not None and b != best[i]:
-                return False
-            cut = top - band
-            m = 0
-            for j in nbrs:
-                if grads[j] >= cut:
-                    m |= 1 << j
-            if m != masks[i]:
-                return False
-        return True
-
-    def windows(self, rise: int, fall: int, fronts, grads: list[float], pace: list[float],
-                span: int) -> tuple[list[float], list[float]]:
-        """Per-backend bounds (lo, hi) on the gradients, such that the given
-        frontends keep their tie masks and, under strict argmax, their
-        argmaxes while every gradient stays within its bounds (``holds``
-        must be true at `grads`).  A backend outside the bitmasks `rise` and
-        `fall` keeps its gradient (lo = hi = its value in `grads`).  A mover
-        in `rise` may only rise from its value, and one in `fall` only fall,
-        by at most `span` times its `pace`, the change of its next step (a
-        pace of 0 sets no such bound).
-
-        Each frontend's masks and argmax follow from pairwise conditions: a
-        backend in the band stays at or above g_l − band for every other
-        band member l; one outside stays below g_t − band, t the band's top
-        (lowest index on ties); and under strict argmax every other
-        neighbour stays below g_t (at most g_t when its index is higher).  A
-        condition that the bounds already meet is left as it is; one that
-        two movers move toward is split in proportion to their paces.
-        Bounds are exact in floating point: `top − band` is rounded as
-        ``tie_masks`` rounds it, and _below/_above invert that rounding."""
-        lo, hi = grads[:], grads[:]
-        for j in self.members(rise):
-            hi[j] = grads[j] + pace[j] * span if pace[j] > 0.0 else math.inf
-        for j in self.members(fall):
-            lo[j] = grads[j] - pace[j] * span if pace[j] > 0.0 else -math.inf
-        band, strict = self.cfg.tie_band, self.best is not None
-
-        def share(x, y):  # x's part of a slack that x and y move into
-            both = pace[x] + pace[y]
-            return pace[x] / both if both > 0.0 else 0.5
-
-        def at_least(x, y, d):  # make lo[x] >= hi[y] - d
-            gx, bound = grads[x], grads[y] - d
-            down, up = lo[x] < gx, hi[y] > grads[y]
-            if down and up:  # split the slack [bound, gx]
-                bound = min(max(gx - (gx - bound) * share(x, y), bound), gx)
-            if down and bound > lo[x]:
-                lo[x] = bound
-            if up:
-                hi[y] = min(hi[y], _below(bound if down else gx, d))
-
-        def less(x, y, d):  # make hi[x] < lo[y] - d
-            gx, bound = grads[x], grads[y] - d
-            up, down = hi[x] > gx, lo[y] < grads[y]
-            if up and down:  # split the slack (gx, bound]
-                split = gx + (bound - gx) * share(x, y)
-                if gx < split <= bound:
-                    bound = split
-            if up:
-                hi[x] = min(hi[x], math.nextafter(bound, -math.inf))
-            if down:
-                lo[y] = max(lo[y], _above(bound, d) if up
-                            else math.nextafter(_below(gx, d), math.inf))
-
-        for i in fronts:
-            nbrs, m = self.neighbors[i], self.masks[i]
-            t = nbrs[0]
-            for j in nbrs:
-                if grads[j] > grads[t]:
-                    t = j
-            for k in nbrs:
-                if m >> k & 1:
-                    for l in nbrs:
-                        if l != k and m >> l & 1 and lo[k] < hi[l] - band:
-                            at_least(k, l, band)
-                elif hi[k] >= lo[t] - band:
-                    less(k, t, band)
-                if strict and k != t:
-                    if k < t:
-                        if hi[k] >= lo[t]:
-                            less(k, t, 0.0)
-                    elif lo[t] < hi[k]:
-                        at_least(t, k, 0.0)
-        return lo, hi
-
-
-def _below(v: float, d: float) -> float:
-    """The largest float g with g − d ≤ v (g − d rounded)."""
-    return _edge(lambda g: g - d <= v, v + d)
-
-
-def _above(v: float, d: float) -> float:
-    """The smallest float g with g − d ≥ v (g − d rounded)."""
-    return math.nextafter(_edge(lambda g: g - d < v, v + d), math.inf)
-
-
-def _edge(ok, g: float) -> float:
-    """The largest float at which `ok` holds, for a predicate that holds at
-    −inf and up to some float and fails above it, and at inf.  Searched
-    from g: a few steps of one ulp, which find it when g is its rounded
-    estimate, then a galloping search over the floats in order."""
-    for _ in range(4):
-        if ok(g):
-            up = math.nextafter(g, math.inf)
-            if not ok(up):
-                return g
-            g = up
-        else:
-            g = math.nextafter(g, -math.inf)
-    lo = hi = _key(g)  # find keys lo < hi with ok at lo and not at hi
-    step = 1
-    if ok(g):
-        while ok(_unkey(hi)):
-            lo, hi, step = hi, min(hi + step, _INF_KEY), 2 * step
-    else:
-        while not ok(_unkey(lo)):
-            hi, lo, step = lo, max(lo - step, -_INF_KEY), 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ok(_unkey(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return _unkey(lo)
-
-
-def _key(x: float) -> int:
-    """An integer that orders the floats as their values (±0 give 0)."""
-    (bits,) = struct.unpack("<q", struct.pack("<d", x))
-    return bits if bits >= 0 else -(bits & 0x7FFFFFFFFFFFFFFF)
-
-
-def _unkey(key: int) -> float:
-    """The float of a ``_key``."""
-    return struct.unpack("<d", struct.pack("<q", key if key >= 0 else -key | -(1 << 63)))[0]
-
-
-_INF_KEY = _key(math.inf)
+            return xs, None
+        es = array("d")  # μ = a − a·e, e = exp(−b·x) floored at 1e-300
+        add_e, exp, r = es.append, math.exp, -b
+        for _ in range(limit):
+            e = exp(r * x)
+            if e < 1e-300:
+                e = 1e-300
+            x1 = x + h * (w - (a - a * e))
+            if not 0.0 <= x1 <= 1e300 or x1 == x:
+                break
+            add(x1)
+            add_e(e)
+            x = x1
+        return xs, es
 
 
 def _classify(prev_sets: frozenset | None, new_sets: frozenset, split: bool) -> str:
@@ -1385,15 +1236,15 @@ def integrate_fluid(
 
     A step depends on nothing but the workload vector, so it is computed
     incrementally from the previous one where that gives the same bits, and
-    a stretch of steps that keep their routing steps only the backends that
-    move, and a stretch of steps whose tie pattern and trees hold steps the
-    moving tiers in blocks (see the module docstring).  Once the workload
-    vector repeats an earlier row bit for bit, the run continues the orbit
-    by copying: every later row, event and boundary clamp repeats the one a
-    period before it, at its own time (events at q·h, clamps at q·h + h),
-    exactly as computing it would.  Copied rows add nothing to ``stats``,
-    and neither do held steps or tier blocks, which count no witness or
-    flow.  Recorded events build their ``tiers`` when it is first read.
+    a stretch of steps that keep their routing, or whose tie pattern and
+    trees hold, steps only the backends that move, in blocks (see the module
+    docstring).  Once the workload vector repeats an earlier row bit for
+    bit, the run continues the orbit by copying: every later row, event and
+    boundary clamp repeats the one a period before it, at its own time
+    (events at q·h, clamps at q·h + h), exactly as computing it would.
+    Copied rows add nothing to ``stats``, and neither do blocks, which count
+    no witness or flow.  Recorded events build their ``tiers`` when it is
+    first read.
 
     An event is recorded at every change of the tie pattern, however soon
     it changes back.  Under strict argmax a frontend whose two best
@@ -1524,14 +1375,8 @@ def integrate_fluid(
             if idle:  # the last blocks took one row or none: try later
                 idle -= 1
             elif limit > 0:
-                if held:
-                    # a row can repeat the checkpoint only if the others do already
-                    orbit = all(n[j] == ckpt[j] for j in range(nb) if not dirty >> j & 1)
-                    taken = k.held_rows(states, n, dirty, h, limit, ckpt if orbit else None)
-                    uses[-1] += taken
-                else:
-                    taken, dirty = k.tier_rows((states, inflows, routings, uses), n, dirty, h,
-                                               limit, ckpt)
+                taken, dirty = k.tier_rows((states, inflows, routings, uses), n, dirty, h,
+                                           limit, ckpt, bool(held))
                 step_no += taken
                 if taken > 1:
                     backoff = 0

@@ -478,17 +478,17 @@ def test_a_frozen_stretch_stops_before_a_clamp(mode):
 
 @pytest.mark.parametrize("mode", ["sliding", "strict-argmax"])
 def test_orbits_that_frozen_stretches_enter_are_copied(mode, monkeypatch):
-    computed = [0]  # rows the kernel steps or a frozen stretch computes
+    computed = [0]  # rows the kernel steps or a block computes
 
     def counting(method):
         def wrapped(self, *args):
             out = method(self, *args)
-            computed[0] += out if method is held_rows else 1
+            computed[0] += out[0] if method is tier_rows else 1
             return out
         return wrapped
 
-    held_rows = fluid_dyn._Kernel.held_rows
-    for name in ("sliding_step", "argmax_step", "held_rows"):
+    tier_rows = fluid_dyn._Kernel.tier_rows
+    for name in ("sliding_step", "argmax_step", "tier_rows"):
         monkeypatch.setattr(fluid_dyn._Kernel, name, counting(getattr(fluid_dyn._Kernel, name)))
     runs = [
         # b2's drain ends at a fixed point, x = 4.4e-323, in a frozen stretch
@@ -511,27 +511,30 @@ def test_orbits_that_frozen_stretches_enter_are_copied(mode, monkeypatch):
 
 
 def _record_blocks(monkeypatch) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Wrap the kernel's steps, held blocks and tier blocks.  The returned
-    lists fill with the first and last row of each held block and of each
-    tier block of the next run."""
+    """Wrap the kernel's steps and its block driver.  The returned lists fill
+    with the first and last row of each held block and of each tier block of
+    the next run."""
     held: list[tuple[int, int]] = []
     tier: list[tuple[int, int]] = []
     row = [0]  # the row the next step or block starts at
 
-    def counting(method, blocks):
+    def stepping(method):
         def wrapped(self, *args):
-            out = method(self, *args)
-            rows = 1 if blocks is None else out if blocks is held else out[0]
-            if blocks is not None and rows:
-                blocks.append((row[0], row[0] + rows - 1))
-            row[0] += rows
-            return out
+            row[0] += 1
+            return method(self, *args)
         return wrapped
 
-    for name, blocks in (("sliding_step", None), ("argmax_step", None), ("held_rows", held),
-                         ("tier_rows", tier)):
-        method = getattr(fluid_dyn._Kernel, name)
-        monkeypatch.setattr(fluid_dyn._Kernel, name, counting(method, blocks))
+    def blocks(self, *args):
+        out = tier_rows(self, *args)
+        if out[0]:
+            (held if args[-1] else tier).append((row[0], row[0] + out[0] - 1))
+        row[0] += out[0]
+        return out
+
+    tier_rows = fluid_dyn._Kernel.tier_rows
+    for name in ("sliding_step", "argmax_step"):
+        monkeypatch.setattr(fluid_dyn._Kernel, name, stepping(getattr(fluid_dyn._Kernel, name)))
+    monkeypatch.setattr(fluid_dyn._Kernel, "tier_rows", blocks)
     return held, tier
 
 
@@ -615,9 +618,9 @@ def test_a_held_stretch_stops_before_the_row_that_repeats_the_checkpoint(mode, m
 def test_held_stretches_of_gradients_that_move_together(monkeypatch):
     # fig1 from all ones under strict argmax: b1 and b5 drain side by side,
     # b1's gradient a little below b5's, so f4's argmax holds only while b1
-    # stays below b5.  Windows on each gradient alone hold for one row at a
-    # time there, so held stretches take one row and leave the next to the
-    # kernel, until the slide at row 3445; then they run to the end
+    # stays below b5.  Bounds on each gradient alone would hold for one row
+    # at a time there; the rows' own masks and argmaxes hold the held blocks
+    # up to the slide at row 3445, and then to the end
     blocks, _ = _record_blocks(monkeypatch)
     sys = fig1_system()
     cfg = IntegratorConfig(mode="strict-argmax")
@@ -626,7 +629,7 @@ def test_held_stretches_of_gradients_that_move_together(monkeypatch):
     assert trajectory_digest(traj) == (
         "4ce511ef9368aecf6fc79b7cc73bdbc5b656ef23e3fdf387ff3fa7de244894e3")
     assert [(round(ev.time / cfg.h), ev.kind) for ev in traj.events][-1] == (3445, "slide")
-    assert sum(first == last for first, last in blocks) > 40
+    assert len(traj) - sum(last - first + 1 for first, last in blocks) <= 40  # kernel rows
     assert blocks[-1] == (32769, 49999)
     _assert_rows_match_one_step_runs(
         sys, traj, cfg, [*range(0, 3500, 11), *range(3430, 3460), *range(32760, 32775), 50000])
@@ -720,7 +723,7 @@ def test_tier_block_rows_read_inflow_dust_as_the_kernel_does():
     k = fluid_dyn._Kernel(sys, cfg)
     k.sliding_step(n[:], k.every, 0.0)
     assert k.clean and -1e-12 <= k.vbuf[1] + k.mu[1] < 0.0 == k.wbuf[1]
-    block = fluid_dyn._TierBlock(k, k.pattern, k.every)
+    block = fluid_dyn._TierBlock(k, k.pattern, k.every, False)
     good, *_, w, x_rows = block.rows(k, np.array([[n[j] for j in block.movers]]),
                                      np.empty((1, 0)))
     one = integrate_fluid(sys, n, cfg.h, cfg)
@@ -773,7 +776,7 @@ def test_tier_block_rows_are_what_stepping_gives(run, monkeypatch):
 
 
 @st.composite
-def _window_cases(draw):
+def _gradient_cases(draw):
     nb, nf = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     band = draw(st.sampled_from([1e-3, 0.05, 0.3]))
     edges = [(f"f{i}", f"b{j}") for i in range(nf)
@@ -792,66 +795,72 @@ def _window_cases(draw):
         else:
             grads.append(draw(st.floats(0.0, 2.0)))
     movers = draw(st.integers(1, 2**nb - 1))
-    rise = draw(st.integers(0, 2**nb - 1)) & movers
-    pace = [draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.1])) for _ in range(nb)]
-    span = draw(st.sampled_from([1, 64, 10**5]))
-    # the movers' gradients somewhere else: a step of about the band
-    other = [g + draw(st.floats(-2 * band, 2 * band)) if movers >> j & 1 else g
-             for j, g in enumerate(grads)]
-    return sys, band, grads, movers, rise, pace, span, draw(st.booleans()), other
+    # the movers' gradients in a span of rows: each one kept, a few ulps
+    # away, at another's or another's ± band, or a step of about the band away
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = []
+        for j in range(nb):
+            if movers >> j & 1:
+                g, how = grads[j], draw(st.sampled_from(["keep", "ulps", "tie", "band"]))
+                if how == "tie":
+                    g = draw(st.sampled_from(grads)) + draw(st.sampled_from([0.0, band, -band]))
+                if how in ("ulps", "tie"):
+                    for _ in range(draw(st.integers(how == "ulps", 3))):
+                        g = math.nextafter(g, draw(st.sampled_from([math.inf, -math.inf])))
+                elif how == "band":
+                    g += draw(st.floats(-2 * band, 2 * band))
+                row.append(g)
+        rows.append(row)
+    return sys, band, grads, movers, draw(st.booleans()), rows
 
 
 def _argmaxes(neighbors, grads) -> list[int]:
     return [max(nbrs, key=lambda j: (grads[j], -j)) for nbrs in neighbors]
 
 
-@settings(max_examples=400, deadline=None)
-@given(_window_cases())
-def test_gradient_windows_keep_every_mask_and_argmax(case):
-    # every corner of the box of windows (a mask or argmax condition is a
-    # pairwise comparison, so its worst case is a corner) keeps the masks
-    # and, under strict argmax, the argmax of each frontend next to a mover;
-    # ``holds`` tells whether gradients elsewhere keep them
-    sys, band, grads, movers, rise, pace, span, strict, other = case
-    k = fluid_dyn._Kernel(sys, IntegratorConfig(tie_band=band,
-                                                mode="strict-argmax" if strict else "sliding"))
-    k.masks = tie_masks(k.neighbors, grads, band)
-    k.best = _argmaxes(k.neighbors, grads) if strict else None
-    fronts = [i for i, nbrs in enumerate(k.neighbors) if any(movers >> j & 1 for j in nbrs)]
+def test_keeps_finds_the_first_row_that_changes_a_mask_or_an_argmax():
+    passed = []  # the pretest's verdict on each example
+    # b1, out of f0's band, reaches its cut 1 − band exactly (it joins the
+    # band); and b1 at the cut stays in the band
+    pair = make_system([("f0", 0.1)], [("b0", hill(1.0, 1.0)), ("b1", hill(1.0, 1.0))],
+                       [("f0", "b0"), ("f0", "b1")])
 
-    def keeps(at) -> bool:
-        masks, best = tie_masks(k.neighbors, at, band), _argmaxes(k.neighbors, at)
-        return all(masks[i] == k.masks[i] and (not strict or best[i] == k.best[i])
-                   for i in fronts)
+    @settings(max_examples=400, deadline=None)
+    @given(_gradient_cases())
+    @example((pair, 0.05, [1.0, 0.5], 0b10, False, [[0.9], [1.0 - 0.05]]))
+    @example((pair, 0.05, [1.0, 1.0 - 0.05], 0b10, True, [[1.0 - 0.05], [1.0]]))
+    def check(case):
+        # the first row at which a frontend next to a mover changes its mask
+        # (tie_masks) or, under strict argmax, its argmax (a scalar argmax,
+        # lowest index on ties); a pretest that passes must find no such row
+        sys, band, grads, movers, strict, rows = case
+        k = fluid_dyn._Kernel(sys, IntegratorConfig(
+            tie_band=band, mode="strict-argmax" if strict else "sliding"))
+        k.g = list(grads)
+        k.masks = tie_masks(k.neighbors, grads, band)
+        k.best = _argmaxes(k.neighbors, grads) if strict else None
+        block = fluid_dyn._TierBlock(k, k.pattern_for(k.masks), movers, True)
+        fronts = [i for i, nbrs in enumerate(k.neighbors) if any(movers >> j & 1 for j in nbrs)]
 
-    assert k.holds(fronts, grads)
-    assert k.holds(fronts, other) == keeps(other)
-    lo, hi = k.windows(rise, movers & ~rise, fronts, grads, pace, span)
-    moving = [j for j in range(len(grads)) if movers >> j & 1]
-    for j, g in enumerate(grads):
-        assert lo[j] <= g <= hi[j]
-        if j not in moving:
-            assert lo[j] == g == hi[j]
-        elif rise >> j & 1:
-            assert lo[j] == g
-        else:
-            assert hi[j] == g
-    for corner in itertools.product(*[(lo[j], hi[j]) for j in moving]):
-        at = list(grads)
-        for j, g in zip(moving, corner):
-            at[j] = min(max(g, -1e300), 1e300)
-        assert keeps(at), (corner, lo, hi)
+        def keeps(row) -> bool:
+            at = list(grads)
+            for j, g in zip(block.movers, row):
+                at[j] = g
+            masks, best = tie_masks(k.neighbors, at, band), _argmaxes(k.neighbors, at)
+            return all(masks[i] == k.masks[i] and (not strict or best[i] == k.best[i])
+                       for i in fronts)
 
+        first = next((r for r, row in enumerate(rows) if not keeps(row)), len(rows))
+        g = np.array(rows)
+        assert block.keeps(k, g) == first
+        passed.append(block.pretest(k, g))
+        if passed[-1]:
+            assert first == len(rows)
 
-@given(st.floats(-4.0, 4.0), st.sampled_from([0.0, 1e-3, 0.05, 0.3]),
-       st.sampled_from([0.0, 1e-300, 1e-20, 1e-9]))
-def test_the_band_inverses_are_exact(v, d, nudge):
-    # near v = −d, g − d rounds to v for g across very many floats below d
-    for v in (v, nudge - d):
-        g = fluid_dyn._below(v, d)
-        assert g - d <= v < math.nextafter(g, math.inf) - d
-        g = fluid_dyn._above(v, d)
-        assert g - d >= v > math.nextafter(g, -math.inf) - d
+    check()
+    # both of keeps' paths ran: the pretest alone, and the rows one by one
+    assert any(passed) and not all(passed)
 
 
 _ARRAYS = ("times", "states", "inflows", "routings")
@@ -924,7 +933,8 @@ def test_incremental_steps_match_one_step_runs(monkeypatch):
 
     def counting(self, *args):
         out = tier_rows(self, *args)
-        block_rows[0] += out[0]
+        if not args[-1]:  # a tier block, not a held one
+            block_rows[0] += out[0]
         return out
 
     monkeypatch.setattr(fluid_dyn._Kernel, "tier_rows", counting)
