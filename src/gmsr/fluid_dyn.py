@@ -72,17 +72,33 @@ changing a single output bit:
   1/μ″, the implied inflows with their clip, and the pattern tree's
   elimination and normalization.  A block ends before the first row whose
   masks or argmax change, whose implied inflow lies below -1e-12 or whose
-  tree flow lies below -1e-9, ahead of a row equal to the Brent checkpoint
-  row, and ahead of the next checkpoint row (below); the row after it goes
+  tree flow lies below -1e-9, ahead of a row equal to the checkpoint row,
+  and ahead of the next power-of-two row (below); the row after it goes
   back to the kernel.  A held block records states only.  A block that
   takes one row or none (an argmax that flips every step or two, say)
   makes the next attempts wait, up to 63 kept steps.
-* Exact orbits.  A Brent checkpoint (R. P. Brent, BIT 20, 1980) holds the
-  workload vector at power-of-two rows.  Once a row repeats an earlier one
-  bit for bit with period P (P = 1 is a fixed point, caught at once), every
-  later row, event and boundary clamp is a copy of the one P rows before
-  it, with its own time.  Only the first repeated row's event depends on
-  the row before it; it is found by replaying the earlier row's pattern.
+* Exact orbits.  A checkpoint, as in Brent's cycle finder (R. P. Brent,
+  BIT 20, 1980), holds the workload vector of one row.  It moves on at
+  marks every 2^(k−3) rows in [2^k, 2^(k+1)), eight to an octave: to the
+  first row at or past the next mark that the loop steps itself (each
+  power-of-two row is one).  Once a row repeats the checkpoint bit for
+  bit with period P (P = 1 is a fixed point, caught at once), every later
+  row, event and boundary clamp is a copy of the one P rows before it,
+  with its own time.  Only the first repeated row's event depends on the
+  row before it; it is found by replaying the checkpoint row's pattern.
+  An orbit is found one period after a checkpoint inside it whose next
+  mark lies at least P rows on: acceptance system 0 under strict argmax
+  enters a period-253 orbit at row 20,487 and is found at row 22,781, not
+  33,021 as with power-of-two checkpoints alone.  An orbit entered at row
+  s whose period is more than s/8 waits for an octave whose marks lie P
+  apart: it is found by row 17·P, where power-of-two checkpoints alone
+  found it by row 2·max(s, P) + P.
+
+The recording stores each row once; the rows of an orbit's later periods
+are copied into the recording's own buffers, grown to their full length,
+and the arrays returned are views on them.  The events and clamps of those
+periods are not stored: ``events`` and ``boundary_events`` are then
+immutable sequences that build each copy when it is read.
 
 A tier-change event keeps the tier groups of the tie pattern and the
 gradient row it was seen at, and builds its ``TierPartition`` only when
@@ -119,7 +135,9 @@ demand trees' schedules are cached with the tier, and
 from __future__ import annotations
 
 import math
+import operator
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -142,6 +160,10 @@ __all__ = [
 
 _MODES = ("sliding", "strict-argmax")
 _MAX_STEPS = 10**8  # round(horizon / h) above this is refused before recording
+# checkpoint marks per octave of rows, as a power of two: every 2^(k−3) rows
+# in [2^k, 2^(k+1)) (see the module docstring's exact orbits)
+_CKPT_SHIFT = 3
+_GROW = 1 << 16  # doubles added to a recording at a time when it is tiled in place
 
 
 class IntegrationError(RuntimeError):
@@ -214,6 +236,72 @@ def _lazy_event(time: float, kind: str, tiers: tuple) -> TierEvent:
     return ev
 
 
+class _Tiled(Sequence):
+    """The events or the boundary clamps of a run that ends in an exact
+    orbit: the recorded ones (`head`), then copies of the orbit's
+    `templates`, (row, item) pairs of its first period in row order (not
+    empty; all events or all clamps), at the rows q = row + m·period ≤ last
+    (m = 1, 2, ...), in row order.  A copy is built when it is read: a
+    TierEvent at q·h with its template's kind and current tiers entry (the
+    integrator's triple, or the partition once it is built), or a clamp
+    (q·h + h, backend id).  Immutable; a slice is a tuple, and ==, hash and
+    repr are those of the tuple of the items."""
+
+    __slots__ = ("_head", "_templates", "_period", "_last", "_h", "_len")
+
+    def __init__(self, head: tuple, templates: tuple, period: int, last: int, h: float):
+        self._head, self._templates = head, templates
+        self._period, self._last, self._h = period, last, h
+        self._len = len(head) + sum((last - row) // period for row, _ in templates)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(self._len))))
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("index out of range")
+        head = self._head
+        if i < len(head):
+            return head[i]
+        # every period but the last holds a copy of each template
+        m, j = divmod(i - len(head), len(self._templates))
+        row, item = self._templates[j]
+        q, h = row + (m + 1) * self._period, self._h
+        if type(item) is tuple:  # a clamp, recorded at the time after its row
+            return (q * h + h, item[1])
+        return _lazy_event(q * h, item.kind, item.__dict__["tiers"])
+
+    def __iter__(self):
+        yield from self._head
+        templates, period, last, h = self._templates, self._period, self._last, self._h
+        clamps = type(templates[0][1]) is tuple
+        shift = period
+        while True:
+            for row, item in templates:
+                q = row + shift
+                if q > last:
+                    return
+                yield ((q * h + h, item[1]) if clamps
+                       else _lazy_event(q * h, item.kind, item.__dict__["tiers"]))
+            shift += period
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Tiled)):
+            return NotImplemented
+        return len(self) == len(other) and all(a is b or a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class KernelStats:
     """Work the sliding kernel did on one run, counted over computed steps
@@ -250,21 +338,30 @@ class FluidTrajectory:
 
     states[k], routings[k] and inflows[k] describe the same instant t_k:
     the workload vector, the routing matrix the integrator realized there,
-    and the per-backend arrival inflows λ·x it induces.  boundary_events
-    lists (time, backend id) pairs where an Euler step undershot zero and
-    was clamped.  stats counts the kernel's work (see ``KernelStats``).
+    and the per-backend arrival inflows λ·x it induces.  events lists the
+    tier changes in time order, and boundary_events the (time, backend id)
+    pairs where an Euler step undershot zero and was clamped.  stats counts
+    the kernel's work (see ``KernelStats``).
 
     The arrays are writeable, C-contiguous, and hold one row per instant;
-    two runs share no memory.  ``integrate_fluid`` may return them as views
-    on its own recording (``base`` is then not None) rather than copies.
+    two runs share no memory.  ``integrate_fluid`` returns states, routings
+    and inflows as views on its own recording (``base`` is not None) rather
+    than copies.
+
+    events and boundary_events are immutable sequences: tuples, or, for a
+    run that ends in an exact orbit, sequences that build the orbit's
+    copied events and clamps each time they are read.  They support len,
+    indexing (a slice is a tuple), iteration, and ==, hash and repr as the
+    tuple of their items; they are not tuples, so ``+`` does not join them
+    with one (``(*traj.events, ...)`` does).
     """
 
     times: np.ndarray
     states: np.ndarray
     routings: np.ndarray
     inflows: np.ndarray
-    events: tuple[TierEvent, ...]
-    boundary_events: tuple[tuple[float, str], ...]
+    events: Sequence[TierEvent]
+    boundary_events: Sequence[tuple[float, str]]
     stats: KernelStats = KernelStats()
 
     def __len__(self) -> int:
@@ -1238,13 +1335,17 @@ def integrate_fluid(
     incrementally from the previous one where that gives the same bits, and
     a stretch of steps that keep their routing, or whose tie pattern and
     trees hold, steps only the backends that move, in blocks (see the module
-    docstring).  Once the workload vector repeats an earlier row bit for
-    bit, the run continues the orbit by copying: every later row, event and
-    boundary clamp repeats the one a period before it, at its own time
-    (events at q·h, clamps at q·h + h), exactly as computing it would.
-    Copied rows add nothing to ``stats``, and neither do blocks, which count
-    no witness or flow.  Recorded events build their ``tiers`` when it is
-    first read.
+    docstring).  Once the workload vector repeats a checkpoint row bit for
+    bit (checkpoints sit eight to an octave of rows, see the module
+    docstring), the run continues the orbit by copying: every later row,
+    event and boundary clamp repeats the one a period before it, at its own
+    time (events at q·h, clamps at q·h + h), exactly as computing it would.
+    The rows are copied into the returned arrays; the events and clamps are
+    built when they are read, so ``events`` and ``boundary_events`` are then
+    sequences of their own (see ``FluidTrajectory``), and a copied event
+    takes its template's tiers, built or not.  Copied rows add nothing to
+    ``stats``, and neither do blocks, which count no witness or flow.
+    Recorded events build their ``tiers`` when it is first read.
 
     An event is recorded at every change of the tie pattern, however soon
     it changes back.  Under strict argmax a frontend whose two best
@@ -1289,11 +1390,10 @@ def integrate_fluid(
     bits, members = k.bits, k.members
     dirty = k.every  # backends whose workload changed bits: all, at first
     clamped = 0  # backends the last update clamped
-    # Brent checkpoint: the workload row at power-of-two index ckpt_row; once
-    # that row is computed, its (pattern, split, gradients) and the lengths
-    # of events and boundary before its update
-    ckpt_row, ckpt = 0, n[:]
-    ckpt_bytes = array("d", n).tobytes()
+    # checkpoint: the workload row ckpt_row, the first row the loop steps
+    # itself at or past the mark next_ckpt, with its (pattern, split,
+    # gradients) and the lengths of events and boundary before its update
+    next_ckpt = 0
     period = 0  # set once the workload row repeats an earlier one
     idle = backoff = 0  # blocks to skip, and how many to skip after the next empty one
 
@@ -1327,9 +1427,13 @@ def integrate_fluid(
             uses.append(1)
         else:
             uses[-1] += 1
-        if step_no == ckpt_row:
+        if step_no >= next_ckpt:
+            ckpt_row, ckpt = step_no, n[:]
+            ckpt_bytes = array("d", n).tobytes()
             ckpt_marks = (len(events), len(boundary))
             ckpt_step = (used, split, g[:])
+            gap = 1 << max(0, step_no.bit_length() - 1 - _CKPT_SHIFT)
+            next_ckpt = step_no // gap * gap + gap
 
         if step_no == steps:
             break
@@ -1361,15 +1465,14 @@ def integrate_fluid(
         elif n == ckpt and array("d", n).tobytes() == ckpt_bytes:
             period, replay, marks = step_no - ckpt_row, ckpt_step, ckpt_marks
         elif not step_no & (step_no - 1):
-            ckpt_row, ckpt = step_no, n[:]
-            ckpt_bytes = array("d", n).tobytes()
+            pass  # the loop steps each power-of-two row itself, a checkpoint
         elif not clamped and (held and not dirty & ~held or held is None and k.clean
                               and dirty & ~k.pattern.single):
             # the step kept its rows, so the next steps may keep them too and
             # move only the same backends; or it solved its pattern outright
             # (only sliding steps do) and moved a tier of several backends,
             # which the next steps may solve outright too: record those rows
-            # at once, up to the row before the next checkpoint row (or the
+            # at once, up to the row before the next power-of-two row (or the
             # last row)
             limit = min(steps + 1, 1 << step_no.bit_length()) - 1 - step_no
             if idle:  # the last blocks took one row or none: try later
@@ -1384,19 +1487,17 @@ def integrate_fluid(
                     idle = backoff = min(2 * backoff + 1, 63)
 
     rows = len(states) // nb
+    events, boundary = tuple(events), tuple(boundary)
     if rows <= steps:
         # rows `rows`.. repeat the rows `period` before them, and so do the
-        # events and clamps recorded since the first row of the orbit
-        events.extend(
-            _lazy_event(q * h, ev.kind, ev.__dict__["tiers"])
-            for q, ev in _tile(events[marks[0]:], lambda ev: round(ev.time / h),
-                               period, steps)
-        )
-        boundary.extend(
-            (q * h + h, bid)
-            for q, (_, bid) in _tile(boundary[marks[1]:], lambda b: round(b[0] / h) - 1,
-                                     period, steps - 1)
-        )
+        # events and clamps recorded since the first row of the orbit: their
+        # copies are built when they are read
+        templates = tuple((round(ev.time / h), ev) for ev in events[marks[0]:])
+        if templates:
+            events = _Tiled(events, templates, period, steps, h)
+        templates = tuple((round(b[0] / h) - 1, b) for b in boundary[marks[1]:])
+        if templates:
+            boundary = _Tiled(boundary, templates, period, steps - 1, h)
     index = None  # the row of inflows and routings that each recorded row has
     if len(uses) < rows:
         index = np.repeat(np.arange(len(uses), dtype=np.intp), np.frombuffer(uses, dtype=np.int64))
@@ -1412,41 +1513,34 @@ def integrate_fluid(
         states=states,
         routings=routings,
         inflows=inflows,
-        events=tuple(events),
-        boundary_events=tuple(boundary),
+        events=events,
+        boundary_events=boundary,
         stats=k.stats(),
     )
 
 
-def _tile(templates: list, row_of, period: int, last: int):
-    """(q, item) for q = row_of(item) + m·period, m = 1, 2, ..., while q ≤ last,
-    in row order (templates are in row order and span less than a period)."""
-    if not templates:
-        return
-    rows = [row_of(item) for item in templates]
-    shift = period
-    while True:
-        for row, item in zip(rows, templates):
-            q = row + shift
-            if q > last:
-                return
-            yield q, item
-        shift += period
-
-
 def _tile_rows(buf: array, index: np.ndarray | None, rows: int, total: int,
                shape: tuple[int, ...], period: int) -> np.ndarray:
-    """`total` rows: the `rows` recorded ones (buf's rows, or buf's rows by
-    index), then rows that repeat the row `period` before them, copied in
-    doubling blocks.  With no index and nothing to repeat, a view on buf."""
-    recorded = np.frombuffer(buf, dtype=float).reshape((-1, *shape))
-    if index is None and rows == total:
-        return recorded
-    out = np.empty((total, *shape))
-    if index is None:
-        out[:rows] = recorded
-    else:  # mode="clip" writes straight into out; "raise" would buffer it
-        recorded.take(index, axis=0, out=out[:rows], mode="clip")
+    """`total` rows as a view on buf: the `rows` recorded ones (buf's rows,
+    or buf's rows by index), then rows that repeat the row `period` before
+    them, copied in doubling blocks.  buf grows to `total` rows in parts of
+    at most _GROW doubles, and its rows are spread by index and tiled in
+    place, so no second copy of them is made."""
+    width = math.prod(shape)
+    missing = total * width - len(buf)
+    zeros = memoryview(bytes(8 * min(missing, _GROW)))
+    while missing:
+        part = min(missing, _GROW)
+        buf.frombytes(zeros[:8 * part])
+        missing -= part
+    out = np.frombuffer(buf, dtype=float).reshape((total, *shape))
+    if index is not None:
+        # index[r] <= r and never falls, so filling from the last row down,
+        # a part at a time, overwrites no row that a lower one still reads
+        step = max(1, _GROW // width)
+        for hi in range(rows, 0, -step):
+            lo = max(0, hi - step)
+            out[lo:hi] = out.take(index[lo:hi], axis=0, mode="clip")
     start, filled = rows - period, rows
     while filled < total:
         span = min(filled - start, total - filled)  # a whole number of periods

@@ -97,6 +97,35 @@ def feasible_random_system(
             return found
 
 
+def acceptance_system(index: int) -> tuple[BipartiteSystem, np.ndarray]:
+    """System `index` of the acceptance battery (seed 424242) and its first
+    start."""
+    rng = np.random.default_rng(424242)
+    for _ in range(index + 1):
+        sys = feasible_random_system(rng)
+        starts = [rng.uniform(0.0, 10.0, size=len(sys.backends)) for _ in range(10)]
+    return sys, starts[0]
+
+
+def scenario_doc(sys: BipartiteSystem, n0, horizon: float, mode: str = "sliding") -> dict:
+    """A scenario document (the JSON that ``gmsr`` commands read) for sys
+    started at n0, with the default step and tie band.  JSON writes floats
+    by repr, so the scenario loads back bit for bit."""
+    def service(fn):
+        if fn.kind == "hill":
+            return {"kind": "hill", "cap": fn.cap, "half": fn.half}
+        return {"kind": "saturating-exponential", "cap": fn.cap, "rate": fn.rate}
+
+    return {
+        "frontends": [{"id": f.id, "lambda": f.lam} for f in sys.frontends],
+        "backends": [{"id": b.id, "service": service(b.service)} for b in sys.backends],
+        "edges": [list(e) for e in sys.edges],
+        "initial": {b: float(v) for b, v in zip(sys.backend_ids, n0)},
+        "horizon": horizon,
+        "integrator": {"mode": mode},
+    }
+
+
 def _halved_until_feasible(sys: BipartiteSystem) -> BipartiteSystem | None:
     """sys with its arrival rates halved, at most 19 times, until strictly feasible."""
     from gmsr.flownet import feasibility_check

@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from gmsr.cli import Scenario, ScenarioError, load_scenario, run_command
-from gmsr.fluid_dyn import integrate_fluid
+from gmsr.fluid_dyn import IntegratorConfig, integrate_fluid
 from gmsr.fluid_opt import solve_fluid_optimum
 from gmsr.stochastic import simulate
+
+from support import acceptance_system, scenario_doc
 
 SCENARIOS = Path(str(files("gmsr").joinpath("scenarios")))
 
@@ -279,6 +281,28 @@ def test_fluid_outputs(tmp_path, scenario_file):
                 assert bid in scn.system.backend_index
             for fid in filter(None, fpart.split(",")):
                 assert fid in scn.system.frontend_index
+
+
+def test_fluid_events_csv_holds_the_copied_events_of_an_orbit(tmp_path):
+    # acceptance system 0 under strict argmax chatters into a period-253
+    # orbit near row 20,487; integrate_fluid builds the events of its later
+    # periods when they are read, and events.csv holds every one of them
+    sys, n0 = acceptance_system(0)
+    scn_path = tmp_path / "chatter.json"
+    scn_path.write_text(json.dumps(scenario_doc(sys, n0, 40.0)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_command(["fluid", str(scn_path), "--mode", "strict-argmax", "--thin", "1000",
+                        "--out", str(out)]) == 0
+    with (out / "events.csv").open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "kind", "tiers"]
+    traj = integrate_fluid(sys, n0, 40.0, IntegratorConfig(mode="strict-argmax"))
+    assert len(traj.events) > 20000
+    assert rows[1:] == [
+        [repr(ev.time), ev.kind,
+         ";".join(",".join(t.frontends) + "|" + ",".join(t.backends) for t in ev.tiers)]
+        for ev in traj.events
+    ]
 
 
 # sha256 of what `gmsr fluid` and `gmsr certify` write on bundled scenarios,

@@ -2,6 +2,7 @@ import itertools
 import math
 import time
 import tracemalloc
+from collections.abc import Sequence
 from importlib.resources import files
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from gmsr.tiers import compute_tiers, tie_masks
 
 from support import (
     WIDE_TASKS,
+    acceptance_system,
     dynamics_digest,
     feasible_random_system,
     fig1_system,
@@ -292,9 +294,11 @@ def _orbit(states: np.ndarray, max_period: int = 1000) -> tuple[int, int] | None
 
 def _repeat_row(period: int, start: int) -> int:
     """The first row the integrator copies rather than computes, for an orbit
-    entered at `start`: the row after a fixed point, or one period after the
-    first Brent checkpoint (rows 1, 2, 4, ...) at or past both the start and
-    the period."""
+    entered at `start` that no checkpoint mark between powers of two finds
+    (blocks run across the marks, say): the row after a fixed point, or one
+    period after the first power-of-two row at or past both the start and
+    the period.  The integrator steps each power-of-two row itself and takes
+    it as its checkpoint, so copying starts there at the latest."""
     if period == 1:
         return start + 1
     return (1 << (max(start, period) - 1).bit_length()) + period
@@ -326,24 +330,19 @@ def _assert_rows_match_one_step_runs(sys, traj, cfg, rows):
         assert [b for _, b in one.boundary_events] == clamps.get(k * h + h, []), k
 
 
-def _acceptance_system(index: int):
-    """System `index` of the acceptance battery (seed 424242), first start."""
-    rng = np.random.default_rng(424242)
-    for _ in range(index + 1):
-        sys = feasible_random_system(rng)
-        starts = [rng.uniform(0.0, 10.0, size=len(sys.backends)) for _ in range(10)]
-    return sys, starts[0]
-
-
 def test_exact_orbit_is_continued_as_stepping_would():
     # acceptance system 0 under strict argmax enters an exact period-253 orbit
-    sys, n0 = _acceptance_system(0)
+    sys, n0 = acceptance_system(0)
     cfg = IntegratorConfig(mode="strict-argmax")
     traj = integrate_fluid(sys, n0, 200.0, cfg)
     last = len(traj) - 1
     period, start = _orbit(traj.states)
     assert period == 253 and 15000 < start < 25000
-    repeat = _repeat_row(period, start)
+    # copying starts one period after the checkpoint at row 22,528, a mark
+    # (every 2^11 rows in [2^14, 2^15)) that the kernel steps itself, not
+    # one period after row 32,768
+    repeat = 22528 + period
+    assert start < repeat - period and repeat < _repeat_row(period, start)
     rows = [1, start - 2, start - 1, start, start + 1, start + period,
             *range(repeat - 3, repeat + period + 3), (repeat + last) // 2,
             *range(last - period - 1, last + 1), *range(0, last, 997)]
@@ -365,7 +364,7 @@ def test_exact_orbit_is_continued_as_stepping_would():
 @pytest.mark.parametrize("mode", ["sliding", "strict-argmax"])
 def test_partly_frozen_steps_are_what_stepping_gives(mode):
     # acceptance system 4 drains b1 forever while b2 and b3 freeze bit for bit
-    sys, n0 = _acceptance_system(4)
+    sys, n0 = acceptance_system(4)
     cfg = IntegratorConfig(mode=mode)
     traj = integrate_fluid(sys, n0, 40.0, cfg)
     bits = traj.states.view(np.int64)
@@ -766,7 +765,7 @@ def test_tier_block_rows_are_what_stepping_gives(run, monkeypatch):
     if run == "n_model":
         sys, n0, horizon = _n_model_04_06(), [0.0, 0.0], 50.0
     else:
-        sys, n0 = _acceptance_system(0)
+        sys, n0 = acceptance_system(0)
         horizon = 200.0
     cfg = IntegratorConfig()
     traj = integrate_fluid(sys, n0, horizon, cfg)
@@ -892,19 +891,22 @@ def test_returned_arrays_are_writeable_rows_of_their_own():
                 assert np.array_equal(arr[k + 1], after), (name, field, k)
 
 
-@pytest.mark.parametrize("mode", ["sliding", "strict-argmax", "overload_nmodel"])
+@pytest.mark.parametrize("mode", ["sliding", "strict-argmax", "overload_nmodel", "n_model"])
 def test_recording_peak_stays_near_the_returned_arrays(mode):
     # acceptance system 4 drains b1 for most of its 200k steps: its inflow
     # and routing rows are recorded once per change and taken by index, and
     # its states returned as the recording itself.  The bundled
     # overload_nmodel slides as one tier of two backends all along: tier
     # blocks write every row, and their temporaries are bounded by the
-    # block size, not by the horizon
-    if mode == "overload_nmodel":
+    # block size, not by the horizon.  The bundled n_model at H = 200
+    # reaches its fixed point at row 163,329: its recordings grow to the
+    # full length and are tiled in place, not copied
+    if mode in ("overload_nmodel", "n_model"):
         scn = load_scenario(Path(str(files("gmsr").joinpath("scenarios"))) / f"{mode}.json")
-        sys, n0, horizon, cfg = scn.system, scn.initial, 100.0, scn.integrator
+        horizon = 100.0 if mode == "overload_nmodel" else 200.0
+        sys, n0, cfg = scn.system, scn.initial, scn.integrator
     else:
-        sys, n0 = _acceptance_system(4)
+        sys, n0 = acceptance_system(4)
         horizon, cfg = 200.0, IntegratorConfig(mode=mode)
     tracemalloc.start()
     try:
@@ -966,15 +968,20 @@ def test_incremental_steps_match_one_step_runs(monkeypatch):
     assert block_rows[0] > 0
 
 
-def test_orbit_through_boundary_clamps_is_continued_with_its_clamps():
-    # two steep Hill backends (h·cap/half = 2) share one frontend: under
-    # strict argmax the backend left without inflow undershoots zero, so the
-    # run alternates (hλ, 0), (0, hλ) with a clamp at every step from t = 2h
-    sys = make_system(
+def _steep_pair():
+    """Two steep Hill backends (h·cap/half = 2 at h = 1e-3) that share one
+    frontend: under strict argmax the backend left without inflow undershoots
+    zero, so from (0, 0) the run alternates (hλ, 0), (0, hλ) with a clamp at
+    every step from t = 2h."""
+    return make_system(
         [("f1", 0.5)],
         [("b1", hill(2000.0, 1.0)), ("b2", hill(2000.0, 1.0))],
         [("f1", "b1"), ("f1", "b2")],
     )
+
+
+def test_orbit_through_boundary_clamps_is_continued_with_its_clamps():
+    sys = _steep_pair()
     cfg = IntegratorConfig(mode="strict-argmax")
     traj = integrate_fluid(sys, [0.0, 0.0], 1.0, cfg)
     last = len(traj) - 1
@@ -989,6 +996,76 @@ def test_orbit_through_boundary_clamps_is_continued_with_its_clamps():
     # platform's libm
     assert trajectory_digest(traj) == (
         "91c0980db51d3fee93a5755658f8322dfe148a1bf2b71dce3778b041c480140b")
+
+
+def test_orbit_tails_are_sequences_built_on_read(monkeypatch):
+    # acceptance system 0 under strict argmax enters its period-253 orbit
+    # near row 20,487.  A checkpoint every eighth of an octave finds it one
+    # period after a checkpoint near row 22,528; at powers of two only, the
+    # kernel stepped up to row 33,021 (28,610 argmax steps)
+    calls = [0]
+    argmax_step = fluid_dyn._Kernel.argmax_step
+
+    def counting(self, *args):
+        calls[0] += 1
+        return argmax_step(self, *args)
+
+    monkeypatch.setattr(fluid_dyn._Kernel, "argmax_step", counting)
+    sys, n0 = acceptance_system(0)
+    cfg = IntegratorConfig(mode="strict-argmax")
+    traj = integrate_fluid(sys, n0, 40.0, cfg)
+    assert calls[0] <= 20000
+    events = traj.events
+    assert isinstance(events, Sequence) and not isinstance(events, tuple)
+    items = tuple(events)
+    n = len(items)
+    assert len(events) == n > 20000
+    assert events[0] is items[0] and events[-n] is items[0]
+    assert events[-1] == items[-1] and events[n // 2] == items[n // 2]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            events[i]
+    for part in (slice(10, 20), slice(-1000, None, 7), slice(n - 3, n + 3),
+                 slice(None, None, -997), slice(n, None)):
+        got = events[part]
+        assert type(got) is tuple and got == items[part], part
+    # == against a tuple either way round, and against another run's tail
+    assert events == items and items == events
+    assert events != items[:-1] and items[:-1] != events and events != list(items)
+    assert events != (*items[:-1], items[0]) and (items[0], *items[1:]) == events
+    assert integrate_fluid(sys, n0, 40.0, cfg).events == events
+    assert hash(events) == hash(items)
+    assert repr(events) == repr(items)
+    # a copy is built at each read, equal to the one before, at its row's time
+    first, second = events[-1], events[-1]
+    assert first is not second and first == second
+    assert first.time == traj.times[round(first.time / cfg.h)]
+
+
+@pytest.mark.parametrize("run", ["chatter", "clamps"])
+def test_orbit_tails_add_no_memory_past_the_returned_arrays(run):
+    # acceptance system 0 chatters into its orbit near row 20,487 and
+    # records an event every 1.7 rows; the steep pair clamps at every row
+    # from row 1.  Copied events and clamps are built when they are read,
+    # so a longer run costs only its longer arrays
+    if run == "chatter":
+        sys, n0 = acceptance_system(0)
+    else:
+        sys, n0 = _steep_pair(), [0.0, 0.0]
+    cfg = IntegratorConfig(mode="strict-argmax")
+    peaks, sizes = [], []
+    for horizon in (100.0, 200.0):
+        tracemalloc.start()
+        try:
+            traj = integrate_fluid(sys, n0, horizon, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(traj.events) > horizon * 400
+        peaks.append(peak)
+        sizes.append(sum(getattr(traj, field).nbytes for field in _ARRAYS))
+        del traj
+    assert peaks[1] - peaks[0] <= sizes[1] - sizes[0] + 1e6, (peaks, sizes)
 
 
 def test_steps_that_reuse_tiers_count_the_tree_misses_of_a_full_step():
@@ -1033,13 +1110,16 @@ def test_step_budget_is_refused_before_recording():
 
 def test_lazy_event_tiers_match_compute_tiers():
     # battery system 0 of the acceptance suite chatters under strict argmax
+    # and enters its period-253 orbit near row 20,487: every recorded event
+    # is checked, and every 50th of the orbit's copies and the last
     rng = np.random.default_rng(424242)
     sys = feasible_random_system(rng)
     n0 = rng.uniform(0.0, 10.0, size=len(sys.backends))
     cfg = IntegratorConfig(mode="strict-argmax")
-    traj = integrate_fluid(sys, n0, 20.0, cfg)
-    assert len(traj.events) > 5000
-    for ev in traj.events:
+    traj = integrate_fluid(sys, n0, 40.0, cfg)
+    recorded = len(traj.events._head)
+    assert recorded > 5000 and len(traj.events) - recorded > 5000
+    for ev in [*traj.events[:recorded], *traj.events[recorded::50], traj.events[-1]]:
         k = int(round(ev.time / cfg.h))
         assert ev.time == traj.times[k]
         ref = compute_tiers(sys, sys.gradients_at(traj.states[k]), cfg.tie_band)
@@ -1048,7 +1128,7 @@ def test_lazy_event_tiers_match_compute_tiers():
         ]
         for got, want in zip(ev.tiers, ref):
             assert got.gradient == pytest.approx(want.gradient, rel=1e-12)
-    again = integrate_fluid(sys, n0, 20.0, cfg)
+    again = integrate_fluid(sys, n0, 40.0, cfg)
     assert again.events == traj.events
     assert hash(again.events) == hash(traj.events)
     assert repr(again.events[-1]) == repr(traj.events[-1])
