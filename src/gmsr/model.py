@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -318,24 +318,6 @@ def validate_system(sys: BipartiteSystem) -> list[str]:
         if i not in touched_b:
             report.append(f"backend {i!r} is isolated (no edges)")
     return report
-
-
-def as_workload(sys: BipartiteSystem, value: Mapping[str, float] | Sequence[float] | np.ndarray | float) -> np.ndarray:
-    """Coerce an id-keyed mapping / sequence / scalar to a workload array."""
-    nb = len(sys.backends)
-    if isinstance(value, Mapping):
-        out = np.zeros(nb)
-        for k, v in value.items():
-            if k not in sys.backend_index:
-                raise KeyError(f"unknown backend id {k!r}")
-            out[sys.backend_index[k]] = float(v)
-        return out
-    if np.isscalar(value):
-        return np.full(nb, float(value))
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (nb,):
-        raise ValueError(f"expected {nb} workload entries, got shape {arr.shape}")
-    return arr.copy()
 
 
 def validate_routing(sys: BipartiteSystem, x: np.ndarray, tol: float = 1e-12) -> list[str]:

@@ -90,8 +90,10 @@ def _check_args(sys: BipartiteSystem, grads: np.ndarray, tie_tol: float) -> list
     g = np.asarray(grads, dtype=float)
     if g.shape != (len(sys.backends),):
         raise ValueError(f"gradient vector has shape {g.shape}, expected ({len(sys.backends)},)")
-    if not tie_tol > 0:
-        raise ValueError("tie_tol must be positive")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gradient vector must be finite")
+    if not (math.isfinite(tie_tol) and tie_tol > 0):
+        raise ValueError(f"tie band must be positive and finite, got {tie_tol}")
     return g.tolist()
 
 

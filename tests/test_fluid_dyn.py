@@ -81,55 +81,71 @@ def test_routing_set_single_edge_frontend():
     assert sets == {"f1": frozenset({"b1"})}
 
 
+@pytest.mark.parametrize("band", [-1.0, 0.0, math.nan, math.inf])
+def test_one_state_entry_points_refuse_a_band_that_is_not_positive_and_finite(band):
+    for fn in (gmsr_routing_set, sliding_drift):
+        with pytest.raises(ValueError, match="tie band must be positive and finite"):
+            fn(_n_model_04_06(), [0.0, 0.0], band)
+
+
+@pytest.mark.parametrize("n", [[math.nan, 0.0], [math.inf, 0.0], [-1.0, 0.0], [0.0]])
+def test_one_state_entry_points_refuse_a_bad_workload_vector(n):
+    sys = _n_model_04_06()
+    with pytest.raises(ValueError, match="workload vector"):
+        gmsr_routing_set(sys, n, 1e-3)
+    with pytest.raises(ValueError, match="workload vector"):
+        sliding_drift(sys, n, 1e-3)
+    with pytest.raises(ValueError, match="workload vector"):
+        integrate_fluid(sys, n, 1.0)
+
+
 # -- sliding_drift ----------------------------------------------------------------
 
 
 def test_sliding_drift_single_backend_tier_absorbs_imbalance():
     sys = _single_pair(0.5)
     n = np.array([0.3 / 0.7])  # rate 0.3, so S = 0.2
-    part = compute_tiers(sys, sys.gradients_at(n), 1e-3)
-    v, x, feasible = sliding_drift(sys, n, part)
+    v, x, tiers = sliding_drift(sys, n, 1e-3)
     assert v[0] == pytest.approx(0.2, abs=1e-12)
     assert x[0, 0] == 1.0
-    assert feasible == (True,)
+    assert [(t.frontends, t.backends) for t in tiers] == [(("f1",), ("b1",))]
 
 
 def test_sliding_drift_zero_at_optimum():
     sys = _n_model_04_06()
     n = np.array([SQRT2, SQRT2])
-    part = compute_tiers(sys, sys.gradients_at(n), 1e-6)
-    assert len(part) == 1  # equal gradients merge everything
-    v, x, feasible = sliding_drift(sys, n, part)
+    v, x, tiers = sliding_drift(sys, n, 1e-6)
+    assert len(tiers) == 1  # equal gradients merge everything
     assert np.max(np.abs(v)) <= 1e-12
-    assert feasible == (True,)
     assert np.asarray(sys.lambdas) @ x == pytest.approx(sys.rates_at(n), abs=1e-9)
 
 
 def test_sliding_drift_symmetric_even_split():
     sys = _symmetric_pairbones()
-    n = np.zeros(2)
-    part = compute_tiers(sys, sys.gradients_at(n), 1e-9)
-    v, x, feasible = sliding_drift(sys, n, part)
+    v, x, tiers = sliding_drift(sys, np.zeros(2), 1e-9)
     assert v == pytest.approx([0.25, 0.25], abs=1e-12)
     assert x[0] == pytest.approx([0.5, 0.5], abs=1e-9)
-    assert feasible == (True,)
+    assert len(tiers) == 1
 
 
-def test_sliding_drift_flags_infeasible_tier():
+def test_sliding_drift_splits_an_infeasible_tier():
     # both gradients tie at N=0, but f1 can only reach b1 while the equalized
-    # drift would hand half of the total inflow to b2: no routing realizes it
+    # drift would hand half of the total inflow to b2: no routing realizes
+    # it, so the min cut splits the tier and each piece takes its own drift
     sys = make_system(
         frontends=[("f1", 0.9), ("f2", 0.1)],
         backends=[("b1", hill(3, 1)), ("b2", hill(3, 1))],
         edges=[("f1", "b1"), ("f2", "b1"), ("f2", "b2")],
     )
-    part = compute_tiers(sys, sys.gradients_at(np.zeros(2)), 1e-9)
-    assert len(part) == 1
-    v, x, feasible = sliding_drift(sys, np.zeros(2), part)
-    assert feasible == (False,)
-    assert v == pytest.approx([0.5, 0.5], abs=1e-12)  # drift is still reported
-    for i in range(2):  # fallback rows are valid one-hot routings
-        assert x[i].sum() == pytest.approx(1.0)
+    assert len(compute_tiers(sys, sys.gradients_at(np.zeros(2)), 1e-9)) == 1
+    v, x, tiers = sliding_drift(sys, np.zeros(2), 1e-9)
+    assert [(t.frontends, t.backends) for t in tiers] == [(("f1",), ("b1",)), (("f2",), ("b2",))]
+    assert v == pytest.approx([0.9, 0.1], abs=1e-12)
+    assert x.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    # the integrator's first event is that split, with the same tiers
+    traj = integrate_fluid(sys, np.zeros(2), 1e-3, IntegratorConfig(tie_band=1e-9))
+    assert traj.events[0].time == 0.0 and traj.events[0].kind == "split"
+    assert traj.events[0].tiers == tiers
 
 
 def test_sliding_drift_tier_drifts_share_sign():
@@ -137,9 +153,8 @@ def test_sliding_drift_tier_drifts_share_sign():
     for _ in range(40):
         sys = random_system(rng)
         n = rng.uniform(0.0, 5.0, size=len(sys.backends))
-        part = compute_tiers(sys, sys.gradients_at(n), 1e-3)
-        v, _, _ = sliding_drift(sys, n, part)
-        for tier in part:
+        v, _, tiers = sliding_drift(sys, n, 1e-3)
+        for tier in tiers:
             vals = [v[sys.backend_index[b]] for b in tier.backends]
             assert min(vals) >= -1e-12 or max(vals) <= 1e-12
 
@@ -1185,24 +1200,59 @@ def test_global_convergence_smoke():
             assert np.max(np.abs(traj.states[-1] - opt.n_star)) <= 1e-2
 
 
-def test_kernel_step_matches_public_sliding_drift():
-    rng = np.random.default_rng(777)
-    checked = 0
-    for _ in range(20):
-        sys = feasible_random_system(rng)
-        n = rng.uniform(0.0, 3.0, size=len(sys.backends))
-        part = compute_tiers(sys, sys.gradients_at(n), 1e-3)
-        v, _, feasible = sliding_drift(sys, n, part)
-        if not all(feasible):
-            continue
-        traj = integrate_fluid(sys, n, 1e-3)  # exactly one Euler step
-        if any(e.kind == "split" for e in traj.events):
-            continue
-        step = (traj.states[1] - traj.states[0]) / 1e-3
-        clamped = traj.states[1] == 0.0
-        assert np.allclose(step[~clamped], v[~clamped], atol=1e-9)
-        checked += 1
-    assert checked >= 10
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.sampled_from([1e-9, 1e-3, 0.05]),
+       st.booleans())
+def test_sliding_drift_meets_an_independent_oracle(n, seed, band, drained):
+    # the oracle reads the curves and the tie graph alone, never the kernel
+    sys, n0 = _random_square_start(n, seed)
+    if drained:
+        n0[::2] = 0.0
+    v, x, tiers = sliding_drift(sys, n0, band)
+    lam = np.asarray(sys.lambdas)
+    mu, grads, curv = sys.rates_at(n0), sys.gradients_at(n0), sys.curvatures_at(n0)
+    inflow = lam @ x
+    assert validate_routing(sys, x, tol=1e-9) == []
+    # the tiers partition the system, each inside one component of the tie graph
+    assert sorted(f for t in tiers for f in t.frontends) == sorted(sys.frontend_ids)
+    assert sorted(b for t in tiers for b in t.backends) == sorted(sys.backend_ids)
+    whole = compute_tiers(sys, grads, band)
+    scale = 1.0 + lam.sum() + mu.sum()
+    for tier in tiers:
+        home = whole.tier_of_backend(tier.backends[0])
+        assert all(whole.tier_of_backend(b) == home for b in tier.backends)
+        assert all(whole.tier_of_frontend(f) == home for f in tier.frontends)
+        fs = [sys.frontend_index[f] for f in tier.frontends]
+        bs = [sys.backend_index[b] for b in tier.backends]
+        assert v[bs].sum() == pytest.approx(lam[fs].sum() - mu[bs].sum(), abs=1e-9 * scale)
+        # equal d/dt μ′ across the tier, realized by the rows
+        speed = curv[bs] * v[bs]
+        assert np.ptp(speed) <= 1e-9 * (1.0 + np.abs(speed).max())
+        assert inflow[bs] == pytest.approx(v[bs] + mu[bs], abs=1e-8 * scale)
+        for i in fs:  # rows stay inside the tier, on band edges
+            top = max(grads[j] for j in sys.backends_of_frontend[i])
+            for j in np.flatnonzero(x[i]):
+                assert j in bs and grads[j] >= top - band - 1e-12
+    assert not _off_the_drift_kkt_point(sys, n0, inflow, x, band)
+
+
+def test_sliding_drift_is_the_first_step_of_integrate_fluid():
+    # 900 random starts; at 48 of them the first step splits a tier that
+    # cannot realize its equalized drift
+    h, band = 1e-3, 1e-3
+    splits = 0
+    for seed in range(300):
+        for n in (3, 4, 6):
+            sys, n0 = _random_square_start(n, seed)
+            v, x, tiers = sliding_drift(sys, n0, band)
+            traj = integrate_fluid(sys, n0, h, IntegratorConfig(h=h, tie_band=band))
+            assert np.array_equal(traj.routings[0], x)
+            step = n0 + h * v
+            assert np.array_equal(traj.states[1], np.where(step < 0.0, 0.0, step))
+            if traj.events and traj.events[0].time == 0.0:
+                splits += 1
+                assert traj.events[0].kind == "split" and traj.events[0].tiers == tiers
+    assert splits == 48
 
 
 def test_integration_speed():
@@ -1385,8 +1435,8 @@ def test_one_flow_verdict_and_cut_match_full_enumeration(case):
     fids, bids = sys.frontend_ids, sys.backend_ids
     tiers = [tier for tier in fluid_dyn._build_pattern(sys, tie).tiers if tier.f_idx]
     # two networks per tier: the one over every system edge inside it, which
-    # ``transportation_feasible`` (and so ``sliding_drift``) builds, and the
-    # kernel's one over the band edges alone
+    # ``transportation_feasible`` builds, and the kernel's one over the band
+    # edges alone
     for tier, masks in [(tier, masks) for tier in tiers for masks in (None, tie)]:
         band = None if masks is None else {
             (fids[i], bids[j]) for i in tier.f_idx for j in _tier_neighbours(sys, tier, i, masks)}
@@ -1590,12 +1640,18 @@ def test_wide_rows_after_each_witness_kind_match_one_step_runs(monkeypatch):
         _assert_rows_match_one_step_runs(sys, traj, IntegratorConfig(), rows)
 
 
-def _random_square_run(n: int, seed: int):
-    """A random feasible n×n system, a start in [0, 10]^n from the same
-    stream, and its default sliding run to T = 2."""
+def _random_square_start(n: int, seed: int):
+    """A random feasible n×n system and a start in [0, 10]^n from the same
+    stream."""
     rng = np.random.default_rng(seed)
     sys = square_feasible_system(rng, n)
-    n0 = rng.uniform(0.0, 10.0, size=n)
+    return sys, rng.uniform(0.0, 10.0, size=n)
+
+
+def _random_square_run(n: int, seed: int):
+    """A random square start (``_random_square_start``) and its default
+    sliding run to T = 2."""
+    sys, n0 = _random_square_start(n, seed)
     cfg = IntegratorConfig()
     return sys, integrate_fluid(sys, n0, 2.0, cfg), cfg
 
@@ -1615,31 +1671,34 @@ def test_v_does_not_rise_at_min_cut_split_rows_of_random_square_systems(n, seed)
     assert _split_rows_where_v_rises(sys, traj) == []
 
 
+def _off_the_drift_kkt_point(sys, n, inflow, x, tie_band) -> bool:
+    """Whether the inflows w = λ·x of routing x at workload n miss the KKT
+    condition of the sliding drift's QP: minimize Σ_b |μ″_b|(w_b − μ_b)²/2
+    over the inflows of routings on the band edges at n.  With
+    q_b = |μ″_b(N_b)|·(w_b − μ_b(N_b)), each frontend's edges that carry flow
+    (above 1e-8) must have the least q among its band edges, within
+    1e-6·(1 + max|q|)."""
+    q = np.abs(sys.curvatures_at(n)) * (inflow - sys.rates_at(n))
+    masks = tie_masks(sys.backends_of_frontend, sys.gradients_at(n).tolist(), tie_band)
+    tol = 1e-6 * (1.0 + np.abs(q).max())
+    for i, nbrs in enumerate(sys.backends_of_frontend):
+        lam = sys.lambdas[i]
+        if lam <= 0.0:
+            continue
+        band = min(q[j] for j in nbrs if masks[i] >> j & 1)
+        if any(q[j] > band + tol for j in nbrs if lam * x[i, j] > 1e-8):
+            return True
+    return False
+
+
 def _rows_off_the_drift_kkt_point(sys, traj, cfg) -> list[int]:
     """Sampled rows (every split row and every 97th) whose inflows miss the
-    KKT condition of the sliding drift's QP: minimize Σ_b |μ″_b|(w_b − μ_b)²/2
-    over the inflows w = λ·x of routings x on the row's band edges.  With
-    q_b = |μ″_b(N_b)|·(w_b − μ_b(N_b)), each frontend's edges that carry
-    flow (above 1e-8) must have the least q among its band edges, within
-    1e-6·(1 + max|q|)."""
+    drift QP's KKT condition (``_off_the_drift_kkt_point``)."""
     h = cfg.h
     rows = {int(round(ev.time / h)) for ev in traj.events if ev.kind == "split"}
     rows.update(range(0, len(traj), 97))
-    off = []
-    for k in sorted(rows):
-        n = traj.states[k]
-        q = np.abs(sys.curvatures_at(n)) * (traj.inflows[k] - sys.rates_at(n))
-        masks = tie_masks(sys.backends_of_frontend, sys.gradients_at(n).tolist(), cfg.tie_band)
-        tol = 1e-6 * (1.0 + np.abs(q).max())
-        for i, nbrs in enumerate(sys.backends_of_frontend):
-            lam = sys.lambdas[i]
-            if lam <= 0.0:
-                continue
-            band = min(q[j] for j in nbrs if masks[i] >> j & 1)
-            if any(q[j] > band + tol for j in nbrs if lam * traj.routings[k, i, j] > 1e-8):
-                off.append(k)
-                break
-    return off
+    return [k for k in sorted(rows) if _off_the_drift_kkt_point(
+        sys, traj.states[k], traj.inflows[k], traj.routings[k], cfg.tie_band)]
 
 
 @settings(max_examples=60, deadline=None)

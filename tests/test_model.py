@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from gmsr.model import (
     BipartiteSystem,
     SaturationError,
-    as_workload,
     hill,
     make_system,
     saturating_exponential,
@@ -254,15 +253,6 @@ def test_vectorized_rates_match_scalar():
         rtol=1e-15,
     )
     assert np.all(sys.curvatures_at(n) < 0)
-
-
-def test_as_workload_coercions():
-    sys = _n_model()
-    np.testing.assert_allclose(as_workload(sys, {"b2": 3.0}), [0.0, 3.0])
-    np.testing.assert_allclose(as_workload(sys, 1.5), [1.5, 1.5])
-    np.testing.assert_allclose(as_workload(sys, [1.0, 2.0]), [1.0, 2.0])
-    with pytest.raises(KeyError):
-        as_workload(sys, {"nope": 1.0})
 
 
 def test_validate_routing():

@@ -58,6 +58,21 @@ def test_best_backend_graph_dimension_mismatch():
         best_backend_graph(fig1_system(), np.ones(3), tie_tol=1e-9)
 
 
+@pytest.mark.parametrize("grads", [[np.nan, 1.0], [1.0, np.inf], [-np.inf, 1.0]])
+def test_compute_tiers_refuses_non_finite_gradients(grads):
+    # a NaN gradient ties with nothing: its frontend would form a tier with
+    # no backends
+    with pytest.raises(ValueError, match="gradient vector must be finite"):
+        compute_tiers(_two_pairs(), np.array(grads), tie_tol=1e-3)
+
+
+@pytest.mark.parametrize("tie_tol", [0.0, -1.0, np.nan, np.inf])
+def test_tier_functions_refuse_a_tie_tol_that_is_not_positive_and_finite(tie_tol):
+    for fn in (compute_tiers, best_backend_graph):
+        with pytest.raises(ValueError, match="tie band must be positive and finite"):
+            fn(_two_pairs(), np.array([0.5, 0.5]), tie_tol=tie_tol)
+
+
 # -- compute_tiers ---------------------------------------------------------------
 
 
