@@ -28,7 +28,6 @@ from gmsr.fluid_opt import (
     FluidOptimum,
     InfeasibleSystemError,
     OverloadEquilibrium,
-    brute_force_optimum,
     equilibrium_rates,
     kkt_residual,
     solve_fluid_optimum,
@@ -110,7 +109,6 @@ __all__ = [
     "FluidOptimum",
     "InfeasibleSystemError",
     "OverloadEquilibrium",
-    "brute_force_optimum",
     "equilibrium_rates",
     "kkt_residual",
     "solve_fluid_optimum",

@@ -28,7 +28,7 @@ import numpy as np
 
 from gmsr.fluid_opt import solve_fluid_optimum
 # diagnostics.max_flow is not called here; the benchmark's
-# test_wrappers_cover_every_binding expects the binding (ROADMAP item 6)
+# test_wrappers_cover_every_binding expects the binding (ROADMAP item 7)
 from gmsr.flownet import _FlowCore, max_flow  # noqa: F401
 from gmsr.model import BipartiteSystem
 from gmsr.tiers import Tier
@@ -250,7 +250,7 @@ def certify_trajectory(
     if slack is None:
         # The N* this slack computes is not reused yet: the benchmark's
         # test_wrapped_calls_give_the_unwrapped_values pins two optimum
-        # solves for a certify without a slack (ROADMAP item 6).
+        # solves for a certify without a slack (ROADMAP item 7).
         slack = replace(capacity_slack(sys), n_star=None)
     n_star = slack.n_star if slack.n_star is not None else solve_fluid_optimum(sys).n_star
     n_star_sum = float(n_star.sum())

@@ -42,9 +42,11 @@ _TRANSPORT_TOL = 1e-9
 class FlowNetwork:
     """A directed capacitated graph with one source and one sink.
 
-    Capacities may be ``math.inf``; max_flow substitutes a finite surrogate
-    (total finite capacity + 1) so residual arithmetic stays in ordinary
-    floats while still exceeding any achievable flow value.
+    Capacities are ``>= 0`` (NaN is refused) and may be ``math.inf``;
+    max_flow substitutes a finite surrogate (total finite capacity + 1) so
+    residual arithmetic stays in ordinary floats while still exceeding any
+    achievable flow value, and refuses a network whose source reaches its
+    sink along infinite arcs alone, whose max flow is unbounded.
     """
 
     nodes: tuple[str, ...]
@@ -61,8 +63,8 @@ class FlowNetwork:
         for u, v, c in self.arcs:
             if u not in known or v not in known:
                 raise ValueError(f"arc ({u!r}, {v!r}) references unknown node")
-            if c < 0:
-                raise ValueError(f"arc ({u!r}, {v!r}) has negative capacity {c}")
+            if not c >= 0:  # NaN too
+                raise ValueError(f"arc ({u!r}, {v!r}) has capacity {c}, not >= 0")
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,23 @@ def max_flow(net: FlowNetwork) -> MaxFlowResult:
     capacities in arc order, and infinite capacities become the total
     finite capacity + 1, so the flows and both cut sides do not depend on
     how the graph is stored.
+
+    Raises ValueError when a path of infinite arcs joins the source to the
+    sink: the max flow is unbounded, and the surrogate would give a finite
+    value.
     """
+    infinite: dict[str, list[str]] = {}
+    for u, v, c in net.arcs:
+        if c == math.inf:
+            infinite.setdefault(u, []).append(v)
+    seen, todo = {net.source}, [net.source]
+    while todo:
+        for v in infinite.get(todo.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    if net.sink in seen:
+        raise ValueError(f"unbounded max flow: infinite arcs join {net.source!r} to {net.sink!r}")
     idx = {name: k for k, name in enumerate(net.nodes)}
     core = _FlowCore(len(net.nodes), [(idx[u], idx[v]) for u, v, _ in net.arcs])
     s, t = idx[net.source], idx[net.sink]

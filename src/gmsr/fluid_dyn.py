@@ -56,12 +56,13 @@ changing a single output bit:
   one that wrote them, solved its pattern outright (no split or tree miss)
   and moved a backend of a tier of several (a tier block), if it clamped
   nothing, the integrator steps the movers in spans of rows, each in two
-  phases.  First the movers step with the kernel's arithmetic: each held
-  mover in a plain loop; the moving tiers in a scalar run compiled per set
-  of them (curves; per tier s −= μ_j and denom += 1/μ″_j in backend order,
-  then v_j = (1/μ″_j)·(s/denom); v = λ_T − μ for a tier of one backend;
-  n_j + h·v_j).  Both stop before an update that would clamp, leave [0,
-  1e300], or stop a held mover (move no backend of a tier of several).
+  phases.  First the movers step with the kernel's arithmetic in one scalar
+  run, compiled once per shape of block (curves; per tier of several
+  s −= μ_j and denom += 1/μ″_j in backend order, then
+  v_j = (1/μ″_j)·(s/denom); v_j = w_j − μ_j, w_j fixed, for a held mover or
+  a tier of one backend; n_j + h·v_j).  It stops before an update that would
+  clamp, leave [0, 1e300], or keep a held mover's workload (in a tier block,
+  move no backend of a tier of several).
   Then numpy checks the rows, one vector operation per scalar one of the
   kernel and in its order: the movers' gradients (exponential ones from
   the run's math.exp values), each frontend's tie mask as
@@ -134,6 +135,7 @@ demand trees' schedules are cached with the tier, and
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from array import array
@@ -518,22 +520,26 @@ def _tier_network(sys: BipartiteSystem, tier: _TierStruct) -> TransportNetwork:
 
 
 class _TierBlock:
-    """The movers of one block (``_Kernel.tier_rows``) and the numpy form of
-    its checks and rows: a held block's movers move on fixed inflows, a
-    tier block's are the backends of the moving tiers.  The movers are
-    numbered locally: first the backends of each moving tier of several
-    backends (pattern order, each in b_idx order), then those that move on
-    their own (the held movers, or the tiers of one backend)."""
+    """The movers of one block (``_Kernel.tier_rows``), their scalar run and
+    the numpy form of its checks and rows: a held block's movers move on
+    fixed inflows, a tier block's are the backends of the moving tiers.  The
+    movers are numbered locally: first the backends of each moving tier of
+    several backends (pattern order, each in b_idx order), then the singles,
+    which move on their own (the held movers, or the tiers of one backend)."""
 
     def __init__(self, k: _Kernel, pattern: _Pattern, moving: int, held: bool):
         moved = [] if held else [t for t in pattern.tiers if t.b_mask & moving]
         self.tiers = [t for t in moved if len(t.b_idx) > 1]
-        singles = [t for t in moved if len(t.b_idx) == 1]
+        ones = [t for t in moved if len(t.b_idx) == 1]
         movers = [j for t in self.tiers for j in t.b_idx]
         self.wide = len(movers)  # the movers of tiers of several backends
-        # held movers Hill curves first, so that each kind's columns are a slice
-        movers += (sorted(k.members(moving), key=lambda j: not k.par[j][0]) if held
-                   else [t.b_idx[0] for t in singles])
+        # held movers Hill curves first, so that each kind's columns are a
+        # slice.  The run binds their inflows, which the block's key fixes:
+        # λ of the frontends whose argmax each is, or its tier's (sliding)
+        singles = (sorted(k.members(moving), key=lambda j: not k.par[j][0]) if held
+                   else [t.b_idx[0] for t in ones])
+        inflows = [k.wbuf[j] for j in singles] if held else [t.lam_sum for t in ones]
+        movers += singles
         self.movers = movers
         self.cols = np.array(movers, dtype=np.intp)
         self.wcol = {j: c for c, j in enumerate(movers[:self.wide])}
@@ -552,8 +558,8 @@ class _TierBlock:
         for t in self.tiers:
             self.groups.append((t.lam_sum, range(start, start + len(t.b_idx))))
             start += len(t.b_idx)
-        self.singles = [(c, t.lam_sum) for c, t in enumerate(singles, start)]
-        self.run = None if held else _scalar_run(par, self.groups, self.singles)
+        self.singles = list(enumerate(inflows, start))
+        self.run = _scalar_run(par, self.groups, self.singles)
         # the frontends next to a mover: their neighbours, tie masks and
         # (under strict argmax, else -1) argmaxes; for numpy, the neighbours
         # padded by index nb (a gradient of -inf), and the masks over them
@@ -567,25 +573,6 @@ class _TierBlock:
                                 for i, row in zip(fronts, nbr)]).reshape(-1, deg)
         self.top = None if k.best is None else np.array([row.index(best[i])
                                                          for i, row in zip(fronts, nbr)])
-
-    def held(self, k: _Kernel, x: list[float], h: float, limit: int):
-        """The held movers' steps from their workloads x, each its own
-        recurrence (``_Kernel.held_run``), cut to the shortest run: its
-        states, a row per step from x on, and how many leading rows keep the
-        tie masks and argmaxes (``keeps``); no rows when a mover takes no
-        step."""
-        runs, es = [], []
-        for j, xj in zip(self.movers, x):
-            run, e = k.held_run(j, xj, h, limit)
-            limit = min(limit, len(run) - 1)
-            if not limit:
-                return (), 0
-            runs.append(run)
-            if e is not None:
-                es.append(e)
-        run = np.array([xs[:limit + 1] for xs in runs]).T
-        e = np.array([ec[:limit] for ec in es]).T if es else None
-        return run, self.keeps(k, self.curves(run[:-1], e)[1])
 
     def curves(self, x: np.ndarray, e: np.ndarray):
         """μ, μ′ and 1/μ″ of the movers at the states x (a row per step; e:
@@ -657,18 +644,19 @@ class _TierBlock:
         return True
 
     def rows(self, k: _Kernel, x: np.ndarray, e: np.ndarray):
-        """Rows of a tier block's scalar run at the states x (e: its exp
+        """Rows of the block's scalar run at the states x (e: its exp
         values), as the kernel's ``curves``, ``tier_flows`` and
         ``tree_witness`` compute them, one operation of theirs per vector
         operation.  Returns the number of leading rows that keep the tie
-        masks (``keeps``; only those rows are formed further) and solve every
-        moving tier by its pattern's tree, with their μ, μ′, 1/μ″ and drifts
-        per mover, inflows per mover of a tier of several, and routing rows."""
+        masks (``keeps``), and for a tier block only those that also solve
+        every moving tier by its pattern's tree, with their μ, μ′, 1/μ″ and
+        drifts per mover, inflows per mover of a tier of several, and
+        routing rows."""
         m, nb = len(self.movers), k.nb
         mu, g, ic = self.curves(x, e)
         rows = self.keeps(k, g)  # the rows after them are the kernel's
-        if not rows:
-            return (0,)
+        if not rows or not self.wide:  # a held block records its states only
+            return (rows,)
         mu, g, ic, v = mu[:rows], g[:rows], ic[:rows], np.empty((rows, m))
         for lam_sum, cols in self.groups:
             s = lam_sum - mu[:, cols[0]]
@@ -717,65 +705,78 @@ class _TierBlock:
 
 
 def _scalar_run(par, groups, singles):
-    """The scalar run of a tier block, compiled for its movers (``_TierBlock``
-    numbering; par: their curve parameters as ``_Kernel.par`` holds them).
+    """The scalar run of a block, for its movers (``_TierBlock`` numbering;
+    par: their curve parameters as ``_Kernel.par`` holds them; groups: (λ_T,
+    columns) per tier of several; singles: (column, w_j)): the compiled run
+    of its shape (``_run_binder``) with the block's values bound to it."""
+    wide = sum(len(cols) for _, cols in groups)
+    inflow = dict(singles)
+    values = []
+    for c, (is_hill, a, b, cc, d) in enumerate(par):
+        values += (a, b if is_hill else -b, inflow[c] if c >= wide else cc if is_hill else d)
+    values += (lam_sum for lam_sum, _ in groups)
+    return _run_binder(tuple(p[0] for p in par), tuple(cols for _, cols in groups))(*values)
 
-    run(xs, es, h, limit) starts from the movers' workloads, the list xs,
+
+@functools.lru_cache(maxsize=4096)
+def _run_binder(kinds: tuple[bool, ...], tiers: tuple[range, ...]):
+    """bind(*values) -> run for the block runs of one shape: kinds per mover
+    (True for Hill), the columns of each tier of several, and singles after
+    them.  values are a{c}, b{c} (b, or −rate) and k{c} (c, or d, or a
+    single's w_j) per mover, then λ_T per tier; the source names them only,
+    so each shape is compiled once per process.
+
+    run(xs, es, h, limit) starts from the movers' workloads, the array xs,
     and steps them up to `limit` times as the kernel does: ``curves``, then
     per tier s −= μ_j and denom += 1/μ″_j in b_idx order, v_j = (1/μ″_j)·
-    (s/denom), and n_j + h·v_j (v_j = λ_T − μ_j for a tier of one backend).
-    It appends each step's new workloads to xs and each step's exp values
-    to es, and stops before an update that leaves [0, 1e300] or moves no
-    mover of a tier of several backends.  Unrolled per mover, with the
-    parameters bound as locals, it runs at a fraction of a generic loop's
-    cost per row."""
-    consts, body = {}, []
-    wide = sum(len(cols) for _, cols in groups)
-    for c, (is_hill, a, b, cc, d) in enumerate(par):
-        consts[f"a{c}"] = a
-        if is_hill:  # as in curves: μ = a·x/t, 1/μ″ = −t³/c, t = x + b
-            consts[f"b{c}"] = b
-            body += [f"t = x{c} + b{c}", f"m{c} = a{c} * x{c} / t"]
+    (s/denom), and n_j + h·v_j (v_j = w_j − μ_j for a single).  It appends
+    each step's new workloads to xs and exp values to es, and stops before
+    an update that leaves [0, 1e300] or keeps a held mover's workload (in a
+    tier block: moves no mover of a tier of several).  Unrolled per mover,
+    with the values bound as locals, it runs at a fraction of a generic
+    loop's cost per row."""
+    wide = sum(len(cols) for cols in tiers)
+    body = []
+    for c, is_hill in enumerate(kinds):
+        if is_hill:  # as in curves: μ = a·x/t, 1/μ″ = −t³/k, t = x + b
+            mu = f"a{c} * x{c} / (x{c} + b{c})"
             if c < wide:
-                consts[f"c{c}"] = cc
-                body += [f"i{c} = -(t * t * t) / c{c}"]
-        else:  # μ = a − a·e, 1/μ″ = −1/(d·e), e = exp(−b·x) floored at 1e-300
-            consts[f"r{c}"] = -b
-            body += [f"e{c} = exp(r{c} * x{c})", f"if e{c} < 1e-300:", f"    e{c} = 1e-300",
-                     f"m{c} = a{c} - a{c} * e{c}"]
+                body += [f"t = x{c} + b{c}", f"m{c} = a{c} * x{c} / t",
+                         f"i{c} = -(t * t * t) / k{c}"]
+        else:  # μ = a − a·e, 1/μ″ = −1/(k·e), e = exp(b·x) floored at 1e-300
+            body += [f"e{c} = exp(b{c} * x{c})", f"if e{c} < 1e-300:", f"    e{c} = 1e-300"]
+            mu = f"(a{c} - a{c} * e{c})"
             if c < wide:
-                consts[f"d{c}"] = d
-                body += [f"i{c} = -1.0 / (d{c} * e{c})"]
-    for g, (lam_sum, cols) in enumerate(groups):
-        consts[f"lt{g}"] = lam_sum
+                body += [f"m{c} = {mu}", f"i{c} = -1.0 / (k{c} * e{c})"]
+        if c >= wide:  # a single: μ inlined in its update
+            body.append(f"y{c} = x{c} + h * (k{c} - {mu})")
+    for g, cols in enumerate(tiers):
         body.append(f"q = (lt{g} - {' - '.join(f'm{c}' for c in cols)})"
                     f" / (0.0 + {' + '.join(f'i{c}' for c in cols)})")
         body += [f"y{c} = x{c} + h * (i{c} * q)" for c in cols]
-    for c, lam_sum in singles:
-        consts[f"ls{c}"] = lam_sum
-        body.append(f"y{c} = x{c} + h * (ls{c} - m{c})")
-    every = range(len(par))
+    every = range(len(kinds))
+    stall = (f"({' and '.join(f'y{c} == x{c}' for c in range(wide))})" if wide
+             else " or ".join(f"y{c} == x{c}" for c in every))
     body += [
-        f"if not ({' and '.join(f'0.0 <= y{c} <= 1e300' for c in every)})"
-        f" or ({' and '.join(f'y{c} == x{c}' for c in range(wide))}):",
+        f"if not ({' and '.join(f'0.0 <= y{c} <= 1e300' for c in every)}) or {stall}:",
         "    break",
-        f"xs += ({''.join(f'y{c}, ' for c in every)})",
-        *([f"es += ({''.join(f'e{c}, ' for c, p in enumerate(par) if not p[0])})"]
-          if not all(p[0] for p in par) else []),
+        *(f"add(y{c})" for c in every),
+        *(f"add_e(e{c})" for c in every if not kinds[c]),
         *(f"x{c} = y{c}" for c in every),
     ]
-    names = ", ".join(consts)
+    names = [f"{v}{c}" for c in every for v in "abk"] + [f"lt{g}" for g in range(len(tiers))]
     src = "\n".join([
-        f"def bind({names}):",
-        f"    def run(xs, es, h, limit, {', '.join(f'{n}={n}' for n in consts)}, exp=exp):",
+        f"def bind({', '.join(names)}):",
+        f"    def run(xs, es, h, limit, {', '.join(f'{n}={n}' for n in names)}, exp=exp):",
         f"        {''.join(f'x{c}, ' for c in every)}= xs",
+        "        add, add_e = xs.append, es.append",
         "        for _ in range(limit):",
         *(f"            {line}" for line in body),
         "    return run",
     ])
     scope = {"exp": math.exp}
-    exec(compile(src, "<tier block run>", "exec"), scope)
-    return scope["bind"](*consts.values())
+    exec(compile(src, "<block run>", "exec"), scope)
+    return scope["bind"]
 
 
 # ---------------------------------------------------------------------------
@@ -1151,19 +1152,19 @@ class _Kernel:
         tie pattern outright (no split or tree miss), moving the tiers that
         hold a backend in `dirty`, one of several backends among them.  Takes
         the rows in spans of 8 rows (held) or 64 at first, growing fourfold,
-        each stepped by the movers' runs and checked with numpy
-        (``_TierBlock.held`` and ``_TierBlock.rows``, both through
-        ``_TierBlock.keeps``); ends before the first row that fails a check,
-        before a row the runs did not reach, ahead of a row equal to `ckpt`,
-        and after `limit` rows.
+        each stepped by the block's scalar run and checked with numpy
+        (``_TierBlock.rows``, through ``_TierBlock.keeps``); ends before the
+        first row that fails a check, before a row the run did not reach,
+        ahead of a row equal to `ckpt`, and after `limit` rows.
         Appends the rows (n first) to rec, the states, inflow, routing and use
         recordings (a held block its states only, adding its rows to the last
         use), leaves n at the row after them, and returns how many it took and
         the bitmask of backends whose workload the last update changed (dirty
-        when it took none).  A tier block leaves the kernel's buffers as the
-        step at its last row leaves them.  A held block leaves g as it was:
-        the next step's ``curves`` re-evaluates every mover, sees any gradient
-        change and recomputes the masks."""
+        after a held block, whose movers all moved, or one that took none).
+        A tier block leaves the kernel's buffers as the step at its last row
+        leaves them.  A held block leaves g as it was: the next step's
+        ``curves`` re-evaluates every mover, sees any gradient change and
+        recomputes the masks."""
         states, inflows, routings, uses = rec
         pattern, nb = self.pattern, self.nb
         moving = dirty if held else sum(t.b_mask for t in pattern.tiers if t.b_mask & dirty)
@@ -1183,21 +1184,18 @@ class _Kernel:
         span, taken, last = 8 if held else 64, 0, None
         while taken < limit:
             take = min(span, limit - taken)
-            if held:
-                run, good = blk.held(self, x, h, take)
-            else:
-                xs, es = x[:], []
-                try:
-                    blk.run(xs, es, h, take)
-                except ZeroDivisionError:
-                    pass  # the kernel raises it at that row, if the run gets there
-                run = np.array(xs).reshape(-1, len(movers))
-                reached = len(run) - 1
-                if not reached:
-                    break
-                with np.errstate(all="ignore"):
-                    good, *rows = blk.rows(self, run[:reached],
-                                           np.array(es).reshape(reached, len(blk.exp_cols)))
+            xs, es = array("d", x), array("d")
+            try:
+                blk.run(xs, es, h, take)
+            except ZeroDivisionError:
+                pass  # the kernel raises it at that row, if the run gets there
+            run = np.frombuffer(xs).reshape(-1, len(movers))
+            reached = len(run) - 1
+            if not reached:
+                break
+            with np.errstate(all="ignore"):
+                good, *rows = blk.rows(self, run[:reached],
+                                       np.frombuffer(es).reshape(reached, len(blk.exp_cols)))
             if orbit and good:
                 hits = np.all(run[1:good + 1] == at, axis=1)
                 if hits.any():
@@ -1207,9 +1205,7 @@ class _Kernel:
                 row[:] = n
                 row[:, cols] = run[:good]
                 states.frombytes(row.data.cast("B"))
-                if held:
-                    uses[-1] += good
-                else:
+                if rows:
                     *_, w, x_rows = rows
                     row[:] = self.wbuf
                     row[:, cols[:blk.wide]] = w[:good]
@@ -1217,6 +1213,8 @@ class _Kernel:
                     routings.frombytes(x_rows[:good].data.cast("B"))
                     uses.extend(array("q", [1]) * good)
                     last = good - 1, run, rows
+                else:
+                    uses[-1] += good
                 taken += good
                 x = run[good].tolist()
             if good < span:
@@ -1238,40 +1236,6 @@ class _Kernel:
                 xbuf[i * nb:(i + 1) * nb] = x_rows[r, i].tolist()
         moved = run[r + 1].view(np.int64) != run[r].view(np.int64)
         return taken, sum(1 << j for j, m in zip(movers, moved) if m)
-
-    def held_run(self, j: int, x: float, h: float, limit: int) -> tuple[array, array | None]:
-        """The workloads backend j takes in held steps from x (x first), at
-        most `limit` steps: each is x + h·(w_j − μ_j(x)) of the one before,
-        with the arithmetic of ``curves`` and the Euler update.  Stops before
-        an update that would clamp, leave the finite range or keep x.  For an
-        exponential curve, also the exp value at the start of each step; a
-        Hill curve's gradients numpy recomputes from the workloads, with the
-        same bits."""
-        is_hill, a, b, _, _ = self.par[j]
-        w = self.wbuf[j]
-        xs = array("d", (x,))
-        add = xs.append  # bound once: the loops run a row in a few hundred ns
-        if is_hill:  # as in curves: μ = a·x/t, t = x + b
-            for _ in range(limit):
-                x1 = x + h * (w - a * x / (x + b))
-                if not 0.0 <= x1 <= 1e300 or x1 == x:
-                    break
-                add(x1)
-                x = x1
-            return xs, None
-        es = array("d")  # μ = a − a·e, e = exp(−b·x) floored at 1e-300
-        add_e, exp, r = es.append, math.exp, -b
-        for _ in range(limit):
-            e = exp(r * x)
-            if e < 1e-300:
-                e = 1e-300
-            x1 = x + h * (w - (a - a * e))
-            if not 0.0 <= x1 <= 1e300 or x1 == x:
-                break
-            add(x1)
-            add_e(e)
-            x = x1
-        return xs, es
 
 
 def _classify(prev_sets: frozenset | None, new_sets: frozenset, split: bool) -> str:

@@ -4,11 +4,14 @@ and small brute-force oracles used to cross-check the library's algorithms."""
 from __future__ import annotations
 
 import hashlib
+import math
 from itertools import combinations
 
 import numpy as np
 
-from gmsr.model import BipartiteSystem, hill, make_system, saturating_exponential
+from gmsr.flownet import _augmented_cut
+from gmsr.fluid_opt import FluidOptimum, InfeasibleSystemError, kkt_residual
+from gmsr.model import HILL, BipartiteSystem, hill, make_system, saturating_exponential
 
 
 def n_model() -> BipartiteSystem:
@@ -241,3 +244,114 @@ def trajectory_digest(traj) -> str:
     for part in (traj.events, traj.boundary_events, traj.stats):
         digest.update(repr(part).encode())
     return digest.hexdigest()
+
+
+# -- the grid oracle for the fluid optimum ----------------------------------------
+
+_CAP_MARGIN = 1.0 - 1e-9  # the grid oracle keeps its inflows strictly inside the caps
+
+
+def _invert_rates(sys: BipartiteSystem, w: np.ndarray) -> np.ndarray:
+    """Vectorized μ_b⁻¹ over a (…, n_backends) inflow array (w < cap)."""
+    out = np.empty_like(w)
+    for j, fn in enumerate(sys.services):
+        col = w[..., j]
+        if fn.kind == HILL:
+            out[..., j] = fn.half * col / (fn.cap - col)
+        else:
+            out[..., j] = -np.log1p(-col / fn.cap) / fn.rate
+    return out
+
+
+def brute_force_optimum(sys: BipartiteSystem, grid_step: float) -> FluidOptimum:
+    """Exhaustive grid search over the free routing coordinates.
+
+    Only meant as an oracle: the free dimension (Σ_f (|B(f)|−1)) must be at
+    most 2.  Grid rows violating a cap are discarded; the best surviving
+    candidate is returned with its exact KKT residual.
+    """
+    if not 0 < grid_step <= 1:
+        raise ValueError("grid_step must lie in (0, 1]")
+    nf, nb = len(sys.frontends), len(sys.backends)
+    lam = np.asarray(sys.lambdas)
+    caps = np.array([fn.cap for fn in sys.services])
+
+    free = [(i, sys.backends_of_frontend[i]) for i in range(nf) if len(sys.backends_of_frontend[i]) > 1]
+    dims = sum(len(nbrs) - 1 for _, nbrs in free)
+    if dims > 2:
+        raise ValueError(f"{dims} free coordinates exceed the oracle's limit of 2")
+
+    base = np.zeros(nb)
+    for i in range(nf):
+        nbrs = sys.backends_of_frontend[i]
+        if len(nbrs) == 1:
+            base[nbrs[0]] += lam[i]
+
+    ticks = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    ticks = np.minimum(ticks, 1.0)
+
+    def rows_for(nbrs) -> np.ndarray:
+        if len(nbrs) == 2:
+            return np.stack([ticks, 1.0 - ticks], axis=1)
+        pp, qq = np.meshgrid(ticks, ticks, indexing="ij")
+        keep = pp + qq <= 1.0 + 1e-12
+        # clamping q to 1 − p keeps the third coordinate nonnegative in floats
+        pp, qq = pp[keep], np.minimum(qq[keep], 1.0 - pp[keep])
+        return np.stack([pp, qq, 1.0 - pp - qq], axis=1)
+
+    best_obj = math.inf
+    best_rows: list[np.ndarray] = []
+
+    def scan(outer_rows: list[np.ndarray]):
+        nonlocal best_obj, best_rows
+        w = base.copy()
+        for (i, nbrs), row in zip(free[:-1], outer_rows):
+            for k, j in enumerate(nbrs):
+                w[j] += lam[i] * row[k]
+        i, nbrs = free[-1]
+        rows = rows_for(nbrs)
+        w_block = np.repeat(w[None, :], len(rows), axis=0)
+        for k, j in enumerate(nbrs):
+            w_block[:, j] += lam[i] * rows[:, k]
+        ok = np.all(w_block <= caps[None, :] * _CAP_MARGIN, axis=1)
+        if not np.any(ok):
+            return
+        n_block = _invert_rates(sys, w_block[ok])
+        objs = n_block.sum(axis=1)
+        k = int(np.argmin(objs))
+        if objs[k] < best_obj:
+            best_obj = float(objs[k])
+            best_rows = outer_rows + [rows[ok][k]]
+
+    if not free:
+        scan_rows: list[np.ndarray] = []
+        w = base
+        if np.all(w <= caps * _CAP_MARGIN):
+            best_obj = float(_invert_rates(sys, w[None, :]).sum())
+            best_rows = scan_rows
+    elif len(free) == 1:
+        scan([])
+    else:
+        for outer in rows_for(free[0][1]):
+            scan([outer])
+
+    if math.isinf(best_obj):
+        witness = _augmented_cut(sys)[0]
+        raise InfeasibleSystemError(witness or frozenset(sys.frontend_ids))
+
+    x = np.zeros((nf, nb))
+    for i in range(nf):
+        nbrs = sys.backends_of_frontend[i]
+        if len(nbrs) == 1:
+            x[i, nbrs[0]] = 1.0
+    for (i, nbrs), row in zip(free, best_rows):
+        for k, j in enumerate(nbrs):
+            x[i, j] = row[k]
+    w = np.minimum(lam @ x, caps * _CAP_MARGIN)
+    n = _invert_rates(sys, w)
+    return FluidOptimum(
+        n_star=n,
+        x_star=x,
+        objective=float(n.sum()),
+        kkt_residual=kkt_residual(sys, n, x),
+    )

@@ -17,13 +17,19 @@ import pytest
 from gmsr.cli import load_scenario
 from gmsr.diagnostics import capacity_slack, certify_trajectory
 from gmsr.fluid_dyn import IntegratorConfig, integrate_fluid
-from gmsr.fluid_opt import brute_force_optimum, equilibrium_rates, solve_fluid_optimum
+from gmsr.fluid_opt import equilibrium_rates, solve_fluid_optimum
 from gmsr.flownet import augmented_network, max_flow, opt_tp, stability_decomposition
 from gmsr.model import hill, make_system
 from gmsr.stochastic import compare_to_fluid, simulate
 from gmsr.tiers import best_backend_graph, compute_tiers, reach, tier_graph
 
-from support import FIG1_GRADS, feasible_random_system, fig1_system, random_system
+from support import (
+    FIG1_GRADS,
+    brute_force_optimum,
+    feasible_random_system,
+    fig1_system,
+    random_system,
+)
 from test_cli import SCENARIOS
 from test_flownet import _decompositions_by_enumeration, _min_cut_by_enumeration
 from test_tiers import _is_acyclic

@@ -80,6 +80,28 @@ def test_max_flow_conservation_and_capacity():
         assert res.value == pytest.approx(outflow[net.source], abs=1e-9)
 
 
+def test_flow_network_refuses_a_nan_capacity():
+    # NaN < 0 is False: the check must ask for c >= 0, or max_flow reads 0.0
+    with pytest.raises(ValueError, match="not >= 0"):
+        FlowNetwork(nodes=("s", "t"), source="s", sink="t", arcs=(("s", "t", math.nan),))
+    with pytest.raises(ValueError, match="not >= 0"):
+        FlowNetwork(nodes=("s", "t"), source="s", sink="t", arcs=(("s", "t", -1.0),))
+
+
+def test_max_flow_refuses_an_unbounded_network():
+    # s → a → t by infinite arcs carries any flow; the finite surrogate
+    # would report 1.0.  One finite arc on the only path bounds it
+    nodes, inf = ("s", "a", "t"), math.inf
+    with pytest.raises(ValueError, match="unbounded"):
+        max_flow(FlowNetwork(nodes, "s", "t", (("s", "a", inf), ("a", "t", inf))))
+    with pytest.raises(ValueError, match="unbounded"):  # beside a finite path
+        max_flow(FlowNetwork(nodes, "s", "t", (("s", "t", 2.0), ("s", "a", inf),
+                                               ("a", "t", inf))))
+    bounded = max_flow(FlowNetwork(nodes, "s", "t", (("s", "a", inf), ("a", "t", 2.0),
+                                                     ("t", "a", inf))))
+    assert bounded.value == 2.0
+
+
 def _min_cut_by_enumeration(net: FlowNetwork) -> float:
     caps = {}
     for u, v, c in net.arcs:
@@ -475,14 +497,24 @@ def test_max_flow_is_bit_identical_to_dict_reference():
     nets = [_random_network(rng, int(rng.integers(2, 9))) for _ in range(300)]
     nets += [augmented_network(random_system(rng, max_frontends=6, max_backends=6,
                                              lam_range=(0.1, 3.0))) for _ in range(100)]
-    for net in nets:
-        res = max_flow(net)
+    unbounded = []
+    for k, net in enumerate(nets):
         value, flows, source_side, sink_side = _dict_max_flow(net)
+        # a flow past the total finite capacity crosses every cut by an
+        # infinite arc: a path of infinite arcs joins s to t, and the max
+        # flow is unbounded
+        if value > sum(c for _, _, c in net.arcs if math.isfinite(c)) + 0.5:
+            with pytest.raises(ValueError, match="unbounded"):
+                max_flow(net)
+            unbounded.append(k)
+            continue
+        res = max_flow(net)
         assert repr(res.value) == repr(value)
         assert res.flows == flows
         assert all(repr(res.flows[k]) == repr(f) for k, f in flows.items())
         assert res.source_side == source_side
         assert res.sink_side == sink_side
+    assert len(unbounded) == 15 and unbounded[:5] == [12, 18, 30, 48, 75]
 
 
 # -- cross-check against networkx -----------------------------------------------------

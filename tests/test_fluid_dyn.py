@@ -1,5 +1,6 @@
 import itertools
 import math
+from array import array
 import time
 import tracemalloc
 from collections.abc import Sequence
@@ -649,6 +650,28 @@ def test_held_stretches_of_gradients_that_move_together(monkeypatch):
         sys, traj, cfg, [*range(0, 3500, 11), *range(3430, 3460), *range(32760, 32775), 50000])
 
 
+@pytest.mark.parametrize("mode", ["sliding", "strict-argmax"])
+def test_a_held_block_ends_where_one_of_its_movers_stops(mode, monkeypatch):
+    # two pairs, f1-b1 and f2-b2, each backend a tier and an argmax of its
+    # own.  b1 starts near N* = 1 and reaches a bitwise fixed point first:
+    # the update out of row 2013 keeps its workload, while b2, four times
+    # slower, still moves.  The held block of both movers must end at row
+    # 2012, and the one after the kernel's step at row 2013 steps b2 alone
+    blocks, _ = _record_blocks(monkeypatch)
+    sys = make_system([("f1", 0.5), ("f2", 0.5)], [("b1", hill(1.0, 1.0)), ("b2", hill(1.0, 4.0))],
+                      [("f1", "b1"), ("f2", "b2")])
+    cfg = IntegratorConfig(h=0.05, mode=mode)
+    traj = integrate_fluid(sys, [1.001, 8.0], 110.0, cfg)
+    # recorded from the integrator that stepped every row through the kernel
+    assert trajectory_digest(traj) == (
+        "2eef566216c758c4d89b585b0671de37ecc25a22e5589fc11f3ce8d9392150da")
+    kept = traj.states[1:] == traj.states[:-1]
+    assert np.nonzero(kept[:, 0])[0][0] == 2013 and kept[2013:, 0].all()
+    assert not kept[:2100, 1].any()
+    assert (1025, 2012) in blocks and (2014, 2046) in blocks
+    _assert_rows_match_one_step_runs(sys, traj, cfg, [*range(2008, 2020), 2046, 2047])
+
+
 def _one_frontend(lam: float, *curves):
     """f1 at rate lam, with an edge to each of the backends b1, b2, ..."""
     return make_system([("f1", lam)], [(f"b{j + 1}", c) for j, c in enumerate(curves)],
@@ -787,6 +810,39 @@ def test_tier_block_rows_are_what_stepping_gives(run, monkeypatch):
     assert sum(b - a + 1 for a, b in blocks) > _fixed_from(traj.states) // 2
     _assert_rows_match_one_step_runs(
         sys, traj, cfg, [r for a, b in blocks for r in (a, a + 1, b)])
+
+
+@pytest.mark.parametrize("held", [False, True])
+def test_block_runs_of_one_shape_share_their_code(held, monkeypatch):
+    # two systems of one shape with different parameters: a tier of a Hill
+    # and an exponential backend (a tie band that holds both), or, held
+    # under strict argmax, a Hill and an exponential pair.  Their blocks'
+    # runs share one compiled code, and each steps the rows that the
+    # kernel steps when no block takes a row
+    def system(scale):
+        curves = [("b1", hill(scale, 1.0)), ("b2", saturating_exponential(2.0 * scale, 0.5))]
+        if held:
+            return make_system([("f1", 0.4), ("f2", 0.3)], curves, [("f1", "b1"), ("f2", "b2")])
+        return _one_frontend(0.9, *(curve for _, curve in curves))
+
+    cfg = IntegratorConfig(h=0.01, tie_band=10.0, mode="strict-argmax" if held else "sliding")
+    n0, steps = [3.0, 0.5], 50
+    runs, rows = [], []
+    for scale in (1.0, 1.5):
+        sys = system(scale)
+        k = fluid_dyn._Kernel(sys, cfg)
+        (k.argmax_step if held else k.sliding_step)(n0[:], k.every, 0.0)
+        block = fluid_dyn._TierBlock(k, k.pattern, k.every, held)
+        assert block.movers == [0, 1]
+        xs, es = array("d", n0), array("d")
+        block.run(xs, es, cfg.h, steps)
+        runs.append(block.run)
+        rows.append(np.frombuffer(xs).reshape(-1, 2))
+    assert runs[0] is not runs[1] and runs[0].__code__ is runs[1].__code__
+    monkeypatch.setattr(fluid_dyn._Kernel, "tier_rows", lambda self, rec, n, dirty, *_: (0, dirty))
+    for scale, run_rows in zip((1.0, 1.5), rows):
+        traj = integrate_fluid(system(scale), n0, steps * cfg.h, cfg)
+        assert run_rows.tobytes() == traj.states.tobytes()
 
 
 @st.composite

@@ -19,7 +19,6 @@ from gmsr.fluid_opt import (
     SUPPORT_EPS,
     ConvergenceError,
     InfeasibleSystemError,
-    brute_force_optimum,
     equilibrium_rates,
     kkt_residual,
     solve_fluid_optimum,
@@ -28,7 +27,7 @@ from gmsr.model import hill, make_system, saturating_exponential, validate_routi
 from gmsr.tiers import compute_tiers
 
 from support import feasible_random_system as _feasible_random_system
-from support import fig1_system, n_model, random_system
+from support import brute_force_optimum, fig1_system, n_model, random_system
 
 SQRT2 = math.sqrt(2.0)
 
