@@ -345,13 +345,11 @@ def transportation_feasible(
     frontends: set[str] | frozenset[str],
     backends: set[str] | frozenset[str],
     demand: dict[str, float],
-    tol: float = _TRANSPORT_TOL,
 ) -> tuple[bool, np.ndarray | None, list[int] | None]:
     """Can the frontends' full arrival mass be split over edges inside
     (frontends, backends) so each backend b receives exactly demand[b]?
 
-    Returns (feasible, witness, low) from one ``TransportNetwork.solve``
-    with relative tolerance ``tol``.
+    Returns (feasible, witness, low) from one ``TransportNetwork.solve``.
     The witness is a full-shape routing matrix supported on the restricted
     edges (rows of frontends outside the set are left zero), or None.  low
     is None when the flow meets the demands, else the backend indices on
@@ -362,7 +360,7 @@ def transportation_feasible(
         if d < 0:
             raise ValueError(f"negative demand {d} for backend {b!r}")
     net = TransportNetwork(sys, frontends, backends)
-    witness, low = net.solve([demand.get(sys.backend_ids[j], 0.0) for j in net.b_idx], tol)
+    witness, low = net.solve([demand.get(sys.backend_ids[j], 0.0) for j in net.b_idx])
     return witness is not None, witness, low
 
 
@@ -405,8 +403,7 @@ class TransportNetwork:
         self.spare = {i: next((j for j in sys.backends_of_frontend[i] if (i, j) in inside), None)
                       for i in self.f_idx}
 
-    def solve(self, demand, tol: float = _TRANSPORT_TOL
-              ) -> tuple[np.ndarray | None, list[int] | None]:
+    def solve(self, demand) -> tuple[np.ndarray | None, list[int] | None]:
         """One max flow for demands given in ``b_idx`` order.
 
         A negative demand is supply: no flow meets it, and its source arc
@@ -414,7 +411,7 @@ class TransportNetwork:
         demands leave the supply arcs at capacity 0, which no search crosses.
 
         Returns (witness, None) when no demand is negative, the demand total
-        matches λ to ``tol`` (relative) and the flow meets it; the witness is
+        matches λ to 1e-9 (relative) and the flow meets it; the witness is
         what ``transportation_feasible`` returns.  Otherwise returns
         (None, low): the backend indices on the source side of the minimal
         min cut, ascending, N(P) ∪ {b : demand_b < 0} for the frontend set
@@ -430,7 +427,7 @@ class TransportNetwork:
         value, flow, res = core.solve(
             self.lam + [math.inf] * len(self.mid) + [d if d > 0.0 else 0.0 for d in demand]
             + [-d if d < 0.0 else 0.0 for d in demand], 0, core.n - 1)
-        tol *= scale
+        tol = _TRANSPORT_TOL * scale
         if (abs(d_total - lam_total) > tol or value < d_total - tol
                 or min(demand, default=0.0) < 0.0):
             first = 1 + len(self.f_idx)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gmsr.flownet import _EPS, StabilityDecomposition, _augmented_cut, transportation_feasible
+from gmsr.flownet import StabilityDecomposition, _augmented_cut, transportation_feasible
 from gmsr.model import BipartiteSystem
 
 __all__ = [
@@ -246,11 +246,8 @@ def solve_fluid_optimum(sys: BipartiteSystem) -> FluidOptimum:
             level = [services[j].gradient_inverse(gamma) if gamma < g_zero[j] else 0.0
                      for j in ba]
         demand = {bids[j]: services[j].value(nj) for j, nj in zip(ba, level)}
-        # the flow must meet the demands to the max flow's own floor, 1e-12
-        # absolute: a looser tolerance keeps a block whose parts sit just
-        # apart in level, and their inflows then miss μ(N) by up to it
         ok, flow, low = transportation_feasible(
-            sys, {fids[i] for i in fr}, {bids[j] for j in ba}, demand, tol=_EPS / (1.0 + lam_c))
+            sys, {fids[i] for i in fr}, {bids[j] for j in ba}, demand)
         if ok:
             n[list(ba)] = level
             x[list(fr)] = flow[list(fr)]

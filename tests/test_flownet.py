@@ -349,21 +349,6 @@ def test_transportation_unreachable_demand():
     assert ok
 
 
-def test_transportation_tolerance_decides_a_near_miss():
-    # f1 needs 1e-10 more than b1's demand; f2 makes the totals balance
-    sys = make_system(
-        [("f1", 1.0), ("f2", 1.0)],
-        [("b1", hill(1, 1)), ("b2", hill(1, 1))],
-        [("f1", "b1"), ("f2", "b2")],
-    )
-    demand = {"b1": 1.0 - 1e-10, "b2": 1.0 + 1e-10}
-    ok, _, low = transportation_feasible(sys, {"f1", "f2"}, {"b1", "b2"}, demand)
-    assert ok and low is None  # within the default 1e-9 relative tolerance
-    ok, x, low = transportation_feasible(sys, {"f1", "f2"}, {"b1", "b2"}, demand, tol=1e-12)
-    assert not ok and x is None
-    assert low == [0]
-
-
 def test_transportation_within_reference_tier():
     sys = fig1_system()
     ok, x, _ = transportation_feasible(

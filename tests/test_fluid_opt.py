@@ -312,11 +312,6 @@ def _optimizer_draws(draw):
               ("b2", saturating_exponential(0.5, 1.0))],
     edges=[("f0", "b0"), ("f0", "b1"), ("f0", "b2")],
 ), "inside"))
-@example(draw=(make_system(  # two pairs 1e-9 from capacity at levels 3e-10 apart
-    frontends=[("f0", 0.0), ("f1", 0.999999999), ("f2", 0.999999999)],
-    backends=[("b0", saturating_exponential(1.0, 1.0)), ("b1", saturating_exponential(1.0, 2.0))],
-    edges=[("f0", "b0"), ("f0", "b1"), ("f1", "b0"), ("f2", "b1")],
-), "near"))
 def test_decomposition_is_exact_on_random_systems(draw):
     sys, regime = draw
     lam = np.asarray(sys.lambdas)
