@@ -422,7 +422,7 @@ def _cmd_simulate(args) -> int:
                 "seed": seed,
                 "file": name,
                 "records": len(run),
-                "steps": int(scn.horizon * c),  # chain steps of 1/c, as simulate takes them
+                "steps": run.steps,
                 "clamps": int(run.clamps.sum()),
                 "final": {b: float(v) for b, v in zip(sys_.backend_ids, run.y[-1])},
             })

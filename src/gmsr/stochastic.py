@@ -15,6 +15,12 @@ this implementation, and nodes can be resampled independently.  Bit-level
 equality across other RNG implementations is not promised — only the
 statistical claims travel.
 
+Draws are taken in blocks: a stream hands out values from one vectorized
+draw at a time, and a frontend's stream is rewound to the exact scalar
+position before a multinomial split.  Each stream's sequence of used values
+is the one that one scalar draw per value gives, and `step` leaves the
+caller's streams where those scalar draws would.
+
 Two unavoidable integer-vs-mean compromises, both explicit:
 
 * a departure draw with mean m > 1 uses floor(m) + Bernoulli(m − floor(m)),
@@ -27,7 +33,9 @@ Two unavoidable integer-vs-mean compromises, both explicit:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -51,6 +59,8 @@ __all__ = [
 _POLICIES = ("gmsr", "random")
 _TIE_TOL = 1e-12  # gradients this close to the per-frontend max count as tied
 _MAX_STEPS = 10**8
+_BLOCKS = (16, 512)  # a stream's first block of draws, and the size blocks double up to
+_CHUNK = 1024  # steps whose raw counts are held before they are summed into records
 
 
 @dataclass(frozen=True)
@@ -105,6 +115,11 @@ class SampledRun:
     def __len__(self) -> int:
         return len(self.times)
 
+    @property
+    def steps(self) -> int:
+        """Chain steps of 1/c the run took: the step of its last record."""
+        return round(float(self.times[-1]) * self.c)
+
 
 @dataclass(frozen=True)
 class DriftEstimate:
@@ -140,61 +155,151 @@ def rng_streams(sys: BipartiteSystem, seed: int) -> list[np.random.Generator]:
     ]
 
 
-def _advance(
-    sys: BipartiteSystem,
-    counts: list[int],
-    c: int,
-    policy: str,
-    streams: list[np.random.Generator],
-    arr_b: list[int],
-    dep_b: list[int],
-    arr_f: list[int],
-    clamp_b: list[int],
-) -> None:
-    """One step in place.  Overwrites the arrival/departure buffers and
-    accumulates clamp events per backend into clamp_b."""
-    nf = len(sys.frontends)
-    services = [b.service for b in sys.backends]
-    for j in range(len(counts)):
-        arr_b[j] = 0
+class _Draws:
+    """One stream's values, handed out one at a time from `it`.
 
-    if policy == "gmsr":
-        g = [svc.gradient(counts[j] / c) for j, svc in enumerate(services)]
-        masks = tie_masks(sys.backends_of_frontend, g, _TIE_TOL)
-    for i, lam in enumerate(sys.lambdas):
-        if lam == 0.0:  # no arrival process: consume no randomness
-            arr_f[i] = 0
-            continue
-        w = int(streams[i].poisson(lam))
-        arr_f[i] = w
-        if w == 0:
-            continue
-        nbrs = sys.backends_of_frontend[i]
-        targets = [j for j in nbrs if masks[i] >> j & 1] if policy == "gmsr" else list(nbrs)
-        if len(targets) == 1:
-            arr_b[targets[0]] += w
-        else:  # each job picks uniformly and independently among the targets
-            split = streams[i].multinomial(w, [1.0 / len(targets)] * len(targets))
-            for j, cnt in zip(targets, split):
-                arr_b[j] += int(cnt)
+    Blocked (the default), `it` runs over blocks of values from draw(size),
+    each twice the last up to ``_BLOCKS[1]``; the stream's state before the
+    block is kept, so rewind() can put the stream where scalar draws of the
+    values handed out would have left it.  Numpy fills an array with the
+    same values, in the same order, as repeated scalar calls, so blocking
+    changes no value.  Unblocked, `it` calls draw() once per value and there
+    is nothing to rewind."""
 
-    for j, svc in enumerate(services):
-        nj = counts[j]
-        if nj == 0:  # empty backend: μ(0)=0, serve nothing, consume no randomness
-            dep_b[j] = 0
-            counts[j] = arr_b[j]
-            continue
-        m = svc.value(nj / c)
-        if m <= 1.0:
-            d = int(streams[nf + j].random() < m)
-        else:  # a single Bernoulli cannot carry mean > 1: split off the floor
-            whole = int(m)
-            d = whole + int(streams[nf + j].random() < m - whole)
-        if d > nj:
-            clamp_b[j] += 1
-            d = nj
-        dep_b[j] = d
-        counts[j] = nj + arr_b[j] - d
+    __slots__ = ("gen", "draw", "size", "block", "it", "saved")
+
+    def __init__(self, gen: np.random.Generator, draw, blocked: bool = True):
+        self.gen = gen
+        self.draw = draw
+        self.size = _BLOCKS[0]
+        self.block: list = []
+        self.it = iter(self.block) if blocked else iter(draw, None)
+        self.saved = None
+
+    def refill(self):
+        """Draw the next block and hand out its first value."""
+        self.saved = self.gen.bit_generator.state
+        self.block = self.draw(self.size).tolist()
+        self.size = min(2 * self.size, _BLOCKS[1])
+        self.it = iter(self.block)
+        return next(self.it)
+
+    def rewind(self) -> None:
+        """Leave the stream just past the values handed out; the next value
+        comes from a new block of the first size, since a stream that must
+        rewind once (for a multinomial) is likely to again."""
+        if self.saved is None:
+            return
+        used = len(self.block) - operator.length_hint(self.it)
+        self.gen.bit_generator.state = self.saved
+        self.draw(used)
+        self.saved = None
+        self.size = _BLOCKS[0]
+        self.block = []
+        self.it = iter(self.block)
+
+
+class _Chain:
+    """The chain's step loop over one run's streams, shared by `simulate`,
+    `step` and `mean_drift_check`.
+
+    Each frontend with λ > 0 takes its Poisson counts from a blocked stream,
+    and each backend its uniforms.  A job split needs a multinomial from the
+    frontend's stream at the position scalar draws would have reached, so
+    the stream is rewound first; under the random policy a frontend with
+    several neighbours splits on most arrivals, and draws unblocked.  The
+    targets of each frontend are kept per tie pattern, the mask tuple."""
+
+    def __init__(self, sys: BipartiteSystem, c: int, policy: str,
+                 streams: list[np.random.Generator]):
+        nf, nb = len(sys.frontends), len(sys.backends)
+        nbrs = sys.backends_of_frontend
+        self.c = c
+        self.width = 2 * nb + nf
+        self.nbrs = nbrs
+        self.curves = [(svc.gradient, svc.value) for svc in sys.services]
+        self.gmsr = policy == "gmsr"
+        self.arrivals = [  # (frontend, its column in a step's row, its draws)
+            (i, 2 * nb + i, _Draws(streams[i], functools.partial(streams[i].poisson, lam),
+                                   blocked=self.gmsr or len(nbrs[i]) == 1))
+            for i, lam in enumerate(sys.lambdas)
+            if lam != 0.0  # no arrival process: consume no randomness
+        ]
+        self.uniforms = [_Draws(streams[nf + j], streams[nf + j].random) for j in range(nb)]
+        self.clamps = [0] * nb
+
+        @functools.lru_cache(maxsize=4096)
+        def targets(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+            return tuple(tuple(j for j in nb_i if m >> j & 1) for nb_i, m in zip(nbrs, masks))
+
+        self.targets = targets
+
+    def run(self, counts: list[int], steps: int, out: array) -> None:
+        """Advance `counts` in place by `steps` steps, appending one row per
+        step to `out`: the arrivals and the departures of each backend, then
+        the arrivals at each frontend.  Departure clamps add up in
+        self.clamps."""
+        c, width, nbrs, curves = self.c, self.width, self.nbrs, self.curves
+        nb = len(counts)
+        gmsr, targets = self.gmsr, self.targets
+        arrivals, uniforms, clamps = self.arrivals, self.uniforms, self.clamps
+        put = out.extend
+        to = nbrs  # the random policy's targets: every neighbour
+        for _ in range(steps):
+            g = []
+            mu = []
+            for (grad, value), n in zip(curves, counts):
+                x = n / c
+                if gmsr:
+                    g.append(grad(x))
+                mu.append(value(x))
+            if gmsr:
+                to = targets(tie_masks(nbrs, g, _TIE_TOL))
+
+            row = [0] * width
+            for i, slot, draws in arrivals:
+                w = next(draws.it, None)
+                if w is None:
+                    w = draws.refill()
+                if w == 0:
+                    continue
+                row[slot] = w
+                t = to[i]
+                if len(t) == 1:
+                    row[t[0]] += w
+                else:  # each job picks uniformly and independently among the targets
+                    draws.rewind()
+                    for j, k in zip(t, draws.gen.multinomial(w, [1.0 / len(t)] * len(t)).tolist()):
+                        row[j] += k
+
+            for j in range(nb):
+                nj = counts[j]
+                if nj == 0:  # empty backend: μ(0)=0, serve nothing, consume no randomness
+                    counts[j] = row[j]
+                    continue
+                draws = uniforms[j]
+                u = next(draws.it, None)
+                if u is None:
+                    u = draws.refill()
+                m = mu[j]
+                if m <= 1.0:
+                    d = 1 if u < m else 0
+                else:  # a single Bernoulli cannot carry mean > 1: split off the floor
+                    whole = int(m)
+                    d = whole + (1 if u < m - whole else 0)
+                if d > nj:
+                    clamps[j] += 1
+                    d = nj
+                row[nb + j] = d
+                counts[j] = nj + row[j] - d
+            put(row)
+
+    def rewind(self) -> None:
+        """Leave every stream where scalar draws would have left it."""
+        for _, _, draws in self.arrivals:
+            draws.rewind()
+        for draws in self.uniforms:
+            draws.rewind()
 
 
 def step(
@@ -203,7 +308,10 @@ def step(
     policy: str,
     streams: list[np.random.Generator],
 ) -> DiscreteState:
-    """Advance one discrete step: Poisson arrivals, per-job routing, departures."""
+    """Advance one discrete step: Poisson arrivals, per-job routing, departures.
+
+    The caller's streams are left where one scalar draw per value used would
+    leave them."""
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
     nb = len(sys.backends)
@@ -212,8 +320,9 @@ def step(
             f"state has {len(state.counts)} backends, the system has {nb}"
         )
     counts = list(state.counts)
-    _advance(sys, counts, state.c, policy, streams, [0] * nb, [0] * nb,
-             [0] * len(sys.frontends), [0] * nb)
+    chain = _Chain(sys, state.c, policy, streams)
+    chain.run(counts, 1, array("q"))
+    chain.rewind()
     return DiscreteState(counts=tuple(counts), step=state.step + 1, c=state.c)
 
 
@@ -231,6 +340,15 @@ def _initial_counts(sys: BipartiteSystem, n, c: int) -> list[int]:
     return [int(round(v)) for v in scaled]
 
 
+def _step_count(horizon: float, c: int) -> int:
+    """The chain steps of 1/c in `horizon`: the integer nearest horizon·c
+    when the product lies within a few ulps of it (2.3·100 is
+    229.99999999999997 in floats), its floor otherwise."""
+    x = horizon * c
+    k = round(x)
+    return k if abs(x - k) <= 4 * math.ulp(x) else math.floor(x)
+
+
 def simulate(
     sys: BipartiteSystem,
     n0,
@@ -240,11 +358,13 @@ def simulate(
     seed: int = 0,
     thin: int = 1,
 ) -> SampledRun:
-    """Run ⌊horizon·c⌋ steps from the integer state round(n0·c).
+    """Run horizon·c steps (rounded to the nearest integer within a few
+    ulps, down otherwise) from the integer state round(n0·c).
 
     Records the normalized state every `thin` steps (the final step is always
     recorded), along with the raw arrival/departure counts accumulated since
-    the previous record.
+    the previous record.  Per-step counts are held for one chunk of
+    `_CHUNK` steps at a time, so memory grows with the records only.
     """
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
@@ -257,54 +377,52 @@ def simulate(
     counts = _initial_counts(sys, n0, c)
     nb = len(sys.backends)
     nf = len(sys.frontends)
-    steps = int(horizon * c)
+    steps = _step_count(horizon, c)
     if steps > _MAX_STEPS:
         raise ValueError(
             f"step budget exceeded: horizon*c = {steps} > {_MAX_STEPS}"
         )
 
-    streams = rng_streams(sys, seed)
-    arr_b = [0] * nb
-    dep_b = [0] * nb
-    arr_f = [0] * nf
-    win_arr = [0] * nb
-    win_dep = [0] * nb
-    win_arr_f = [0] * nf
-    clamps = [0] * nb
+    marks = np.arange(0, steps + 1, thin, dtype=np.int64)  # the recorded steps
+    if marks[-1] != steps:
+        marks = np.append(marks, steps)
+    start = np.array(counts, dtype=np.int64)
+    y = np.empty((len(marks), nb))
+    y[0] = start / c
+    # a step's row holds the arrivals and departures per backend, then the
+    # arrivals per frontend; each record sums the rows since the last one
+    columns = (slice(0, nb), slice(nb, 2 * nb), slice(2 * nb, None))
+    flux = [np.zeros((len(marks), n), dtype=np.int64) for n in (nb, nb, nf)]
+    total = np.zeros(2 * nb + nf, dtype=np.int64)  # row sums from step 0 to the last step run
+    last = total  # ... and to the last record
+    chain = _Chain(sys, c, policy, rng_streams(sys, seed))
+    done, rec = 0, 1
+    while done < steps:
+        k = min(_CHUNK, steps - done)
+        rows = array("q")
+        chain.run(counts, k, rows)
+        sums = np.frombuffer(rows, dtype=np.int64).reshape(k, -1)
+        np.cumsum(sums, axis=0, out=sums)
+        sums += total
+        total = sums[-1].copy()
+        upto = int(np.searchsorted(marks, done + k, side="right"))
+        if upto > rec:
+            at = sums[marks[rec:upto] - (done + 1)]
+            y[rec:upto] = (start + at[:, columns[0]] - at[:, columns[1]]) / c
+            for out, cols in zip(flux, columns):
+                out[rec:upto] = at[:, cols]
+                out[rec + 1:upto] -= at[:-1, cols]
+                out[rec] -= last[cols]
+            last = at[-1]
+        done, rec = done + k, upto
 
-    times = array("d", [0.0])
-    ys = array("d", [n / c for n in counts])
-    arrs = array("q", [0] * nb)
-    deps = array("q", [0] * nb)
-    arrs_f = array("q", [0] * nf)
-
-    for i in range(1, steps + 1):
-        _advance(sys, counts, c, policy, streams, arr_b, dep_b, arr_f, clamps)
-        for j in range(nb):
-            win_arr[j] += arr_b[j]
-            win_dep[j] += dep_b[j]
-        for f in range(nf):
-            win_arr_f[f] += arr_f[f]
-        if i % thin == 0 or i == steps:
-            times.append(i / c)
-            ys.extend(n / c for n in counts)
-            arrs.extend(win_arr)
-            deps.extend(win_dep)
-            arrs_f.extend(win_arr_f)
-            win_arr = [0] * nb
-            win_dep = [0] * nb
-            win_arr_f = [0] * nf
-
-    records = len(times)
     return SampledRun(
-        times=np.frombuffer(times, dtype=float).copy(),
-        y=np.frombuffer(ys, dtype=float).reshape(records, nb).copy(),
-        arrivals=np.frombuffer(arrs, dtype=np.int64).reshape(records, nb).copy(),
-        departures=np.frombuffer(deps, dtype=np.int64).reshape(records, nb).copy(),
-        frontend_arrivals=np.frombuffer(arrs_f, dtype=np.int64)
-        .reshape(records, nf)
-        .copy(),
-        clamps=np.array(clamps, dtype=np.int64),
+        times=marks / c,
+        y=y,
+        arrivals=flux[0],
+        departures=flux[1],
+        frontend_arrivals=flux[2],
+        clamps=np.array(chain.clamps, dtype=np.int64),
         c=c,
         seed=seed,
         policy=policy,
@@ -350,21 +468,19 @@ def mean_drift_check(
     nb = len(sys.backends)
     nf = len(sys.frontends)
 
-    streams = rng_streams(sys, seed)
-    arr_b = [0] * nb
-    dep_b = [0] * nb
-    arr_f = [0] * nf
-    clamp_b = [0] * nb
-    total = np.zeros(nb)
-    total_sq = np.zeros(nb)
-    for _ in range(samples):
-        counts = list(base)
-        _advance(sys, counts, c, policy, streams, arr_b, dep_b, arr_f, clamp_b)
-        for j in range(nb):
-            d = arr_b[j] - dep_b[j]
-            total[j] += d
-            total_sq[j] += d * d
+    chain = _Chain(sys, c, policy, rng_streams(sys, seed))
+    total = np.zeros(nb, dtype=np.int64)
+    total_sq = np.zeros(nb, dtype=np.int64)
+    for first in range(0, samples, _CHUNK):
+        rows = array("q")
+        for _ in range(min(_CHUNK, samples - first)):
+            chain.run(list(base), 1, rows)
+        per_step = np.frombuffer(rows, dtype=np.int64).reshape(-1, 2 * nb + nf)
+        delta = per_step[:, :nb] - per_step[:, nb:2 * nb]
+        total += delta.sum(axis=0)
+        total_sq += (delta * delta).sum(axis=0)
 
+    # integer sums below 2^53 are exact in floats, as a float running sum is
     mean = total / samples
     var = np.maximum(total_sq / samples - mean**2, 0.0) * samples / (samples - 1)
     stderr = np.sqrt(var / samples)

@@ -12,6 +12,8 @@ import numpy as np
 from gmsr.flownet import _augmented_cut
 from gmsr.fluid_opt import FluidOptimum, InfeasibleSystemError, kkt_residual
 from gmsr.model import HILL, BipartiteSystem, hill, make_system, saturating_exponential
+from gmsr.stochastic import _TIE_TOL, SampledRun, rng_streams
+from gmsr.tiers import tie_masks
 
 
 def n_model() -> BipartiteSystem:
@@ -355,3 +357,120 @@ def brute_force_optimum(sys: BipartiteSystem, grid_step: float) -> FluidOptimum:
         objective=float(n.sum()),
         kkt_residual=kkt_residual(sys, n, x),
     )
+
+
+# -- the scalar oracle for the stochastic chain -----------------------------------
+
+
+def scalar_advance(sys: BipartiteSystem, counts: list[int], c: int, policy: str,
+                   streams: list[np.random.Generator], arr_b: list[int],
+                   dep_b: list[int], arr_f: list[int], clamp_b: list[int]) -> None:
+    """One chain step in place, one scalar draw at a time: Poisson arrivals
+    per frontend, a multinomial split over tied targets, then per backend a
+    Bernoulli departure (on top of floor(μ) when μ > 1), clamped to the jobs
+    present.  Overwrites the arrival/departure buffers and adds clamp events
+    to clamp_b."""
+    nf = len(sys.frontends)
+    services = [b.service for b in sys.backends]
+    for j in range(len(counts)):
+        arr_b[j] = 0
+
+    if policy == "gmsr":
+        g = [svc.gradient(counts[j] / c) for j, svc in enumerate(services)]
+        masks = tie_masks(sys.backends_of_frontend, g, _TIE_TOL)
+    for i, lam in enumerate(sys.lambdas):
+        if lam == 0.0:
+            arr_f[i] = 0
+            continue
+        w = int(streams[i].poisson(lam))
+        arr_f[i] = w
+        if w == 0:
+            continue
+        nbrs = sys.backends_of_frontend[i]
+        targets = [j for j in nbrs if masks[i] >> j & 1] if policy == "gmsr" else list(nbrs)
+        if len(targets) == 1:
+            arr_b[targets[0]] += w
+        else:
+            split = streams[i].multinomial(w, [1.0 / len(targets)] * len(targets))
+            for j, cnt in zip(targets, split):
+                arr_b[j] += int(cnt)
+
+    for j, svc in enumerate(services):
+        nj = counts[j]
+        if nj == 0:
+            dep_b[j] = 0
+            counts[j] = arr_b[j]
+            continue
+        m = svc.value(nj / c)
+        if m <= 1.0:
+            d = int(streams[nf + j].random() < m)
+        else:
+            whole = int(m)
+            d = whole + int(streams[nf + j].random() < m - whole)
+        if d > nj:
+            clamp_b[j] += 1
+            d = nj
+        dep_b[j] = d
+        counts[j] = nj + arr_b[j] - d
+
+
+def scalar_simulate(sys: BipartiteSystem, n0, c: int, steps: int, policy: str = "gmsr",
+                    seed: int = 0, thin: int = 1) -> SampledRun:
+    """`steps` chain steps from round(n0·c), recorded every `thin` steps
+    and at the last, with the window sums of the raw counts; one scalar
+    draw and one Python window sum per step.  Only meant as the oracle that
+    `simulate` must equal bit for bit."""
+    counts = [int(round(v)) for v in np.asarray(n0, dtype=float) * c]
+    nb, nf = len(sys.backends), len(sys.frontends)
+    streams = rng_streams(sys, seed)
+    arr_b, dep_b, arr_f, clamps = [0] * nb, [0] * nb, [0] * nf, [0] * nb
+    win_arr, win_dep, win_arr_f = [0] * nb, [0] * nb, [0] * nf
+    times, ys = [0.0], [[n / c for n in counts]]
+    arrs, deps, arrs_f = [[0] * nb], [[0] * nb], [[0] * nf]
+    for i in range(1, steps + 1):
+        scalar_advance(sys, counts, c, policy, streams, arr_b, dep_b, arr_f, clamps)
+        for j in range(nb):
+            win_arr[j] += arr_b[j]
+            win_dep[j] += dep_b[j]
+        for f in range(nf):
+            win_arr_f[f] += arr_f[f]
+        if i % thin == 0 or i == steps:
+            times.append(i / c)
+            ys.append([n / c for n in counts])
+            arrs.append(win_arr)
+            deps.append(win_dep)
+            arrs_f.append(win_arr_f)
+            win_arr, win_dep, win_arr_f = [0] * nb, [0] * nb, [0] * nf
+    return SampledRun(
+        times=np.array(times, dtype=float),
+        y=np.array(ys, dtype=float).reshape(len(times), nb),
+        arrivals=np.array(arrs, dtype=np.int64).reshape(len(times), nb),
+        departures=np.array(deps, dtype=np.int64).reshape(len(times), nb),
+        frontend_arrivals=np.array(arrs_f, dtype=np.int64).reshape(len(times), nf),
+        clamps=np.array(clamps, dtype=np.int64),
+        c=c,
+        seed=seed,
+        policy=policy,
+    )
+
+
+def scalar_drift(sys: BipartiteSystem, n, c: int, policy: str, samples: int,
+                 seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The per-backend mean and standard error of ΔN over `samples` single
+    scalar steps from round(n·c), the state reset between samples and the
+    streams not: the oracle for `mean_drift_check`'s mean and stderr."""
+    base = [int(round(v)) for v in np.asarray(n, dtype=float) * c]
+    nb, nf = len(sys.backends), len(sys.frontends)
+    streams = rng_streams(sys, seed)
+    arr_b, dep_b, arr_f, clamp_b = [0] * nb, [0] * nb, [0] * nf, [0] * nb
+    total, total_sq = np.zeros(nb), np.zeros(nb)
+    for _ in range(samples):
+        counts = list(base)
+        scalar_advance(sys, counts, c, policy, streams, arr_b, dep_b, arr_f, clamp_b)
+        for j in range(nb):
+            d = arr_b[j] - dep_b[j]
+            total[j] += d
+            total_sq[j] += d * d
+    mean = total / samples
+    var = np.maximum(total_sq / samples - mean**2, 0.0) * samples / (samples - 1)
+    return mean, np.sqrt(var / samples)

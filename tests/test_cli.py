@@ -389,6 +389,18 @@ def test_simulate_file_count_and_content(tmp_path, scenario_file):
     assert rec["final"] == finals
 
 
+def test_simulate_summary_counts_the_steps_the_run_took(tmp_path, scenario_file):
+    # 2.3·100 is 229.99999999999997 in floats; the run takes 230 steps and
+    # ends at t = 2.3, as the fluid path does, and summary.json says so
+    code = run_command(["simulate", scenario_file(horizon=2.3), "--out", str(tmp_path),
+                        "--scales", "100", "--seeds", "1"])
+    assert code == 0
+    (rec,) = json.loads((tmp_path / "summary.json").read_text())["runs"]
+    assert rec["steps"] == 230 and rec["records"] == 231
+    with (tmp_path / rec["file"]).open(newline="") as fh:
+        assert list(csv.DictReader(fh))[-1]["t"] == "2.3"
+
+
 def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path, scenario_file):
     # backend ids that csv quotes, and runs longer than one block of rows;
     # the reference writes every cell's repr through csv.writer

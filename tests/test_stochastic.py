@@ -1,16 +1,19 @@
 """Tests for the discrete stochastic simulator.
 
-Covers bit-level reproducibility, the exact integer conservation law,
-routing/drift correctness at frozen states (Monte-Carlo z-scores against
-analytic drift), departure clamping, fluid-limit convergence diagnostics,
-and input validation.
+Covers bit-level equality with the scalar oracle, reproducibility, the
+exact integer conservation law, routing/drift correctness at frozen states
+(Monte-Carlo z-scores against analytic drift), departure clamping,
+fluid-limit convergence diagnostics, and input validation.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gmsr.stochastic as stochastic
+from gmsr.cli import load_scenario
 from gmsr.fluid_dyn import IntegratorConfig, integrate_fluid
 from gmsr.fluid_opt import solve_fluid_optimum
 from gmsr.model import hill, make_system
@@ -24,6 +27,9 @@ from gmsr.stochastic import (
     step,
 )
 
+from support import random_system, scalar_advance, scalar_drift, scalar_simulate
+from test_cli import SCENARIOS
+
 
 def _n_model():
     """Two frontends, two hill backends, f2 connected to both; underloaded."""
@@ -36,6 +42,158 @@ def _n_model():
 
 def _single_pair(lam=0.5):
     return make_system([("f1", lam)], [("b1", hill(1.0, 1.0))], [("f1", "b1")])
+
+
+def _tie_heavy():
+    """f1 has no arrivals, f2 a λ = 12 stream (Poisson by rejection) over
+    all three backends, f3 λ = 0.5 over b2 and b3.  b1 and b2 are the same
+    Hill curve, so they tie exactly whenever their counts agree and the
+    jobs split by multinomial; b3's initial slope of 3000 makes it clamp at
+    every scale used here."""
+    return make_system(
+        frontends=[("f1", 0.0), ("f2", 12.0), ("f3", 0.5)],
+        backends=[("b1", hill(6.0, 1.0)), ("b2", hill(6.0, 1.0)), ("b3", hill(30.0, 0.01))],
+        edges=[("f1", "b1"), ("f1", "b2"), ("f2", "b1"), ("f2", "b2"), ("f2", "b3"),
+               ("f3", "b2"), ("f3", "b3")],
+    )
+
+
+_RUN_ARRAYS = ("times", "y", "arrivals", "departures", "frontend_arrivals", "clamps")
+
+
+def _assert_same_run(run, oracle):
+    for name in _RUN_ARRAYS:
+        got, want = getattr(run, name), getattr(oracle, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+# ---------------------------------------------------------------------------
+# bit-level equality with the scalar oracle
+
+
+@pytest.mark.parametrize("thin", [1, 7])
+@pytest.mark.parametrize("policy", ["gmsr", "random"])
+@pytest.mark.parametrize("c, horizon", [(20, 40.0), (1000, 3.0)])
+@pytest.mark.parametrize("name", ["n_model", "fig1", "overload_nmodel"])
+def test_bundled_runs_equal_the_scalar_oracle(name, c, horizon, policy, thin):
+    scn = load_scenario(SCENARIOS / f"{name}.json")
+    run = simulate(scn.system, scn.initial, c, horizon, policy, seed=4, thin=thin)
+    oracle = scalar_simulate(scn.system, scn.initial, c, round(horizon * c), policy, 4, thin)
+    _assert_same_run(run, oracle)
+
+
+@pytest.mark.parametrize("thin", [1, 5, 10**6])
+@pytest.mark.parametrize("c", [1, 3, 20, 200])
+def test_tie_heavy_runs_equal_the_scalar_oracle(c, thin):
+    sys = _tie_heavy()
+    run = simulate(sys, [0.0, 0.0, 0.0], c, 60.0, seed=c, thin=thin)
+    _assert_same_run(run, scalar_simulate(sys, [0.0, 0.0, 0.0], c, 60 * c, "gmsr", c, thin))
+    assert run.clamps[2] > 0
+    assert run.frontend_arrivals[:, 0].sum() == 0
+
+
+def test_tie_heavy_runs_split_jobs():
+    # the case the blocked draws must rewind for: jobs split between b1 and b2
+    sys = _tie_heavy()
+    r = simulate(sys, [0.0, 0.0, 0.0], 3, 60.0, seed=3)
+    assert np.any((r.arrivals[:, 0] > 0) & (r.arrivals[:, 1] > r.frontend_arrivals[:, 2]))
+
+
+@pytest.mark.parametrize("policy", ["gmsr", "random"])
+def test_random_systems_equal_the_scalar_oracle(policy):
+    rng = np.random.default_rng(2323)
+    for k in range(20):
+        sys = random_system(rng)
+        n0 = rng.uniform(0.0, 2.0, len(sys.backends))
+        c = int(rng.choice([2, 30, 300]))
+        thin = int(rng.choice([1, 4, 500]))
+        run = simulate(sys, n0, c, 1500 / c, policy, seed=k, thin=thin)
+        _assert_same_run(run, scalar_simulate(sys, n0, c, 1500, policy, k, thin))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_records_do_not_depend_on_the_chunk(chunk, monkeypatch):
+    monkeypatch.setattr(stochastic, "_CHUNK", chunk)
+    sys = _n_model()
+    for thin in (1, 2, 3, 7, 10):
+        run = simulate(sys, [1.0, 0.5], 20, 2.0, seed=1, thin=thin)
+        _assert_same_run(run, scalar_simulate(sys, [1.0, 0.5], 20, 40, "gmsr", 1, thin))
+
+
+@pytest.mark.parametrize("policy", ["gmsr", "random"])
+@pytest.mark.parametrize("make, c", [(_n_model, 100), (_tie_heavy, 3)])
+def test_step_equals_the_oracle_and_leaves_the_streams_as_it_does(make, c, policy):
+    sys = make()
+    nb, nf = len(sys.backends), len(sys.frontends)
+    streams, oracle_streams = rng_streams(sys, 8), rng_streams(sys, 8)
+    state = DiscreteState(counts=(0,) * nb, step=0, c=c)
+    counts = [0] * nb
+    for _ in range(40):
+        state = step(sys, state, policy, streams)
+        scalar_advance(sys, counts, c, policy, oracle_streams,
+                       [0] * nb, [0] * nb, [0] * nf, [0] * nb)
+        assert state.counts == tuple(counts)
+    for got, want in zip(streams, oracle_streams):
+        assert np.array_equal(got.random(8), want.random(8))
+
+
+@pytest.mark.parametrize("policy", ["gmsr", "random"])
+@pytest.mark.parametrize("make, n, c", [(_n_model, [2.0, 1.0], 100), (_tie_heavy, [1.0, 1.0, 0.1], 3)])
+def test_drift_mean_and_stderr_equal_the_oracle(make, n, c, policy):
+    sys = make()
+    est = mean_drift_check(sys, n, c, policy, samples=3000, seed=6)
+    mean, stderr = scalar_drift(sys, n, c, policy, 3000, 6)
+    assert np.array_equal(est.mean, mean)
+    assert np.array_equal(est.stderr, stderr)
+
+
+# ---------------------------------------------------------------------------
+# step counts and memory
+
+
+def test_decimal_horizons_keep_their_last_step():
+    sys = _single_pair()
+    for horizon, steps in ((2.3, 230), (0.29, 29), (4.35, 435), (2.305, 230)):
+        r = simulate(sys, [1.0], 100, horizon, seed=0)
+        assert r.steps == steps and len(r) == steps + 1
+        assert r.times[-1] == steps / 100
+    assert simulate(sys, [1.0], 100, 2.3, seed=0).times[-1] == 2.3
+
+
+def test_step_budget_counts_steps_as_the_run_does(monkeypatch):
+    sys = _single_pair()
+    monkeypatch.setattr(stochastic, "_MAX_STEPS", 229)
+    with pytest.raises(ValueError, match="step budget"):
+        simulate(sys, [1.0], 100, 2.3)  # 2.3·100 is 229.99999999999997: 230 steps
+    monkeypatch.setattr(stochastic, "_MAX_STEPS", 230)
+    assert simulate(sys, [1.0], 100, 2.3).steps == 230
+
+
+def test_zero_step_run_has_one_record():
+    sys = _n_model()
+    r = simulate(sys, [1.0, 0.5], 10, 0.05, seed=2)  # horizon·c = 0.5
+    assert len(r) == 1 and r.steps == 0
+    assert np.array_equal(r.times, [0.0]) and np.array_equal(r.y, [[1.0, 0.5]])
+    for flux in (r.arrivals, r.departures, r.frontend_arrivals):
+        assert flux.shape[0] == 1 and not flux.any()
+
+
+def test_thinned_long_run_holds_records_and_one_chunk():
+    # 30k steps kept whole would hold 30k rows of 6 int64 counts (1.44 MB);
+    # the run holds its two records and one chunk of rows at a time
+    sys = _n_model()
+    steps = 30_000
+    width = 2 * len(sys.backends) + len(sys.frontends)
+    chunk_bytes = stochastic._CHUNK * width * 8
+    simulate(sys, [1.0, 0.5], 1000, 3.0, seed=3, thin=steps)  # what loads on first use
+    tracemalloc.start()
+    try:
+        r = simulate(sys, [1.0, 0.5], 1000, steps / 1000, seed=3, thin=steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(r) == 2 and r.steps == steps
+    assert peak < 4 * chunk_bytes + 256 * 1024, peak
 
 
 # ---------------------------------------------------------------------------
