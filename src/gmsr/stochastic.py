@@ -15,11 +15,12 @@ this implementation, and nodes can be resampled independently.  Bit-level
 equality across other RNG implementations is not promised — only the
 statistical claims travel.
 
-Draws are taken in blocks: a stream hands out values from one vectorized
-draw at a time, and a frontend's stream is rewound to the exact scalar
-position before a multinomial split.  Each stream's sequence of used values
-is the one that one scalar draw per value gives, and `step` leaves the
-caller's streams where those scalar draws would.
+`simulate` and `mean_drift_check` take draws in blocks: a stream hands out
+values from one vectorized draw at a time, and a frontend's stream is rewound
+to the exact scalar position before a multinomial split.  Each stream's
+sequence of used values is the one that one scalar draw per value gives.
+`step` draws one value at a time, so it leaves the caller's streams where
+those scalar draws do.
 
 Two unavoidable integer-vs-mean compromises, both explicit:
 
@@ -59,7 +60,7 @@ __all__ = [
 _POLICIES = ("gmsr", "random")
 _TIE_TOL = 1e-12  # gradients this close to the per-frontend max count as tied
 _MAX_STEPS = 10**8
-_BLOCKS = (16, 512)  # a stream's first block of draws, and the size blocks double up to
+_BLOCK = 256  # values per vectorized draw of a blocked stream
 _CHUNK = 1024  # steps whose raw counts are held before they are summed into records
 
 
@@ -158,20 +159,18 @@ def rng_streams(sys: BipartiteSystem, seed: int) -> list[np.random.Generator]:
 class _Draws:
     """One stream's values, handed out one at a time from `it`.
 
-    Blocked (the default), `it` runs over blocks of values from draw(size),
-    each twice the last up to ``_BLOCKS[1]``; the stream's state before the
-    block is kept, so rewind() can put the stream where scalar draws of the
-    values handed out would have left it.  Numpy fills an array with the
-    same values, in the same order, as repeated scalar calls, so blocking
-    changes no value.  Unblocked, `it` calls draw() once per value and there
-    is nothing to rewind."""
+    Blocked, `it` runs over blocks of values from draw(_BLOCK); the
+    stream's state before the block is kept, so rewind() can put the stream
+    where scalar draws of the values handed out would have left it.  Numpy
+    fills an array with the same values, in the same order, as repeated
+    scalar calls, so blocking changes no value.  Unblocked, `it` calls
+    draw() once per value and there is nothing to rewind."""
 
-    __slots__ = ("gen", "draw", "size", "block", "it", "saved")
+    __slots__ = ("gen", "draw", "block", "it", "saved")
 
-    def __init__(self, gen: np.random.Generator, draw, blocked: bool = True):
+    def __init__(self, gen: np.random.Generator, draw, blocked: bool):
         self.gen = gen
         self.draw = draw
-        self.size = _BLOCKS[0]
         self.block: list = []
         self.it = iter(self.block) if blocked else iter(draw, None)
         self.saved = None
@@ -179,22 +178,19 @@ class _Draws:
     def refill(self):
         """Draw the next block and hand out its first value."""
         self.saved = self.gen.bit_generator.state
-        self.block = self.draw(self.size).tolist()
-        self.size = min(2 * self.size, _BLOCKS[1])
+        self.block = self.draw(_BLOCK).tolist()
         self.it = iter(self.block)
         return next(self.it)
 
     def rewind(self) -> None:
         """Leave the stream just past the values handed out; the next value
-        comes from a new block of the first size, since a stream that must
-        rewind once (for a multinomial) is likely to again."""
+        comes from a new block."""
         if self.saved is None:
             return
         used = len(self.block) - operator.length_hint(self.it)
         self.gen.bit_generator.state = self.saved
         self.draw(used)
         self.saved = None
-        self.size = _BLOCKS[0]
         self.block = []
         self.it = iter(self.block)
 
@@ -203,15 +199,17 @@ class _Chain:
     """The chain's step loop over one run's streams, shared by `simulate`,
     `step` and `mean_drift_check`.
 
-    Each frontend with λ > 0 takes its Poisson counts from a blocked stream,
-    and each backend its uniforms.  A job split needs a multinomial from the
-    frontend's stream at the position scalar draws would have reached, so
-    the stream is rewound first; under the random policy a frontend with
-    several neighbours splits on most arrivals, and draws unblocked.  The
-    targets of each frontend are kept per tie pattern, the mask tuple."""
+    Each frontend with λ > 0 takes its Poisson counts from a stream, and
+    each backend its uniforms; with `blocked`, from blocked draws.  A job
+    split needs a multinomial from the frontend's stream at the position
+    scalar draws would have reached, so the stream is rewound first; under
+    the random policy a frontend with several neighbours splits on most
+    arrivals, and draws unblocked (rewound at every split, blocked draws
+    made fig1 step 2.5x slower than scalar ones).  The targets of each
+    frontend are kept per tie pattern, the mask tuple."""
 
     def __init__(self, sys: BipartiteSystem, c: int, policy: str,
-                 streams: list[np.random.Generator]):
+                 streams: list[np.random.Generator], blocked: bool = True):
         nf, nb = len(sys.frontends), len(sys.backends)
         nbrs = sys.backends_of_frontend
         self.c = c
@@ -221,11 +219,12 @@ class _Chain:
         self.gmsr = policy == "gmsr"
         self.arrivals = [  # (frontend, its column in a step's row, its draws)
             (i, 2 * nb + i, _Draws(streams[i], functools.partial(streams[i].poisson, lam),
-                                   blocked=self.gmsr or len(nbrs[i]) == 1))
+                                   blocked and (self.gmsr or len(nbrs[i]) == 1)))
             for i, lam in enumerate(sys.lambdas)
             if lam != 0.0  # no arrival process: consume no randomness
         ]
-        self.uniforms = [_Draws(streams[nf + j], streams[nf + j].random) for j in range(nb)]
+        self.uniforms = [_Draws(streams[nf + j], streams[nf + j].random, blocked)
+                         for j in range(nb)]
         self.clamps = [0] * nb
 
         @functools.lru_cache(maxsize=4096)
@@ -294,13 +293,6 @@ class _Chain:
                 counts[j] = nj + row[j] - d
             put(row)
 
-    def rewind(self) -> None:
-        """Leave every stream where scalar draws would have left it."""
-        for _, _, draws in self.arrivals:
-            draws.rewind()
-        for draws in self.uniforms:
-            draws.rewind()
-
 
 def step(
     sys: BipartiteSystem,
@@ -310,8 +302,8 @@ def step(
 ) -> DiscreteState:
     """Advance one discrete step: Poisson arrivals, per-job routing, departures.
 
-    The caller's streams are left where one scalar draw per value used would
-    leave them."""
+    Draws one value at a time, so the caller's streams are left just past
+    the values used."""
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
     nb = len(sys.backends)
@@ -320,9 +312,7 @@ def step(
             f"state has {len(state.counts)} backends, the system has {nb}"
         )
     counts = list(state.counts)
-    chain = _Chain(sys, state.c, policy, streams)
-    chain.run(counts, 1, array("q"))
-    chain.rewind()
+    _Chain(sys, state.c, policy, streams, blocked=False).run(counts, 1, array("q"))
     return DiscreteState(counts=tuple(counts), step=state.step + 1, c=state.c)
 
 

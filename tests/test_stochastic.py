@@ -8,6 +8,8 @@ fluid-limit convergence diagnostics, and input validation.
 
 import math
 import tracemalloc
+from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from gmsr.stochastic import (
 )
 
 from support import random_system, scalar_advance, scalar_drift, scalar_simulate
-from test_cli import SCENARIOS
+
+SCENARIOS = Path(str(files("gmsr").joinpath("scenarios")))
 
 
 def _n_model():
@@ -118,6 +121,16 @@ def test_records_do_not_depend_on_the_chunk(chunk, monkeypatch):
     for thin in (1, 2, 3, 7, 10):
         run = simulate(sys, [1.0, 0.5], 20, 2.0, seed=1, thin=thin)
         _assert_same_run(run, scalar_simulate(sys, [1.0, 0.5], 20, 40, "gmsr", 1, thin))
+
+
+@pytest.mark.parametrize("block", [1, 3, 5])
+@pytest.mark.parametrize("policy", ["gmsr", "random"])
+def test_runs_do_not_depend_on_the_block(block, policy, monkeypatch):
+    # small blocks put refills and rewinds at every position in a block
+    monkeypatch.setattr(stochastic, "_BLOCK", block)
+    for sys, n0, c in ((_n_model(), [1.0, 0.5], 20), (_tie_heavy(), [0.0, 0.0, 0.0], 3)):
+        run = simulate(sys, n0, c, 30.0, policy, seed=block)
+        _assert_same_run(run, scalar_simulate(sys, n0, c, 30 * c, policy, block, 1))
 
 
 @pytest.mark.parametrize("policy", ["gmsr", "random"])
