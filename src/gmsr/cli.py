@@ -11,7 +11,8 @@ Subcommands:
 
   validate  parse and validate a scenario, print a summary
   optimum   solve the fluid optimization; write optimum.json
-  fluid     integrate the fluid dynamics; write trajectory.csv + events.csv
+  fluid     integrate the fluid dynamics; write trajectory.csv + events.csv,
+            and fluid.json with the sample and event counts report copies
   simulate  run the stochastic chain over scales x seeds; write one CSV per
             run plus summary.json
   overload  stability decomposition + long-run service rates; write
@@ -21,13 +22,15 @@ Subcommands:
             "kernel")
   report    aggregate previously written files in --out into report.json,
             copying their numbers without recomputation, with a "totals"
-            block of the work counts they hold
+            block of the work counts they hold; it reads the JSON files and
+            only lists the CSVs it finds
 
 Exit codes: 0 success, 1 scenario/argument validation failure, 2 infeasible
 system where feasibility is required (optimum, certify), 3 runtime failure.
 Command-line flags override the corresponding scenario fields.  All
 randomness derives from --seed-base (default 0): run k of a cell uses seed
-seed_base + k.  Every emitted file can be re-read by `report`.
+seed_base + k.  `report` names every file the other commands emit in its
+sources.
 """
 
 from __future__ import annotations
@@ -326,47 +329,34 @@ def _csv_fields(values) -> list[str]:
     return out
 
 
-def _traj_blocks(sys_: BipartiteSystem, traj, thin: int):
-    """The (time, backend, workload, rate, gradient, inflow) rows of
-    trajectory.csv, thinned, as CSV text in blocks of _CSV_BLOCK samples;
-    the bytes ``csv.writer`` writes for the repr of each value."""
-    idx = list(range(0, len(traj.times), thin))
-    if idx[-1] != len(traj.times) - 1:
-        idx.append(len(traj.times) - 1)
-    states = traj.states[idx]
-    rates = sys_.rates_at(states)
-    grads = sys_.gradients_at(states)
-    inflows = traj.inflows[idx]
-    times = traj.times[idx]
-    bids = _csv_fields(sys_.backend_ids)
-    r = float.__repr__
-    for lo in range(0, len(idx), _CSV_BLOCK):
-        block = slice(lo, lo + _CSV_BLOCK)
-        lines = []
-        for t, ns, mus, gs, ws in zip(times[block].tolist(), states[block].tolist(),
-                                      rates[block].tolist(), grads[block].tolist(),
-                                      inflows[block].tolist()):
-            t = r(t)
-            for b, n, mu, g, w in zip(bids, ns, mus, gs, ws):
-                lines.append(f"{t},{b},{r(n)},{r(mu)},{r(g)},{r(w)}\r\n")
-        yield "".join(lines)
+def _csv_blocks(bids, times, floats, ints=()):
+    """CSV text of the rows ``t, backend id, *floats, *ints``, one per sample
+    and backend, in blocks of _CSV_BLOCK samples: the bytes ``csv.writer``
+    writes for the repr of each float and the str of each int.
 
-
-def _sim_blocks(sys_: BipartiteSystem, run):
-    """The (time, backend, workload, arrivals, departures) rows of a chain
-    run's CSV, as text in blocks of _CSV_BLOCK samples (see _traj_blocks)."""
-    bids = _csv_fields(sys_.backend_ids)
+    `times` holds one value per sample; each array of `floats` and `ints`
+    one row per sample and one column per backend.  A block is one %-format
+    of a per-sample row template, and float.__repr__ runs once per distinct
+    64-bit pattern in the block: the unique is taken on the bits, not on the
+    values, which would merge -0.0 with 0.0.
+    """
+    nb, nfl = len(bids), 1 + len(floats)
+    row = ",".join(["%s"] * (len(floats) + len(ints)))
+    sample = "".join(f"%s,{b.replace('%', '%%')},{row}\r\n" for b in _csv_fields(bids))
     r = float.__repr__
-    for lo in range(0, len(run), _CSV_BLOCK):
-        block = slice(lo, lo + _CSV_BLOCK)
-        lines = []
-        for t, ys, arrs, deps in zip(run.times[block].tolist(), run.y[block].tolist(),
-                                     run.arrivals[block].tolist(),
-                                     run.departures[block].tolist()):
-            t = r(t)
-            for b, y, a, d in zip(bids, ys, arrs, deps):
-                lines.append(f"{t},{b},{r(y)},{a},{d}\r\n")
-        yield "".join(lines)
+    for lo in range(0, len(times), _CSV_BLOCK):
+        hi = min(lo + _CSV_BLOCK, len(times))
+        vals = np.empty((hi - lo, nb, nfl))
+        vals[:, :, 0] = times[lo:hi, None]
+        for k, col in enumerate(floats, 1):
+            vals[:, :, k] = col[lo:hi]
+        bits, inverse = np.unique(vals.view(np.int64), return_inverse=True)
+        reprs = np.array([r(v) for v in bits.view(np.float64).tolist()], dtype=object)
+        cells = np.empty((hi - lo, nb, nfl + len(ints)), dtype=object)
+        cells[:, :, :nfl] = reprs[inverse.reshape(vals.shape)]
+        for k, col in enumerate(ints, nfl):
+            cells[:, :, k] = col[lo:hi]  # as Python ints
+        yield (sample * (hi - lo)) % tuple(cells.ravel().tolist())
 
 
 def _cmd_fluid(args) -> int:
@@ -376,22 +366,41 @@ def _cmd_fluid(args) -> int:
     traj = integrate_fluid(sys_, scn.initial, scn.horizon, cfg)
     out = _out_dir(args, scn)
 
+    idx = list(range(0, len(traj), args.thin))
+    if idx[-1] != len(traj) - 1:
+        idx.append(len(traj) - 1)  # the last row, off the thinning grid
+    times, states = traj.times[idx], traj.states[idx]
     traj_path = out / "trajectory.csv"
     with traj_path.open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "backend_id", "workload", "service_rate", "gradient", "inflow"])
-        fh.writelines(_traj_blocks(sys_, traj, args.thin))
+        fh.writelines(_csv_blocks(sys_.backend_ids, times, (
+            states, sys_.rates_at(states), sys_.gradients_at(states), traj.inflows[idx])))
 
     events_path = out / "events.csv"
+    kinds: dict[str, int] = {}
     with events_path.open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "kind", "tiers"])
         for ev in traj.events:
             w.writerow([repr(float(ev.time)), ev.kind, _serialize_tiers(ev.tiers)])
+            kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
+
+    # what `report` copies; the times strictly increase, so each sample is
+    # one run of equal t in trajectory.csv
+    _write_json(out / "fluid.json", {
+        "fluid": {
+            "samples": len(idx),
+            "backends": sorted(sys_.backend_ids),
+            "final_time": float(times[-1]),
+            "final_workloads": {b: float(v) for b, v in zip(sys_.backend_ids, states[-1])},
+        },
+        "events": {"count": sum(kinds.values()), "by_kind": kinds},
+    })
 
     print(
-        f"wrote {traj_path} ({len(traj)} samples x {len(sys_.backends)} backends) "
-        f"and {events_path} ({len(traj.events)} events)"
+        f"wrote {traj_path} ({len(traj)} samples x {len(sys_.backends)} backends), "
+        f"{events_path} ({len(traj.events)} events) and {out / 'fluid.json'}"
     )
     return 0
 
@@ -416,7 +425,8 @@ def _cmd_simulate(args) -> int:
             with (out / name).open("w", newline="", encoding="utf-8") as fh:
                 w = csv.writer(fh)
                 w.writerow(["t", "backend_id", "workload", "arrivals", "departures"])
-                fh.writelines(_sim_blocks(sys_, run))
+                fh.writelines(_csv_blocks(sys_.backend_ids, run.times, (run.y,),
+                                          (run.arrivals, run.departures)))
             runs.append({
                 "scale": c,
                 "seed": seed,
@@ -484,30 +494,6 @@ def _cmd_certify(args) -> int:
     return 0
 
 
-def _csv_rows(path: Path, *names: str):
-    """Stream a CSV file's data rows as tuples of the named columns' cells.
-
-    Like ``csv.DictReader``: the first row names the columns, a name that
-    repeats refers to its last column, and blank lines after the header are
-    skipped.  A name missing from the header raises ValueError at the first
-    data row.
-    """
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        cols = None
-        for row in reader:
-            if not row:
-                continue
-            if cols is None:
-                last = {name: k for k, name in enumerate(header)}
-                missing = [n for n in names if n not in last]
-                if missing:
-                    raise ValueError(f"{path.name} has no column {missing[0]!r}")
-                cols = [last[n] for n in names]
-            yield tuple(row[k] for k in cols)
-
-
 def _cmd_report(args) -> int:
     out = _out_dir(args, None)
     report: dict = {"sources": [], "totals": {}}
@@ -519,32 +505,14 @@ def _cmd_report(args) -> int:
         report["sources"].append(opt_path.name)
         totals.update(rounds=opt["rounds"], max_flows=opt["max_flows"])
 
-    traj_path = out / "trajectory.csv"
-    if traj_path.is_file():
-        # one pass: samples counts runs of equal t, which gmsr fluid writes
-        # in order, and final keeps the last run's workloads
-        last_t, samples, backends, final = None, 0, set(), {}
-        for t, b, workload in _csv_rows(traj_path, "t", "backend_id", "workload"):
-            if t != last_t:
-                last_t, samples, final = t, samples + 1, {}
-            backends.add(b)
-            final[b] = workload
-        final = {b: float(v) for b, v in final.items()}
-        report["fluid"] = {
-            "samples": samples,
-            "backends": sorted(backends),
-            "final_time": None if last_t is None else float(last_t),
-            "final_workloads": final,
-        }
-        report["sources"].append(traj_path.name)
-
-    events_path = out / "events.csv"
-    if events_path.is_file():
-        kinds: dict[str, int] = {}
-        for (kind,) in _csv_rows(events_path, "kind"):
-            kinds[kind] = kinds.get(kind, 0) + 1
-        report["events"] = {"count": sum(kinds.values()), "by_kind": kinds}
-        report["sources"].append(events_path.name)
+    fluid_path = out / "fluid.json"
+    if fluid_path.is_file():
+        doc = json.loads(fluid_path.read_text(encoding="utf-8"))
+        report.update(fluid=doc["fluid"], events=doc["events"])
+        report["sources"].append(fluid_path.name)
+    for name in ("trajectory.csv", "events.csv"):
+        if (out / name).is_file():
+            report["sources"].append(name)
 
     summary_path = out / "summary.json"
     if summary_path.is_file():

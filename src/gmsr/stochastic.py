@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from array import array
 from dataclasses import dataclass
@@ -450,6 +451,8 @@ def mean_drift_check(
     """
     if policy not in _POLICIES:
         raise ValueError(f"policy must be one of {_POLICIES}, got {policy!r}")
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples for a stable estimate, got {samples}")
     if not (isinstance(c, int) and c >= 1):

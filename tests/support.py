@@ -3,9 +3,11 @@ and small brute-force oracles used to cross-check the library's algorithms."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -246,6 +248,62 @@ def trajectory_digest(traj) -> str:
     for part in (traj.events, traj.boundary_events, traj.stats):
         digest.update(repr(part).encode())
     return digest.hexdigest()
+
+
+# -- the CSV oracle for `gmsr report` --------------------------------------------
+
+
+def _csv_rows(path: Path, *names: str):
+    """Stream a CSV file's data rows as tuples of the named columns' cells.
+
+    Like ``csv.DictReader``: the first row names the columns, a name that
+    repeats refers to its last column, and blank lines after the header are
+    skipped.  A name missing from the header raises ValueError at the first
+    data row.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        cols = None
+        for row in reader:
+            if not row:
+                continue
+            if cols is None:
+                last = {name: k for k, name in enumerate(header)}
+                missing = [n for n in names if n not in last]
+                if missing:
+                    raise ValueError(f"{path.name} has no column {missing[0]!r}")
+                cols = [last[n] for n in names]
+            yield tuple(row[k] for k in cols)
+
+
+def report_blocks_from_csv(out) -> dict:
+    """The `fluid` and `events` blocks of report.json, parsed from the
+    trajectory.csv and events.csv that `gmsr fluid` wrote into `out`.
+
+    samples counts the runs of equal t, which gmsr fluid writes in order;
+    final_workloads keeps the last run's workloads; events counts the rows
+    of each kind in the order the kinds first appear.
+    """
+    out = Path(out)
+    last_t, samples, backends, final = None, 0, set(), {}
+    for t, b, workload in _csv_rows(out / "trajectory.csv", "t", "backend_id", "workload"):
+        if t != last_t:
+            last_t, samples, final = t, samples + 1, {}
+        backends.add(b)
+        final[b] = workload
+    kinds: dict[str, int] = {}
+    for (kind,) in _csv_rows(out / "events.csv", "kind"):
+        kinds[kind] = kinds.get(kind, 0) + 1
+    return {
+        "fluid": {
+            "samples": samples,
+            "backends": sorted(backends),
+            "final_time": None if last_t is None else float(last_t),
+            "final_workloads": {b: float(v) for b, v in final.items()},
+        },
+        "events": {"count": sum(kinds.values()), "by_kind": kinds},
+    }
 
 
 # -- the grid oracle for the fluid optimum ----------------------------------------

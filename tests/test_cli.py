@@ -3,6 +3,7 @@ outputs, exit codes, and the report round-trip guarantee."""
 
 import csv
 import hashlib
+import io
 import json
 import math
 from importlib.resources import files
@@ -11,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmsr.cli import Scenario, ScenarioError, load_scenario, run_command
+from gmsr.cli import Scenario, ScenarioError, _csv_blocks, load_scenario, run_command
 from gmsr.fluid_dyn import IntegratorConfig, integrate_fluid
 from gmsr.fluid_opt import solve_fluid_optimum
 from gmsr.stochastic import simulate
 
-from support import acceptance_system, scenario_doc
+from support import acceptance_system, report_blocks_from_csv, scenario_doc
 
 SCENARIOS = Path(str(files("gmsr").joinpath("scenarios")))
 
@@ -303,6 +304,13 @@ def test_fluid_events_csv_holds_the_copied_events_of_an_orbit(tmp_path):
          ";".join(",".join(t.frontends) + "|" + ",".join(t.backends) for t in ev.tiers)]
         for ev in traj.events
     ]
+    # fluid.json counts the copied events as they are written, and report
+    # copies the counts that parsing the CSVs gives
+    assert run_command(["report", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    oracle = report_blocks_from_csv(out)
+    assert oracle["events"]["count"] == len(traj.events)
+    assert {k: report[k] for k in oracle} == oracle
 
 
 # sha256 of what `gmsr fluid` and `gmsr certify` write on bundled scenarios,
@@ -310,11 +318,14 @@ def test_fluid_events_csv_holds_the_copied_events_of_an_orbit(tmp_path):
 # backends through the kernel.  Their Hill curves use only correctly rounded
 # arithmetic, so the files do not depend on the platform's libm.  The
 # certificate's fitted_rate goes through np.log and a least-squares fit, so
-# it is compared to 12 digits and its digest is of the rest of the document
+# it is compared to 12 digits and its digest is of the rest of the document.
+# fluid.json's digests were recorded when `gmsr fluid` began writing it; its
+# blocks equal those `gmsr report` parsed from the two CSVs before then
 _OUTPUT_PINS = {
     ("fluid", "n_model"): {
         "trajectory.csv": "b195a7c609ba6eb4ff32a6785109747b4d0831d3c6bd241f88964b1d0315a42d",
         "events.csv": "2ef946a7655bb71949d47b496a7848a9b9cd0e80448239d391f71d17795b641e",
+        "fluid.json": "42281cc25aa340ea69f0688543281b375c79055425e15c8f6fb5894b1ea770a5",
     },
     ("certify", "n_model"): {
         "certificate.json": ("12f369bb27f6a73d16ef8c20592aed1777b0ea2842161c850f17f3d6582713e8",
@@ -323,6 +334,7 @@ _OUTPUT_PINS = {
     ("fluid", "fig1"): {
         "trajectory.csv": "435a0741758de798d038fb87ae3b1d57fd2d390207c35cb6fe9c38da3e9a7213",
         "events.csv": "9703d90fa5785ea93415d294d1079344a934a1108ceb496343d5a4ecb3ff2374",
+        "fluid.json": "d9cca7ab4b3d64cac30f471f0f7d59e9260fb6f3b4379d35078d44d6294a78f9",
     },
     ("certify", "fig1"): {
         "certificate.json": ("d322394685a96bb01b544c643cc8c6eed689bbd9f7d127a9aea74ef34753a7aa",
@@ -332,6 +344,7 @@ _OUTPUT_PINS = {
     ("fluid", "overload_nmodel"): {
         "trajectory.csv": "07a7a7bc829394a4f17cc29d5e08eac172d7911e7bb6510f595280c597f5fac6",
         "events.csv": "9703d90fa5785ea93415d294d1079344a934a1108ceb496343d5a4ecb3ff2374",
+        "fluid.json": "ce36d0058d6bb7da412927201fd5633ac89bc3e8ea1ae77e69f4206446fe2fa7",
     },
 }
 
@@ -443,6 +456,24 @@ def test_csv_rows_are_the_bytes_csv_writer_writes(tmp_path, scenario_file):
           int(run.departures[i, j])] for i in range(len(run)) for j, bid in enumerate(bids)))
 
 
+def test_block_writer_keeps_signed_zeros_exponents_and_percent_ids():
+    # each block holds 0.0 beside -0.0 (a unique on the values would give
+    # both one repr), reprs with exponents, and ids that csv quotes or that
+    # hold "%"; the reference writes every cell through csv.writer
+    bids = ["b%s", 'b,"%d"', "100%"]
+    edges = np.array([0.0, -0.0, 1e-05, 1e+16, -2.5e-300, 0.1, 1.0, -0.0, 0.0, 3e-17])
+    samples = 600  # two whole blocks and a part
+    times = np.arange(samples) * 1e-05
+    floats = [np.resize(np.roll(edges, k), (samples, len(bids))) for k in range(3)]
+    ints = [np.arange(samples * len(bids)).reshape(samples, -1) % 7 - 3]
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(
+        [repr(float(times[i])), bid, *(repr(float(f[i, j])) for f in floats),
+         *(int(c[i, j]) for c in ints)]
+        for i in range(samples) for j, bid in enumerate(bids))
+    assert "".join(_csv_blocks(bids, times, floats, ints)) == buf.getvalue()
+
+
 def test_simulate_deterministic_per_seed_base(tmp_path, scenario_file):
     scn_path = scenario_file(horizon=1.0)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -544,6 +575,37 @@ def test_report_copies_sources_exactly(tmp_path, scenario_file):
         "steps": 200, "clamps": runs[0]["clamps"] + runs[1]["clamps"],
         "maxflow_witnesses": cert["kernel"]["maxflow_witnesses"], "cuts": cert["kernel"]["cuts"],
     }
+
+
+@pytest.mark.parametrize("thin, quoted", [(1, False), (7, False), (10, False), (7, True)])
+def test_report_copies_what_the_csv_oracle_parses(tmp_path, scenario_file, thin, quoted):
+    # --thin 7 leaves the last row off the thinning grid; quoted ids are
+    # csv-quoted in trajectory.csv and hold "%"
+    ids = {"b1": 'b,1%', "b2": 'b"2'} if quoted else {"b1": "b1", "b2": "b2"}
+    doc = _scenario_doc()
+    for b in doc["backends"]:
+        b["id"] = ids[b["id"]]
+    scn_path = scenario_file(
+        backends=doc["backends"], initial={ids[b]: v for b, v in doc["initial"].items()},
+        edges=[[f, ids[b]] for f, b in doc["edges"]], horizon=5.0)
+    assert run_command(["fluid", scn_path, "--out", str(tmp_path), "--thin", str(thin)]) == 0
+    assert run_command(["report", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    oracle = report_blocks_from_csv(tmp_path)
+    assert oracle["fluid"]["samples"] == -(-5000 // thin) + 1  # rows 0, thin, ... and 5000
+    assert json.loads((tmp_path / "fluid.json").read_text(encoding="utf-8")) == oracle
+    assert {k: report[k] for k in oracle} == oracle
+    assert report["sources"] == ["fluid.json", "trajectory.csv", "events.csv"]
+
+
+def test_report_lists_csvs_without_fluid_json(tmp_path, scenario_file):
+    # an --out directory from before fluid.json: the CSVs are listed, and no
+    # fluid or events block is made up from them
+    assert run_command(["fluid", scenario_file(horizon=1.0), "--out", str(tmp_path)]) == 0
+    (tmp_path / "fluid.json").unlink()
+    assert run_command(["report", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report == {"sources": ["trajectory.csv", "events.csv"], "totals": {}}
 
 
 def test_report_totals_hold_only_the_sources_present(tmp_path, scenario_file):

@@ -519,3 +519,15 @@ def test_mean_drift_check_validation():
     for bad in ([math.inf, 1.0], [math.nan, 1.0], [1.0, -0.5], [1e308, 1.0]):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             mean_drift_check(sys, bad, 10)
+
+
+def test_mean_drift_check_refuses_samples_that_are_not_integers():
+    sys = _n_model()
+    for bad in (1500.5, 2000.0, True, "2000", None):
+        with pytest.raises(ValueError, match="samples must be an integer"):
+            mean_drift_check(sys, [1.0, 1.0], 10, samples=bad)
+    # numpy integers count as integers, and estimate as the same Python int
+    est = mean_drift_check(sys, [1.0, 1.0], 10, samples=np.int64(1000), seed=3)
+    ref = mean_drift_check(sys, [1.0, 1.0], 10, samples=1000, seed=3)
+    assert np.array_equal(est.mean, ref.mean)
+    assert np.array_equal(est.stderr, ref.stderr)
