@@ -366,9 +366,9 @@ def _cmd_fluid(args) -> int:
     traj = integrate_fluid(sys_, scn.initial, scn.horizon, cfg)
     out = _out_dir(args, scn)
 
-    idx = list(range(0, len(traj), args.thin))
+    idx = np.arange(0, len(traj), args.thin)
     if idx[-1] != len(traj) - 1:
-        idx.append(len(traj) - 1)  # the last row, off the thinning grid
+        idx = np.append(idx, len(traj) - 1)  # the last row, off the thinning grid
     times, states = traj.times[idx], traj.states[idx]
     traj_path = out / "trajectory.csv"
     with traj_path.open("w", newline="", encoding="utf-8") as fh:

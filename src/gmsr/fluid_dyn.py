@@ -31,20 +31,17 @@ events, and boundary clamps, at every step.  One step is a pure function of
 the workload vector, and the integrator uses that three times, without
 changing a single output bit:
 
-* Incremental steps.  The Euler update notes which backends' workloads
-  changed bits.  Only those backends' curves are re-evaluated; when no
-  gradient changed, the tie masks and pattern are reused (and, under strict
-  argmax, the routing and inflows too).  Under strict argmax a step whose
-  gradients moved recomputes the masks and each frontend's argmax, and
-  when no argmax moved it keeps the routing and inflows and recomputes
-  only the moved backends' drifts.  In sliding mode, when the tie
-  pattern is the previous step's and that step needed no repair (no
-  split or tree miss), only the tiers holding a moved
-  backend are recomputed; when each moved backend is a tier of its own,
-  its implied inflow stays the tier's λ and its frontends' rows stay, so
-  only its drift is.  After a split, only the split tier's pieces
-  and the tiers not reached yet are recomputed; the others keep their
-  rows.
+* Kept rows.  Every row the kernel computes is one full step: it
+  evaluates every backend's curves, computes every backend's drift and
+  updates every workload.  When no gradient changed bits, the step keeps
+  the tie masks and pattern.  A step keeps the inflow and routing rows of
+  the step before (a held step) under strict argmax when no frontend's
+  argmax moved, and in sliding mode when that step solved the same
+  pattern outright (no split or tree miss) and each backend that moved
+  is a tier of its own: its implied inflow stays the tier's λ, so only
+  its drift w_j − μ_j changes.  Otherwise a sliding step solves every
+  tier; after a split it solves only the split tier's pieces and the
+  tiers not reached yet, since the others keep their rows.
 * Blocks.  A step that keeps the inflow and routing rows of the step
   before records them by reference, as the index of the last rows written.
   Until a tie mask changes (or, under strict argmax, an argmax does) the
@@ -312,10 +309,10 @@ class KernelStats:
     (rows copied after a bitwise fixed point or along an exact orbit add
     nothing, and neither do rows stepped in blocks, which solve no witness:
     a held block writes no rows, and a tier block takes only rows that its
-    pattern's trees solve, which count nothing).  A step that reuses tiers
-    of the previous one counts exactly what recomputing them would; a tier
-    solved before a split in the same step is not solved, or counted,
-    again.
+    pattern's trees solve, which count nothing).  A computed step solves
+    every tier, but a tier solved before a split in the same step is not
+    solved, or counted, again; a held sliding step keeps tiers that its
+    last step solved outright, which would count nothing.
 
     tree_misses:       tier witnesses from the pattern's spanning tree that
                        came out negative.
@@ -536,7 +533,8 @@ class _TierBlock:
         # held movers Hill curves first, so that each kind's columns are a
         # slice.  The run binds their inflows, which the block's key fixes:
         # λ of the frontends whose argmax each is, or its tier's (sliding)
-        singles = (sorted(k.members(moving), key=lambda j: not k.par[j][0]) if held
+        singles = (sorted((j for j in range(k.nb) if moving >> j & 1),
+                          key=lambda j: not k.par[j][0]) if held
                    else [t.b_idx[0] for t in ones])
         inflows = [k.wbuf[j] for j in singles] if held else [t.lam_sum for t in ones]
         movers += singles
@@ -551,8 +549,7 @@ class _TierBlock:
                 a, b, c, d = (np.array(v) for v in zip(*(par[c][1:] for c in cols)))
                 if cols[-1] - cols[0] == len(cols) - 1:
                     cols = slice(cols[0], cols[-1] + 1)
-                self.kinds.append((hill_kind, cols, a, b, a * b if hill_kind else c,
-                                   c if hill_kind else d))
+                self.kinds.append((hill_kind, cols, a, b, c, d))
         self.exp_cols = [c for c, p in enumerate(par) if not p[0]]
         self.groups, start = [], 0
         for t in self.tiers:
@@ -712,8 +709,8 @@ def _scalar_run(par, groups, singles):
     wide = sum(len(cols) for _, cols in groups)
     inflow = dict(singles)
     values = []
-    for c, (is_hill, a, b, cc, d) in enumerate(par):
-        values += (a, b if is_hill else -b, inflow[c] if c >= wide else cc if is_hill else d)
+    for c, (is_hill, a, b, _, d) in enumerate(par):
+        values += (a, b if is_hill else -b, inflow[c] if c >= wide else d)
     values += (lam_sum for lam_sum, _ in groups)
     return _run_binder(tuple(p[0] for p in par), tuple(cols for _, cols in groups))(*values)
 
@@ -722,8 +719,8 @@ def _scalar_run(par, groups, singles):
 def _run_binder(kinds: tuple[bool, ...], tiers: tuple[range, ...]):
     """bind(*values) -> run for the block runs of one shape: kinds per mover
     (True for Hill), the columns of each tier of several, and singles after
-    them.  values are a{c}, b{c} (b, or −rate) and k{c} (c, or d, or a
-    single's w_j) per mover, then λ_T per tier; the source names them only,
+    them.  values are a{c}, b{c} (b, or −rate) and k{c} (d, or a single's
+    w_j) per mover, then λ_T per tier; the source names them only,
     so each shape is compiled once per process.
 
     run(xs, es, h, limit) starts from the movers' workloads, the array xs,
@@ -793,14 +790,15 @@ class _Kernel:
         self.nf = len(sys.frontends)
         self.nb = len(sys.backends)
         self.lam = [float(v) for v in sys.lambdas]
-        # per-backend curve parameters, unrolled by kind
+        # per-backend curve parameters (is_hill, a, b, c, d): Hill curves
+        # (cap, half, cap·half, 2·cap·half), exponential ones (cap, rate,
+        # cap·rate, cap·rate²)
         self.par = [
-            (True, fn.cap, fn.half, 2.0 * fn.cap * fn.half, 0.0) if fn.kind == HILL
+            (True, fn.cap, fn.half, fn.cap * fn.half, 2.0 * fn.cap * fn.half) if fn.kind == HILL
             else (False, fn.cap, fn.rate, fn.cap * fn.rate, fn.cap * fn.rate * fn.rate)
             for fn in sys.services
         ]
         self.every = (1 << self.nb) - 1  # the bitmask of all backends
-        self.bits: dict[int, tuple[int, ...]] = {}  # bitmask -> its set bits, ascending
         self.neighbors = [tuple(sorted(t)) for t in sys.backends_of_frontend]
         self.patterns: dict[tuple[int, ...], _Pattern] = {}
         # state carried from one step to the next: the routing rows, the
@@ -833,29 +831,19 @@ class _Kernel:
             patterns=len(self.patterns),
         )
 
-    def members(self, mask: int) -> tuple[int, ...]:
-        """The backend indices in a bitmask, ascending."""
-        out = self.bits.get(mask)
-        if out is None:
-            out = tuple(j for j in range(self.nb) if mask >> j & 1)
-            if len(self.bits) < 4096:
-                self.bits[mask] = out
-        return out
-
-    def curves(self, n: list[float], backends) -> bool:
-        """Re-evaluate the given backends; True when one of their gradients
-        changed."""
-        mu, g, ic, par = self.mu, self.g, self.ic, self.par
+    def curves(self, n: list[float]) -> bool:
+        """Evaluate every backend's μ, μ′ and 1/μ″ at n; True when a
+        gradient changed."""
+        mu, g, ic = self.mu, self.g, self.ic
         moved = False
-        for j in backends:
-            is_hill, a, b, c, d = par[j]
-            if is_hill:  # b: half, c: 2·cap·half
+        for j, (is_hill, a, b, c, d) in enumerate(self.par):
+            if is_hill:
                 t = n[j] + b
                 t2 = t * t
                 mu[j] = a * n[j] / t
-                gj = a * b / t2
-                ic[j] = -(t2 * t) / c
-            else:  # b: rate, c: cap·rate, d: cap·rate²
+                gj = c / t2
+                ic[j] = -(t2 * t) / d
+            else:
                 e = math.exp(-b * n[j])
                 if e < 1e-300:  # numerically flat: keep weights finite
                     e = 1e-300
@@ -866,6 +854,18 @@ class _Kernel:
                 moved = True
                 g[j] = gj
         return moved
+
+    def refresh(self, n: list[float]) -> bool:
+        """``curves`` at n, then, when a gradient changed (or at the first
+        step), the tie masks and, when they changed, their pattern, which
+        no step has solved yet (``clean`` is False).  True when a gradient
+        changed."""
+        if not self.curves(n) and self.masks is not None:
+            return False
+        fresh = tie_masks(self.neighbors, self.g, self.cfg.tie_band)
+        if fresh != self.masks:
+            self.masks, self.pattern, self.clean = fresh, self.pattern_for(fresh), False
+        return True
 
     def pattern_for(self, masks: tuple[int, ...]) -> _Pattern:
         pat = self.patterns.get(masks)
@@ -1018,48 +1018,32 @@ class _Kernel:
         return -1
 
     # -- whole steps ----------------------------------------------------------
-    # Both take the workload vector and the bitmask of backends whose
-    # workload changed bits since the last call, and the step's time (for
-    # errors), fill vbuf/wbuf/xbuf, and return (tie pattern used, whether a
-    # tier was split, bitmask of backends whose drift was computed afresh,
-    # held).  held is None when the step wrote its inflow and routing rows;
-    # otherwise they are the last step's bit for bit, and held is the bitmask
-    # of backends that a held block (``tier_rows``) may step while the tie
-    # masks (and, under strict argmax, the argmax) stay.  A step reuses what
-    # its inputs leave unchanged bit for bit, so it gives the same bits as
-    # computing everything.
+    # Both take the workload vector, the bitmask of backends whose workload
+    # changed bits since the last call, and the step's time (for errors).
+    # Each evaluates every backend's curves, computes every backend's drift
+    # (a held sliding step keeps those of its tiers of several, none of
+    # whose backends moved), fills vbuf/wbuf/xbuf, and returns (tie pattern
+    # used, whether a tier was split, held).  held is None when the step wrote its inflow and routing
+    # rows; otherwise they are the last step's bit for bit, and held is the
+    # bitmask of backends that a held block (``tier_rows``) may step while
+    # the tie masks (and, under strict argmax, the argmax) stay.
 
     def sliding_step(self, n: list[float], dirty: int, t: float
-                     ) -> tuple[_Pattern, bool, int, int | None]:
-        every, nb = self.every, self.nb
-        dirty_b = self.bits.get(dirty) or self.members(dirty)
-        if self.curves(n, dirty_b) or self.masks is None:
-            fresh = tie_masks(self.neighbors, self.g, self.cfg.tie_band)
-            if fresh != self.masks:
-                self.masks, self.pattern, self.clean = fresh, self.pattern_for(fresh), False
+                     ) -> tuple[_Pattern, bool, int | None]:
+        nb = self.nb
+        self.refresh(n)
         pattern = self.pattern
         if self.clean and not dirty & ~pattern.single:
             # the last step solved this pattern outright, and each moved
-            # backend is a tier of its own: w_j stays the tier's λ and its
-            # frontends' rows stay, so only v_j = w_j − μ_j moves
-            v, w, mu = self.vbuf, self.wbuf, self.mu
-            for j in dirty_b:
-                v[j] = w[j] - mu[j]
-            return pattern, False, dirty, pattern.single
-        if self.clean and dirty != every:
-            # the last step solved this pattern outright; a tier none of
-            # whose backends moved would repeat its flows and rows
-            xbuf = self.xbuf
-            todo = [tier for tier in pattern.tiers if tier.b_mask & dirty]
-            active = 0
-            for tier in todo:
-                active |= tier.b_mask
-                for i in tier.f_idx:
-                    xbuf[i * nb:(i + 1) * nb] = self.zero_row
-        else:
-            xbuf = self.xbuf = [0.0] * len(self.xbuf)
-            todo = pattern.tiers
-            active = every
+            # backend is a tier of its own: w_j stays the tier's λ and the
+            # rows stay, so only the singles' v_j = w_j − μ_j can move
+            v, w, mu, single = self.vbuf, self.wbuf, self.mu, pattern.single
+            for j in range(nb):
+                if single >> j & 1:
+                    v[j] = w[j] - mu[j]
+            return pattern, False, single
+        xbuf = self.xbuf = [0.0] * len(self.xbuf)
+        todo = pattern.tiers
         used, cur = pattern, self.masks
         misses = self.tree_misses
         while True:
@@ -1105,17 +1089,14 @@ class _Kernel:
             todo = [piece for piece in used.tiers if piece.b_mask & redo]
         # only a split changes the pattern used
         self.clean = used is pattern and self.tree_misses == misses
-        return used, used is not pattern, active, None
+        return used, used is not pattern, None
 
     def argmax_step(self, n: list[float], dirty: int, t: float
-                    ) -> tuple[_Pattern, bool, int, int | None]:
-        v, w, mu = self.vbuf, self.wbuf, self.mu
-        dirty_b = self.bits.get(dirty) or self.members(dirty)
-        if self.curves(n, dirty_b) or self.masks is None:
+                    ) -> tuple[_Pattern, bool, int | None]:
+        v, w, mu, nb = self.vbuf, self.wbuf, self.mu, self.nb
+        held = self.every  # while every argmax stays, so do the routing and inflows
+        if self.refresh(n):
             g = self.g
-            fresh = tie_masks(self.neighbors, g, self.cfg.tie_band)
-            if fresh != self.masks:
-                self.masks, self.pattern = fresh, self.pattern_for(fresh)
             best = []
             for nbrs in self.neighbors:
                 b = nbrs[0]
@@ -1128,21 +1109,16 @@ class _Kernel:
                 best.append(b)
             if best != self.best:
                 # whole-rate argmax routing: new rows
-                self.best = best
-                lam, nb = self.lam, self.nb
+                self.best, held, lam = best, None, self.lam
                 xbuf = self.xbuf = [0.0] * len(self.xbuf)
                 for j in range(nb):
                     w[j] = 0.0
                 for i, j in enumerate(best):
                     xbuf[i * nb + j] = 1.0
                     w[j] += lam[i]
-                for j in range(nb):
-                    v[j] = w[j] - mu[j]
-                return self.pattern, False, self.every, None
-        # every frontend's argmax stays, and with it the routing and inflows
-        for j in dirty_b:
+        for j in range(nb):
             v[j] = w[j] - mu[j]
-        return self.pattern, False, dirty, self.every
+        return self.pattern, False, held
 
     def tier_rows(self, rec: tuple[array, array, array, array], n: list[float], dirty: int,
                   h: float, limit: int, ckpt: list[float], held: bool) -> tuple[int, int]:
@@ -1163,7 +1139,7 @@ class _Kernel:
         after a held block, whose movers all moved, or one that took none).
         A tier block leaves the kernel's buffers as the step at its last row
         leaves them.  A held block leaves g as it was: the next step's
-        ``curves`` re-evaluates every mover, sees any gradient change and
+        ``curves`` re-evaluates every backend, sees any gradient change and
         recomputes the masks."""
         states, inflows, routings, uses = rec
         pattern, nb = self.pattern, self.nb
@@ -1265,10 +1241,11 @@ def integrate_fluid(
     or if a min cut changes no tie mask (which the flow's tolerance rules
     out).
 
-    A step depends on nothing but the workload vector, so it is computed
-    incrementally from the previous one where that gives the same bits, and
-    a stretch of steps that keep their routing, or whose tie pattern and
-    trees hold, steps only the backends that move, in blocks (see the module
+    A step depends on nothing but the workload vector.  Each row the
+    kernel computes is one full step over every backend, which keeps its
+    inflow and routing rows when they cannot change, and a stretch of
+    steps that keep their routing, or whose tie pattern and trees hold,
+    steps only the backends that move, in blocks (see the module
     docstring).  Once the workload vector repeats a checkpoint row bit for
     bit (checkpoints sit eight to an octave of rows, see the module
     docstring), the run continues the orbit by copying: every later row,
@@ -1317,9 +1294,7 @@ def integrate_fluid(
     kinds: dict[tuple, str] = {}  # _classify memo on (prev_sets, used_sets, split)
     step = k.sliding_step if cfg.mode == "sliding" else k.argmax_step
     v, w = k.vbuf, k.wbuf
-    bits, members = k.bits, k.members
     dirty = k.every  # backends whose workload changed bits: all, at first
-    clamped = 0  # backends the last update clamped
     # checkpoint: the workload row ckpt_row, the first row the loop steps
     # itself at or past the mark next_ckpt, with its (pattern, split,
     # gradients) and the lengths of events and boundary before its update
@@ -1335,7 +1310,7 @@ def integrate_fluid(
             # event depends on the row before, so replay that row's pattern
             used, split, g = replay
         else:
-            used, split, active, held = step(n, dirty, t)
+            used, split, held = step(n, dirty, t)
             g = k.g
         used_sets = used.sets
 
@@ -1367,11 +1342,8 @@ def integrate_fluid(
 
         if step_no == steps:
             break
-        # a backend whose workload and drift are both unchanged since an
-        # update that did not clamp it would not move now either
-        update = active | clamped
         dirty = clamped = 0
-        for j in bits.get(update) or members(update):
+        for j in range(nb):
             nj = n[j] + h * v[j]
             if 0.0 <= nj <= 1e300:
                 pass

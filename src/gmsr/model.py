@@ -218,10 +218,6 @@ class BipartiteSystem:
     def total_arrival_rate(self) -> float:
         return float(sum(self.lambdas))
 
-    @cached_property
-    def total_capacity(self) -> float:
-        return float(sum(fn.cap for fn in self.services))
-
     # -- vectorized curve evaluation ----------------------------------------
 
     def rates_at(self, workload: np.ndarray) -> np.ndarray:

@@ -1140,11 +1140,11 @@ def test_orbit_tails_add_no_memory_past_the_returned_arrays(run):
 
 
 def test_steps_that_reuse_tiers_count_the_tree_misses_of_a_full_step():
-    # a sliding run that alternates steps reusing the previous step's tiers
-    # with tree misses that the demand tree resolves: a step after a miss
-    # must be computed in full, or the misses of its unmoved tiers go
-    # uncounted.  The miss count and the dynamics digest were recorded from
-    # the integrator that recomputed every step, and are unchanged since
+    # a sliding run whose tree misses the demand tree resolves, on patterns
+    # that hold for many steps: every step the kernel computes solves every
+    # tier, so each miss is counted at each step that meets it, whichever
+    # backends moved.  The miss count and the dynamics digest were recorded
+    # from an integrator that recomputed every step, and are unchanged since
     # that integrator ran a max flow on each miss; the full digest (routing
     # rows and repr(stats) included) is that of the demand tree's rows.
     # Hill curves only, so they do not depend on the platform's libm
@@ -1168,6 +1168,36 @@ def test_steps_that_reuse_tiers_count_the_tree_misses_of_a_full_step():
         "03a5d89e4a09d41b698fcee44e57b7643519ea7830555c345fdebe30ffbdfa43")
     assert trajectory_digest(traj) == (
         "02edb251eaa02d648200bd510ad87c84f2871d450c7b19d168b0a0a13466d4b7")
+
+
+# trajectory_digest of each bundled scenario at H = 5 in both modes, with the
+# scenario's step and tie band: routing rows and KernelStats included, which
+# the byte pins of `gmsr fluid` do not cover.  Recorded from the kernel that
+# re-evaluated only the backends that moved; every curve is a Hill curve, so
+# the digests do not depend on the platform's libm
+_BUNDLED_DIGESTS = {
+    ("fig1", "sliding"): "3390e68cb3c2e2ade28498a7bc30eb6b0d972ffd4b4ac57aad193600f0d078e3",
+    ("fig1", "strict-argmax"): "3c473e89a28c0157599aebc49d4adcb9d0cf94138fc580cd07037da66c266f8a",
+    ("n_model", "sliding"): "84e3d36312a63ffd4f2e73a36b1afd762d214224b1176c0f821ec08d774ba3c3",
+    ("n_model", "strict-argmax"):
+        "9eecc104d24d0c1db5faf27fec1b00330d374e9ceec702f4f95e3f042b31627b",
+    ("overload_disjoint", "sliding"):
+        "7b16a9cd2efda794b05b9c06acba486f18bdac7ed681c4ed38e0a5989d1c0cac",
+    ("overload_disjoint", "strict-argmax"):
+        "7b16a9cd2efda794b05b9c06acba486f18bdac7ed681c4ed38e0a5989d1c0cac",
+    ("overload_nmodel", "sliding"):
+        "7e93449fc77a94df24e08f5cb40a86102f77e44fa2493b3922289bbc697bd200",
+    ("overload_nmodel", "strict-argmax"):
+        "2d65e0ee928844448797738e1b472de67d697720e6a77eaf5a1253fa3852c8e1",
+}
+
+
+@pytest.mark.parametrize("name, mode", list(_BUNDLED_DIGESTS))
+def test_bundled_scenarios_keep_their_trajectory_digests(name, mode):
+    scn = load_scenario(Path(str(files("gmsr").joinpath("scenarios"))) / f"{name}.json")
+    cfg = IntegratorConfig(h=scn.integrator.h, tie_band=scn.integrator.tie_band, mode=mode)
+    traj = integrate_fluid(scn.system, scn.initial, 5.0, cfg)
+    assert trajectory_digest(traj) == _BUNDLED_DIGESTS[name, mode]
 
 
 def test_step_budget_is_refused_before_recording():
