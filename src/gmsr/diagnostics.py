@@ -107,13 +107,25 @@ def tier_absolute_drift(sys: BipartiteSystem, n, x, tier: Tier) -> float:
 
 def _subset_slack_by_mincut(sys: BipartiteSystem, rate_tilde: np.ndarray) -> float:
     """min over nonempty frontend subsets P of  Σ_{b∈N(P)} μ_b(Ñ_b) − λ(P),
-    by |F| max-flow computations on one network.
+    by min cuts on one network: one max flow ranks every frontend's forced
+    cut, and only the least ones are solved from zero flow.
 
     The slack of a subset P equals cut(P) − λ(F) in the network
     s →(λ_f)→ f →(∞)→ b →(μ_b(Ñ_b))→ t, where cut(P) keeps {s} ∪ P ∪ N(P)
     on the source side.  The empty subset would always win with slack 0, so
-    each frontend in turn is forced into P by lifting its source arc to ∞;
-    only that capacity changes between the solves.
+    each frontend in turn is forced into P by lifting its source arc to ∞,
+    and Δ is the least forced max flow, less λ(F).
+
+    Lifting an arc only raises a capacity, so the unforced max flow stays a
+    feasible flow of every forced network, and a forced max flow is the
+    unforced value plus what augmenting a copy of its residuals adds.  Those
+    values rank the forced cuts.  Augmenting never lowers the value, so a
+    frontend's augmentation stops once it exceeds the least value so far by
+    the ranking tolerance tol = 1e-9·(1 + the total finite capacity): it
+    cannot be the least.  Warm values differ from cold ones by rounding,
+    far below tol, so the least cold value is among the forced cuts whose
+    warm value lies within tol of the least; those alone are solved from
+    zero flow as before, and Δ keeps the bits of a cold solve per frontend.
     """
     nf, nb = len(sys.frontends), len(sys.backends)
     lam = np.asarray(sys.lambdas)
@@ -128,12 +140,26 @@ def _subset_slack_by_mincut(sys: BipartiteSystem, rate_tilde: np.ndarray) -> flo
     )
     caps = ([float(v) for v in lam] + [math.inf] * len(sys.edges)
             + [float(r) for r in rate_tilde])
+    base, flow, res = core.solve(caps, 0, sink)
+    cap = core.capacities(caps)
+    lifted = 1.0 + sum(c for c in caps if math.isfinite(c))  # exceeds every cut
+    tol = 1e-9 * lifted
+    least = math.inf
+    warm = []
+    for forced in range(nf):
+        a = core.arc_slot[forced]
+        c, f, r = cap[:], flow[:], res[:]
+        c[a], r[a] = lifted, lifted - f[a]
+        value = base + core.augment(c, f, r, 0, sink, stop=least + tol - base)
+        warm.append(value)
+        least = min(least, value)
     best = math.inf
     for forced in range(nf):
-        caps[forced] = math.inf
-        value, _, _ = core.solve(caps, 0, sink)
-        caps[forced] = float(lam[forced])
-        best = min(best, value - lam_total)
+        if warm[forced] <= least + tol:
+            caps[forced] = math.inf
+            value, _, _ = core.solve(caps, 0, sink)
+            caps[forced] = float(lam[forced])
+            best = min(best, value - lam_total)
     return best
 
 
@@ -143,9 +169,13 @@ def capacity_slack(sys: BipartiteSystem) -> SlackConstants:
 
     κ is half the smallest gradient at the fluid optimum, Ñ_b inverts each
     gradient curve at κ, and Δ is the minimum spare capacity
-    Σ_{b∈N(P)} μ_b(Ñ_b) − λ(P) over nonempty frontend subsets P, found by
-    |F| forced-frontend min cuts on one flow network whatever the system's
-    size.  Raises InfeasibleSystemError on infeasible systems.
+    Σ_{b∈N(P)} μ_b(Ñ_b) − λ(P) over nonempty frontend subsets P, the least
+    of |F| forced-frontend min cuts on one flow network whatever the
+    system's size.  One max flow of the unforced network, augmented on a
+    copy for each frontend, ranks those cuts; only the ones within the
+    ranking tolerance of the least are solved from zero flow, so Δ has the
+    bits of |F| cold solves (see ``_subset_slack_by_mincut``).  Raises
+    InfeasibleSystemError on infeasible systems.
     """
     opt = solve_fluid_optimum(sys)
     grads = sys.gradients_at(opt.n_star)

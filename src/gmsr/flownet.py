@@ -140,6 +140,15 @@ class _FlowCore:
         self.is_arc = is_arc
         self.n_keys = len(set(arc_slot))  # distinct directed arcs
 
+    def capacities(self, caps) -> list[float]:
+        """Per-slot capacities for per-arc `caps` (inf allowed): parallel
+        arcs summed in arc order, inf as the total finite capacity + 1."""
+        inf_cap = sum(c for c in caps if math.isfinite(c)) + 1.0
+        cap = [0.0] * len(self.head)
+        for a, c in zip(self.arc_slot, caps):
+            cap[a] += inf_cap if math.isinf(c) else c
+        return cap
+
     def solve(self, caps, s: int, t: int):
         """Max flow from s to t under per-arc capacities `caps` (inf allowed).
 
@@ -147,15 +156,20 @@ class _FlowCore:
         (antisymmetric: flow[rev[a]] == -flow[a]) and the residual
         capacity per slot, for ``cut_sides``.
         """
-        n, adj, head, tail, rev = self.n, self.adj, self.head, self.tail, self.rev
-        finite_total = sum(c for c in caps if math.isfinite(c))
-        inf_cap = finite_total + 1.0
-        cap = [0.0] * len(head)
-        for a, c in zip(self.arc_slot, caps):
-            cap[a] += inf_cap if math.isinf(c) else c
-        flow = [0.0] * len(head)
-        res = cap[:]  # residual cap - flow, kept current for every slot
+        cap = self.capacities(caps)
+        flow = [0.0] * len(cap)
+        res = cap[:]
+        self.augment(cap, flow, res, s, t)
+        return sum(flow[a] for a in self.adj[s]), flow, res
 
+    def augment(self, cap, flow, res, s: int, t: int, stop: float = math.inf) -> float:
+        """Augment the flow from s to t along shortest residual paths, in
+        place, from any state of per-slot capacities, net flows and
+        residuals (res[a] == cap[a] − flow[a]) on: until t is unreachable,
+        or until the flow added exceeds `stop`.  Returns the flow added,
+        the sum of the bottlenecks pushed."""
+        n, adj, head, tail, rev = self.n, self.adj, self.head, self.tail, self.rev
+        added = 0.0
         for _ in range(n * max(self.n_keys, 1) + 64):
             # BFS tree; the scan stops once t is labelled, which leaves the
             # path to t as a full scan would have found it
@@ -194,8 +208,10 @@ class _FlowCore:
                 res[a] = cap[a] - f
                 res[b] = cap[b] + f
                 v = tail[a]
-
-        return sum(flow[a] for a in adj[s]), flow, res
+            added += bottleneck
+            if added > stop:
+                break
+        return added
 
     def cut_sides(self, res, s: int, t: int) -> tuple[list[int], list[int]]:
         """Nodes reachable from s, and nodes that reach t, in the residual graph."""

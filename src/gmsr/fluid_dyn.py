@@ -102,15 +102,19 @@ A tier-change event keeps the tier groups of the tie pattern and the
 gradient row it was seen at, and builds its ``TierPartition`` only when
 ``tiers`` is read.
 
-The inner loop is scalar Python tuned for small systems (a handful of
-nodes): per-backend curve evaluations are unrolled by curve kind.  The tie
+The inner loop is scalar Python, and a row's cost follows the tiers it
+solves rather than the nf·nb routing cells: the routing rows are one flat
+``array('d')``, a step that writes them starts from a copy of a zero
+buffer, and the integrator records them with one buffer copy.  The tie
 pattern is the tuple of per-frontend tied-best bitmasks that
 ``tiers.tie_masks`` gives, the representation the tiers module and the
 stochastic chain use as well.  Everything derivable from the pattern alone
 is computed once per distinct pattern and cached: tier membership (from
 ``tiers.tie_components``), spanning-tree elimination schedules for
-transportation witnesses, the band edges with their 1/deg_j factors, and
-each tier's flow network.  An event's partition is built by
+transportation witnesses, the band edges with their 1/deg_j factors, each
+tier's flow network, and for a tier of one backend, whose w_j = λ_T makes
+its tree elimination a constant of the pattern, the one-hot rows it writes
+once that tree has passed.  An event's partition is built by
 ``tiers.tier_partition`` from the pattern's components.
 
 A tier has one edge set, its band edges: GMSR sends a frontend's jobs only
@@ -126,8 +130,10 @@ flow over the band edges (``flownet.TransportNetwork``, the computation
 ``transportation_feasible`` runs over every system edge) gives the rows,
 or its min cut splits the tier; a tier with a negative implied inflow
 skips both trees and takes the same flow's cut.  The network and the
-demand trees' schedules are cached with the tier, and
-``FluidTrajectory.stats`` counts the misses and the flows.
+demand trees' schedules are cached with the tier, which keeps its last
+demand tree while the step's sorted weight order is the same (Kruskal's
+tree depends on that order alone), and ``FluidTrajectory.stats`` counts
+the misses and the flows.
 """
 
 from __future__ import annotations
@@ -427,7 +433,8 @@ class _TierStruct:
 
     __slots__ = (
         "f_idx", "b_idx", "b_mask", "lam_sum", "schedule", "band", "inv_deg",
-        "fallback_backend", "node_set", "transport", "demand_schedules",
+        "fallback_backend", "node_set", "transport", "demand_schedules", "order", "tree",
+        "ones",
     )
 
     def __init__(self, f_idx, b_idx, lam_sum, schedule, band, inv_deg, fallback_backend,
@@ -443,6 +450,11 @@ class _TierStruct:
         self.node_set = node_set              # frozenset of node ids
         self.transport = None                 # TransportNetwork, built on first flow
         self.demand_schedules = {}            # demand-tree edge bitmask -> schedule
+        self.order = None                     # the last demand tree's weight order
+        self.tree = None                      # and its schedule
+        # a tier of one backend whose pattern tree met its demand: the xbuf
+        # positions of its one-hot rows
+        self.ones = None
 
 
 class _Pattern:
@@ -804,13 +816,14 @@ class _Kernel:
         # state carried from one step to the next: the routing rows, the
         # last computed tie masks and their pattern, and whether the last
         # step solved that pattern with no split or tree miss
-        self.xbuf = [0.0] * (self.nf * self.nb)
+        self.zero_x = array("d", bytes(8 * self.nf * self.nb))
+        self.xbuf = self.zero_x[:]
         self.masks: tuple[int, ...] | None = None
         self.pattern: _Pattern | None = None
         self.clean = False
         self.best: list[int] | None = None  # strict argmax: each frontend's, as last written
         # reusable per-step buffers
-        self.zero_row = [0.0] * self.nb
+        self.zero_row = array("d", bytes(8 * self.nb))
         self.mu = [0.0] * self.nb
         self.g = [0.0] * self.nb
         self.ic = [0.0] * self.nb          # 1/μ″ (negative)
@@ -910,26 +923,56 @@ class _Kernel:
             w[j] = wj
         return ok
 
-    def tree_witness(self, tier: _TierStruct, xbuf: list[float]) -> bool:
+    def tree_witness(self, tier: _TierStruct, xbuf: array) -> bool:
         """Fill routing rows from the pattern's spanning tree of the tier;
         False when an eliminated flow lies below -1e-9 (flows above that
-        read 0).  On False the rows may be partially written."""
-        return self.eliminate(tier, tier.schedule, -1e-9, xbuf)
+        read 0).  On False the rows may be partially written.
 
-    def demand_witness(self, tier: _TierStruct, xbuf: list[float]) -> bool:
+        A tier of one backend has w_j = λ_T, so its elimination, and whether
+        it passes, is a constant of the tier: every row it writes is one-hot
+        at j (flow/flow, or the fallback where a frontend carries none).  Once
+        it passes, those rows are written directly.  One that fails by
+        rounding (λ_T summed in frontend order against the tree's order)
+        fails at every step and keeps eliminating."""
+        if tier.ones is not None:
+            for p in tier.ones:
+                xbuf[p] = 1.0
+            return True
+        if not self.eliminate(tier, tier.schedule, -1e-9, xbuf):
+            return False
+        if len(tier.b_idx) == 1:
+            tier.ones = [i * self.nb + tier.b_idx[0] for i in tier.f_idx]
+        return True
+
+    def demand_witness(self, tier: _TierStruct, xbuf: array) -> bool:
         """Fill routing rows from the step's demand tree of the tier: the
         maximum-weight spanning tree of its band edges (Kruskal) with weight
         λ_i·w_j/deg_j, deg_j the number of the tier's frontends whose band
         holds j, ties kept in band order.  True only when every eliminated
         flow is ≥ 0 exactly: a nonnegative flow that meets every marginal,
         which the band max flow would accept too.  The tree depends on the
-        pattern and the demands in wbuf alone.  Clears the tier's rows
+        pattern and the demands in wbuf alone, and Kruskal's tree on the
+        sorted weight order alone: while that order is the one of the tier's
+        last demand tree, that tree is reused.  Clears the tier's rows
         first; on False they may be partially written."""
         nf, nb, lam, w = self.nf, self.nb, self.lam, self.wbuf
         band = tier.band
         weights = [lam[i] * w[j] * d for (i, j), d in zip(band, tier.inv_deg)]
         # sorted() is stable with reverse=True too: ties keep band order
         order = sorted(range(len(band)), key=weights.__getitem__, reverse=True)
+        if order == tier.order:
+            schedule = tier.tree
+        else:
+            schedule = tier.tree = self.kruskal(tier, order)
+            tier.order = order
+        for i in tier.f_idx:
+            xbuf[i * nb:(i + 1) * nb] = self.zero_row
+        return self.eliminate(tier, schedule, 0.0, xbuf)
+
+    def kruskal(self, tier: _TierStruct, order: list[int]):
+        """The schedule of the spanning tree that Kruskal's algorithm takes
+        from the tier's band edges in `order` (positions in band)."""
+        nf, band = self.nf, tier.band
         up = self.up  # union-find parents, reset on the tier's nodes
         for node in tier.node_set:
             up[node] = node
@@ -957,11 +1000,9 @@ class _Kernel:
                                       [edge for e, edge in enumerate(band) if chosen >> e & 1], nf)
             if len(schedules) < 4096:
                 schedules[chosen] = schedule
-        for i in tier.f_idx:
-            xbuf[i * nb:(i + 1) * nb] = self.zero_row
-        return self.eliminate(tier, schedule, 0.0, xbuf)
+        return schedule
 
-    def eliminate(self, tier: _TierStruct, schedule, floor: float, xbuf: list[float]) -> bool:
+    def eliminate(self, tier: _TierStruct, schedule, floor: float, xbuf: array) -> bool:
         """Fill the tier's routing rows from a spanning tree's leaf-to-root
         elimination steps; False when an eliminated flow lies below floor
         (flows in [floor, 0) read 0).  Rows are normalized to simplex
@@ -999,7 +1040,7 @@ class _Kernel:
                     xbuf[base + j] /= total
         return True
 
-    def band_flow(self, tier: _TierStruct, xbuf: list[float]) -> int:
+    def band_flow(self, tier: _TierStruct, xbuf: array) -> int:
         """One max flow over the tier's band edges for the demands in wbuf,
         negative ones as supply.  When it meets them, fills the tier's rows
         from its flow and returns -1; otherwise counts a cut and returns the
@@ -1042,7 +1083,7 @@ class _Kernel:
                 if single >> j & 1:
                     v[j] = w[j] - mu[j]
             return pattern, False, single
-        xbuf = self.xbuf = [0.0] * len(self.xbuf)
+        xbuf = self.xbuf = self.zero_x[:]
         todo = pattern.tiers
         used, cur = pattern, self.masks
         misses = self.tree_misses
@@ -1110,7 +1151,7 @@ class _Kernel:
             if best != self.best:
                 # whole-rate argmax routing: new rows
                 self.best, held, lam = best, None, self.lam
-                xbuf = self.xbuf = [0.0] * len(self.xbuf)
+                xbuf = self.xbuf = self.zero_x[:]
                 for j in range(nb):
                     w[j] = 0.0
                 for i, j in enumerate(best):
@@ -1206,10 +1247,9 @@ class _Kernel:
             self.mu[j], self.g[j], self.ic[j], self.vbuf[j] = mu[c], g[c], ic[c], v[c]
             if c < blk.wide:
                 self.wbuf[j] = w[c]
-        xbuf = self.xbuf
+        xbuf = np.frombuffer(self.xbuf).reshape(self.nf, nb)
         for tier in blk.tiers:
-            for i in tier.f_idx:
-                xbuf[i * nb:(i + 1) * nb] = x_rows[r, i].tolist()
+            xbuf[tier.f_idx, :] = x_rows[r, tier.f_idx]
         moved = run[r + 1].view(np.int64) != run[r].view(np.int64)
         return taken, sum(1 << j for j, m in zip(movers, moved) if m)
 

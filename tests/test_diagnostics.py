@@ -15,7 +15,13 @@ from gmsr.diagnostics import (
 )
 from gmsr.fluid_dyn import IntegratorConfig, integrate_fluid
 from gmsr.fluid_opt import InfeasibleSystemError, solve_fluid_optimum
-from gmsr.flownet import FlowNetwork, feasibility_check, max_flow, stability_decomposition
+from gmsr.flownet import (
+    FlowNetwork,
+    _FlowCore,
+    feasibility_check,
+    max_flow,
+    stability_decomposition,
+)
 from gmsr.model import hill, make_system
 from gmsr.tiers import Tier
 
@@ -192,17 +198,22 @@ def test_slack_enumeration_and_mincut_agree():
         assert slack.delta == _enumerated_slack(sys, sys.rates_at(slack.n_tilde))
 
 
-def test_slack_many_frontends_uses_mincut_and_matches_enumeration():
-    """Up to 12 frontends on random systems, with zero-rate frontends, and a
-    13-frontend ring: Δ matches the enumeration to 1e-12 relative."""
+def _ring13():
+    """13 frontends of λ = 0.1 on a ring of 3 equal backends, each frontend
+    next to two of them."""
     nf = 13
-    ring = make_system(
+    return make_system(
         [(f"f{i}", 0.1) for i in range(nf)],
         [(f"b{j}", hill(2.0, 1.0)) for j in range(3)],
         [(f"f{i}", f"b{i % 3}") for i in range(nf)]
         + [(f"f{i}", f"b{(i + 1) % 3}") for i in range(nf)],
     )
-    systems = [ring]
+
+
+def test_slack_many_frontends_uses_mincut_and_matches_enumeration():
+    """Up to 12 frontends on random systems, with zero-rate frontends, and a
+    13-frontend ring: Δ matches the enumeration to 1e-12 relative."""
+    systems = [_ring13()]
     rng = np.random.default_rng(3141)
     for k in range(24):
         sys = None
@@ -220,32 +231,34 @@ def test_slack_many_frontends_uses_mincut_and_matches_enumeration():
         assert abs(slack.delta - want) <= 1e-12 * abs(want)
 
 
-def _slack_by_string_keyed_flows(sys, rate_tilde):
-    """Reference for _subset_slack_by_mincut: one string-keyed FlowNetwork
-    and max_flow per forced frontend, arcs in the same order."""
+def _forced_cut_values(sys, rate_tilde):
+    """Per frontend, the max flow of one string-keyed FlowNetwork, arcs in
+    the order _subset_slack_by_mincut uses, with that frontend's source arc
+    lifted to infinity; each solved from zero flow."""
     src, snk = "__slack_source__", "__slack_sink__"
     lam = np.asarray(sys.lambdas)
     nodes = (src,) + sys.frontend_ids + sys.backend_ids + (snk,)
     tail = tuple((f, b, math.inf) for f, b in sys.edges) + tuple(
         (b, snk, float(rate_tilde[j])) for j, b in enumerate(sys.backend_ids))
-    best = math.inf
+    values = []
     for forced in range(len(sys.frontends)):
         head = tuple((src, f, math.inf if i == forced else float(lam[i]))
                      for i, f in enumerate(sys.frontend_ids))
-        res = max_flow(FlowNetwork(nodes=nodes, source=src, sink=snk, arcs=head + tail))
-        best = min(best, res.value - float(lam.sum()))
-    return best
+        values.append(max_flow(FlowNetwork(nodes=nodes, source=src, sink=snk,
+                                           arcs=head + tail)).value)
+    return values
+
+
+def _slack_by_string_keyed_flows(sys, rate_tilde):
+    """Reference for _subset_slack_by_mincut: the least forced cut, each
+    from its own cold string-keyed max flow."""
+    lam_total = float(np.asarray(sys.lambdas).sum())
+    return min(value - lam_total for value in _forced_cut_values(sys, rate_tilde))
 
 
 def test_slack_mincut_on_one_network_matches_string_keyed_flows_bitwise():
     rng = np.random.default_rng(2718)
-    nf = 13
-    systems = [make_system(
-        [(f"f{i}", 0.1) for i in range(nf)],
-        [(f"b{j}", hill(2.0, 1.0)) for j in range(3)],
-        [(f"f{i}", f"b{i % 3}") for i in range(nf)]
-        + [(f"f{i}", f"b{(i + 1) % 3}") for i in range(nf)],
-    )] + [square_feasible_system(rng, n) for n in (13, 16, 16, 32)]
+    systems = [_ring13()] + [square_feasible_system(rng, n) for n in (13, 16, 16, 32, 64)]
     for sys in systems:
         slack = capacity_slack(sys)
         rate_tilde = sys.rates_at(slack.n_tilde)
@@ -253,6 +266,30 @@ def test_slack_mincut_on_one_network_matches_string_keyed_flows_bitwise():
         assert slack.delta == want  # bit for bit
         other = rng.uniform(0.05, 2.0, size=len(sys.backends))
         assert _subset_slack_by_mincut(sys, other) == _slack_by_string_keyed_flows(sys, other)
+
+
+def test_slack_solves_cold_only_the_forced_cuts_near_the_least(monkeypatch):
+    # one cold solve of the unforced network ranks every forced cut; then
+    # each forced cut within the ranking tolerance of the least is solved
+    # cold: all five tied ones on the ring, one on a 32x32 system
+    solve = _FlowCore.solve
+    calls = [0]
+
+    def counted(self, caps, s, t):
+        calls[0] += 1
+        return solve(self, caps, s, t)
+
+    monkeypatch.setattr(_FlowCore, "solve", counted)
+    systems = [(_ring13(), 5), (square_feasible_system(np.random.default_rng(0), 32), 1)]
+    for sys, near in systems:
+        rate_tilde = sys.rates_at(capacity_slack(sys).n_tilde)
+        values = _forced_cut_values(sys, rate_tilde)
+        tol = 1e-9 * (1.0 + float(np.sum(sys.lambdas)) + float(rate_tilde.sum()))
+        assert sum(v <= min(values) + tol for v in values) == near
+        want = _slack_by_string_keyed_flows(sys, rate_tilde)
+        calls[0] = 0
+        assert _subset_slack_by_mincut(sys, rate_tilde) == want
+        assert calls[0] == 1 + near
 
 
 # -- invariant set and overshoot ---------------------------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from gmsr import fluid_dyn
 from gmsr.cli import load_scenario
+from gmsr.diagnostics import capacity_slack, certify_trajectory
 from gmsr.flownet import TransportNetwork
 from gmsr.fluid_dyn import (
     IntegrationError,
@@ -1615,6 +1616,67 @@ def test_an_accepted_demand_tree_is_a_witness_the_band_flow_accepts(case):
         assert max(abs(inflow[j] - w[j]) for j in tier.b_idx) <= 1e-12
 
 
+def test_a_one_backend_tier_whose_tree_fails_by_rounding_never_takes_fixed_rows():
+    # b0's tier has w = λ_T, summed in frontend order, and its tree sums the
+    # three large λ the other way round: the root f0 (λ = 0) is left -1.2e-7,
+    # below the tree's -1e-9 floor, at every step.  b1's tier is the plain
+    # case, whose tree passes once and then writes its one-hot row directly
+    lam = (148727122.6, 184523424.7, 134308381.4)
+    assert sum(lam) - (lam[2] + lam[1] + lam[0]) < -1e-9
+    sys = make_system(
+        [("f0", 0.0), *((f"f{i}", v) for i, v in enumerate(lam, 1)), ("f4", 0.5)],
+        [("b0", hill(1e9, 1e9)), ("b1", hill(1.0, 1.0))],
+        [("f0", "b0"), ("f1", "b0"), ("f2", "b0"), ("f3", "b0"), ("f4", "b1")],
+    )
+    kernel = fluid_dyn._Kernel(sys, IntegratorConfig())
+    for _ in range(3):
+        kernel.sliding_step([1.0, 1.0], kernel.every, 0.0)
+    big, small = kernel.pattern.tiers
+    assert big.b_idx == (0,) and big.ones is None
+    assert small.b_idx == (1,) and small.ones == [4 * 2 + 1]
+    assert kernel.tree_misses == 3
+    # every step misses the tree and the demand tree (the same star), and a
+    # max flow gives the rows; the digest was recorded before one-backend
+    # tiers had fixed rows
+    traj = integrate_fluid(sys, [1.0, 1.0], 0.05)
+    assert traj.stats == KernelStats(tree_misses=51, maxflow_witnesses=51, cuts=0, patterns=1)
+    assert trajectory_digest(traj) == (
+        "713a233ebb3030fa00f7009751826ece97b2cca50bd5d0a762ae1344f566d0f8")
+
+
+def test_a_demand_tree_is_rebuilt_when_its_weight_order_changes(monkeypatch):
+    # on this 12x12 run a tier of 5 frontends and 2 backends takes a demand
+    # tree at row 1567 other than its last one, because two weights traded
+    # places; every demand tree used is Kruskal's for its step's order
+    rng = np.random.default_rng(3)
+    sys = square_feasible_system(rng, 12)
+    n0 = rng.uniform(0.0, 10.0, 12)
+    demand, step = fluid_dyn._Kernel.demand_witness, fluid_dyn._Kernel.sliding_step
+    row, changed = [0], []
+
+    def timed_step(self, n, dirty, t):
+        row[0] = round(t / IntegratorConfig().h)
+        return step(self, n, dirty, t)
+
+    def checked_demand(self, tier, xbuf):
+        last = tier.tree
+        weights = [self.lam[i] * self.wbuf[j] * d for (i, j), d in zip(tier.band, tier.inv_deg)]
+        order = sorted(range(len(weights)), key=weights.__getitem__, reverse=True)
+        ok = demand(self, tier, xbuf)
+        assert tier.order == order and tier.tree == self.kruskal(tier, order)
+        if last is not None and tier.tree != last:
+            changed.append(row[0])
+        return ok
+
+    monkeypatch.setattr(fluid_dyn._Kernel, "sliding_step", timed_step)
+    monkeypatch.setattr(fluid_dyn._Kernel, "demand_witness", checked_demand)
+    traj = integrate_fluid(sys, n0, 2.0)
+    assert changed == [1567]
+    # recorded before demand trees were reused
+    assert trajectory_digest(traj) == (
+        "f93a138d9e0f6a4de64adb9b9c7202f0a51527890975aa507e5b7df80500ff35")
+
+
 # -- V at split rows -----------------------------------------------------------------
 
 
@@ -1724,6 +1786,36 @@ def test_wide_rows_after_each_witness_kind_match_one_step_runs(monkeypatch):
         {"demand tree", "cut"}, {"demand tree", "cut"}, {"demand tree", "max flow", "cut"}]
     for sys, traj, rows, _ in runs:
         _assert_rows_match_one_step_runs(sys, traj, IntegratorConfig(), rows)
+
+
+def test_a_64x64_system_integrates_and_certifies_within_its_budget():
+    # digests and Δ recorded before one-backend tiers had fixed rows, demand
+    # trees were reused and the slack ranked its forced cuts warm; each
+    # budget is several times what that code took (0.21 s, 0.15 s and 0.35 s
+    # on a 2-vCPU Xeon)
+    rng = np.random.default_rng(0)
+    sys = square_feasible_system(rng, 64)
+    n0 = rng.uniform(0.0, 10.0, 64)
+    pins = {
+        "sliding": ("75aefeabb236d27b870064ce742892dbe92cd57ceb525486ff88b758f472ae7c", 1.0,
+                    KernelStats(tree_misses=122, maxflow_witnesses=122, cuts=19, patterns=18)),
+        "strict-argmax": ("5698700ca426c9721b01cb112dddfe92cfd686fa71a39394458af824823fa06e", 0.6,
+                          KernelStats(patterns=59)),
+    }
+    runs = {}
+    for mode, (digest, budget, stats) in pins.items():
+        t0 = time.perf_counter()
+        runs[mode] = traj = integrate_fluid(sys, n0, 0.2, IntegratorConfig(mode=mode))
+        assert time.perf_counter() - t0 < budget
+        assert traj.stats == stats
+        assert trajectory_digest(traj) == digest
+    t0 = time.perf_counter()
+    slack = capacity_slack(sys)
+    cert = certify_trajectory(sys, runs["sliding"], slack)
+    assert time.perf_counter() - t0 < 1.5
+    assert slack.delta == float.fromhex("0x1.0eae7d2f8a2acp+4")
+    # the horizon ends before the entry deadline: no sample reaches K
+    assert cert.ok and cert.entry_time is None
 
 
 def _random_square_start(n: int, seed: int):
