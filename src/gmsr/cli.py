@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -605,7 +606,10 @@ def _positive_int(text: str) -> int:
     return v
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The gmsr parser, built on the first call and shared by the later ones
+    in the process: parsing leaves no state in it."""
     parser = _Parser(prog="gmsr", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -647,9 +651,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv=None) -> int:
     """Run one CLI invocation; return the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except ScenarioError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1

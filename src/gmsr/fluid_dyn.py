@@ -50,16 +50,17 @@ changing a single output bit:
   each moving backend is a tier of its own).  A sliding tier of several
   backends writes new rows at every step instead: its implied inflows move
   with the workloads.  After a step that kept its rows (a held block), or
-  one that wrote them, solved its pattern outright (no split or tree miss)
-  and moved a backend of a tier of several (a tier block), if it clamped
-  nothing, the integrator steps the movers in spans of rows, each in two
-  phases.  First the movers step with the kernel's arithmetic in one scalar
-  run, compiled once per shape of block (curves; per tier of several
-  s −= μ_j and denom += 1/μ″_j in backend order, then
-  v_j = (1/μ″_j)·(s/denom); v_j = w_j − μ_j, w_j fixed, for a held mover or
-  a tier of one backend; n_j + h·v_j).  It stops before an update that would
-  clamp, leave [0, 1e300], or keep a held mover's workload (in a tier block,
-  move no backend of a tier of several).
+  one that wrote them with no split or max flow (each tier whose pattern
+  tree missed was routed by its demand tree) and moved a backend of a tier
+  of several (a tier block), if it clamped nothing, the integrator steps
+  the movers in spans of rows, each in two phases.  First the movers step
+  with the kernel's arithmetic in one scalar run, compiled once per shape
+  of block (curves; per tier of several s −= μ_j and denom += 1/μ″_j in
+  backend order, then v_j = (1/μ″_j)·(s/denom); v_j = w_j − μ_j, w_j
+  fixed, for a held mover or a tier of one backend; n_j + h·v_j).  It
+  stops before an update that would clamp, leave [0, 1e300], or keep a
+  held mover's workload (in a tier block, move no backend of a tier of
+  several).
   Then numpy checks the rows, one vector operation per scalar one of the
   kernel and in its order: the movers' gradients (exponential ones from
   the run's math.exp values), each frontend's tie mask as
@@ -67,14 +68,20 @@ changing a single output bit:
   pretest on each mover's least and greatest gradient skips the row-by-row
   check where no row can fail: the conditions are pairwise, and top − band
   rounds monotonically in top.  A tier block also forms its rows: μ and
-  1/μ″, the implied inflows with their clip, and the pattern tree's
-  elimination and normalization.  A block ends before the first row whose
-  masks or argmax change, whose implied inflow lies below -1e-12 or whose
-  tree flow lies below -1e-9, ahead of a row equal to the checkpoint row,
-  and ahead of the next power-of-two row (below); the row after it goes
-  back to the kernel.  A held block records states only.  A block that
-  takes one row or none (an argmax that flips every step or two, say)
-  makes the next attempts wait, up to 63 kept steps.
+  1/μ″, the implied inflows with their clip, and each moving tier's tree
+  elimination and normalization, by its pattern's tree or, for a tier that
+  the step before routed by its demand tree, by that stored tree.  A block
+  ends before the first row whose masks or argmax change, whose implied
+  inflow lies below -1e-12, whose pattern tree flow lies below -1e-9 (or,
+  for a demand tier, none does), whose demand tier's weights sort to
+  another order or whose demand tree flow lies below 0, ahead of a row
+  equal to the checkpoint row, and ahead of the next power-of-two row
+  (below); the row after it goes back to the kernel.  Each row of a tier
+  block counts the tree misses of the step before it: its moving tiers
+  miss as that step's did, and its other tiers do not move.  A held block
+  records states only.  A block that takes one row or none (an argmax
+  that flips every step or two, say) makes the next attempts wait, up to
+  63 kept steps.
 * Exact orbits.  A checkpoint, as in Brent's cycle finder (R. P. Brent,
   BIT 20, 1980), holds the workload vector of one row.  It moves on at
   marks every 2^(k−3) rows in [2^k, 2^(k+1)), eight to an octave: to the
@@ -313,12 +320,13 @@ class _Tiled(Sequence):
 class KernelStats:
     """Work the sliding kernel did on one run, counted over computed steps
     (rows copied after a bitwise fixed point or along an exact orbit add
-    nothing, and neither do rows stepped in blocks, which solve no witness:
-    a held block writes no rows, and a tier block takes only rows that its
-    pattern's trees solve, which count nothing).  A computed step solves
-    every tier, but a tier solved before a split in the same step is not
-    solved, or counted, again; a held sliding step keeps tiers that its
-    last step solved outright, which would count nothing.
+    nothing).  A held block writes no rows and counts nothing; a tier block
+    takes only rows whose tiers its trees solve as the step before it did,
+    and each of them counts that step's tree misses, as computing it would.
+    A computed step solves every tier, but a tier solved before a split in
+    the same step is not solved, or counted, again; a held sliding step
+    keeps tiers that its last step solved outright, which would count
+    nothing.
 
     tree_misses:       tier witnesses from the pattern's spanning tree that
                        came out negative.
@@ -534,7 +542,10 @@ class _TierBlock:
     fixed inflows, a tier block's are the backends of the moving tiers.  The
     movers are numbered locally: first the backends of each moving tier of
     several backends (pattern order, each in b_idx order), then the singles,
-    which move on their own (the held movers, or the tiers of one backend)."""
+    which move on their own (the held movers, or the tiers of one backend).
+    A moving tier of several takes its rows from its pattern's tree or, when
+    the step before the block took its demand tree (``_Kernel.routed``),
+    from that tree."""
 
     def __init__(self, k: _Kernel, pattern: _Pattern, moving: int, held: bool):
         moved = [] if held else [t for t in pattern.tiers if t.b_mask & moving]
@@ -553,6 +564,23 @@ class _TierBlock:
         self.movers = movers
         self.cols = np.array(movers, dtype=np.intp)
         self.wcol = {j: c for c, j in enumerate(movers[:self.wide])}
+        # per moving tier of several: its frontends (and as a slice when they
+        # are consecutive, so that numpy takes views) and their fallback
+        # backends, and for a demand tier its band edges' λ_i, inflow
+        # columns and 1/deg_j
+        self.forms = []
+        for t in self.tiers:
+            fronts = sel = np.array(t.f_idx, dtype=np.intp)
+            if t.f_idx[-1] - t.f_idx[0] == len(t.f_idx) - 1:
+                sel = slice(t.f_idx[0], t.f_idx[-1] + 1)
+            demand = None
+            if t.b_mask & k.routed:
+                demand = (np.array([k.lam[i] for i, _ in t.band]),
+                          np.array([self.wcol[j] for _, j in t.band], dtype=np.intp),
+                          np.array(t.inv_deg))
+            self.forms.append((t, sel, fronts,
+                               np.array([t.fallback_backend[i] for i in t.f_idx], dtype=np.intp),
+                               demand))
         par = [k.par[j] for j in movers]
         self.kinds = []  # per curve kind: its local columns and their parameters
         for hill_kind in (True, False):
@@ -654,13 +682,17 @@ class _TierBlock:
 
     def rows(self, k: _Kernel, x: np.ndarray, e: np.ndarray):
         """Rows of the block's scalar run at the states x (e: its exp
-        values), as the kernel's ``curves``, ``tier_flows`` and
-        ``tree_witness`` compute them, one operation of theirs per vector
-        operation.  Returns the number of leading rows that keep the tie
-        masks (``keeps``), and for a tier block only those that also solve
-        every moving tier by its pattern's tree, with their μ, μ′, 1/μ″ and
-        drifts per mover, inflows per mover of a tier of several, and
-        routing rows."""
+        values), as the kernel's ``curves``, ``tier_flows``, ``tree_witness``
+        and ``demand_witness`` compute them, one operation of theirs per
+        vector operation.  Returns the number of leading rows that keep the
+        tie masks (``keeps``), and for a tier block only those that also
+        solve every moving tier as the step before the block did, with their
+        μ, μ′, 1/μ″ and drifts per mover, inflows per mover of a tier of
+        several, and routing rows.  A tier solved by its pattern's tree must
+        have no flow of it below -1e-9.  A demand tier must miss its
+        pattern's tree, its weights λ_i·w_j/deg_j must sort to the stored
+        ``order`` (descending, ties in band order), and the stored ``tree``
+        must eliminate no flow below 0; its tier rows are that tree's."""
         m, nb = len(self.movers), k.nb
         mu, g, ic = self.curves(x, e)
         rows = self.keeps(k, g)  # the rows after them are the kernel's
@@ -681,36 +713,59 @@ class _TierBlock:
         w = v[:, :self.wide] + mu[:, :self.wide]
         bad = np.any(w < -1e-12, axis=1)
         w[w < 0.0] = 0.0  # float dust; -0.0 stays
-        # routing rows from each moving tier's pattern tree, as eliminate fills them
-        nf, lam, wcol = k.nf, k.lam, self.wcol
-        x_rows = np.empty((rows, nf, nb))
-        x_rows[:] = np.reshape(k.xbuf, (nf, nb))
-        for tier in self.tiers:
-            x_rows[:, tier.f_idx] = 0.0
-            acc = {node: np.zeros(rows) for node in tier.node_set}
-            for node, parent in tier.schedule:
-                if node < nf:
-                    flow = lam[node] - acc[node]
-                    i, j = node, parent - nf
-                else:
-                    flow = w[:, wcol[node - nf]] - acc[node]
-                    i, j = parent, node - nf
-                bad |= flow < -1e-9
-                flow[flow < 0.0] = 0.0  # -0.0 stays
-                acc[parent] += flow
-                x_rows[:, i, j] = flow
-            for i in tier.f_idx:  # simplex coordinates; no flow takes the fallback
-                total = np.zeros(rows)
-                for j in tier.b_idx:
-                    total += x_rows[:, i, j]
-                none = total <= 0.0
-                if none.any():
-                    total[none] = 1.0
-                    x_rows[none, i] = 0.0
-                    x_rows[none, i, tier.fallback_backend[i]] = 1.0
-                x_rows[:, i] /= total[:, None]
+        x_rows = np.empty((rows, k.nf, nb))
+        x_rows[:] = np.reshape(k.xbuf, (k.nf, nb))
+        for tier, sel, fronts, fallback, demand in self.forms:
+            x_rows[:, sel] = 0.0
+            if demand is None:
+                bad |= self.eliminate(k, tier, tier.schedule, -1e-9, w, x_rows)
+            else:
+                bad |= ~self.eliminate(k, tier, tier.schedule, -1e-9, w)
+                lam_e, wc, inv = demand
+                order = np.array(tier.order, dtype=np.intp)
+                weights = (lam_e * w[:, wc] * inv)[:, order]
+                hi, lo = weights[:, :-1], weights[:, 1:]
+                bad |= ~np.all((hi > lo) | ((hi == lo) & (order[:-1] < order[1:])), axis=1)
+                bad |= self.eliminate(k, tier, tier.tree, 0.0, w, x_rows)
+            # simplex coordinates, a column per frontend; no flow takes the fallback
+            total = np.zeros((rows, len(fronts)))
+            for j in tier.b_idx:
+                total += x_rows[:, sel, j]
+            none = total <= 0.0
+            if none.any():
+                total[none] = 1.0
+                r, c = np.nonzero(none)
+                x_rows[r, fronts[c]] = 0.0
+                x_rows[r, fronts[c], fallback[c]] = 1.0
+            x_rows[:, sel] /= total[:, :, None]
         good = int(np.argmax(bad)) if bad.any() else rows
         return good, mu, g, ic, v, w, x_rows
+
+    def eliminate(self, k: _Kernel, tier: _TierStruct, schedule, floor: float, w: np.ndarray,
+                  x_rows: np.ndarray | None = None) -> np.ndarray:
+        """Per row of w (the inflows of the movers of tiers of several), True
+        where a flow of the tree's elimination steps (``_Kernel.eliminate``'s)
+        lies below floor; flows above it that lie below 0 read 0.  Writes the
+        flows into x_rows when it is given, and otherwise stops once every
+        row has one below floor."""
+        nf, lam, wcol = k.nf, k.lam, self.wcol
+        acc = {node: np.zeros(len(w)) for node in tier.node_set}
+        below = np.zeros(len(w), dtype=bool)
+        for node, parent in schedule:
+            if node < nf:
+                flow = lam[node] - acc[node]
+                i, j = node, parent - nf
+            else:
+                flow = w[:, wcol[node - nf]] - acc[node]
+                i, j = parent, node - nf
+            below |= flow < floor
+            if x_rows is None and below.all():
+                break
+            flow[flow < 0.0] = 0.0  # -0.0 stays
+            if x_rows is not None:
+                x_rows[:, i, j] = flow
+            acc[parent] += flow
+        return below
 
 
 def _scalar_run(par, groups, singles):
@@ -814,13 +869,16 @@ class _Kernel:
         self.neighbors = [tuple(sorted(t)) for t in sys.backends_of_frontend]
         self.patterns: dict[tuple[int, ...], _Pattern] = {}
         # state carried from one step to the next: the routing rows, the
-        # last computed tie masks and their pattern, and whether the last
-        # step solved that pattern with no split or tree miss
+        # last computed tie masks and their pattern, and, when the last step
+        # solved that pattern with no split or max flow, its tree misses
+        # (else None) and the bitmask of the backends of the tiers whose
+        # demand tree it took
         self.zero_x = array("d", bytes(8 * self.nf * self.nb))
         self.xbuf = self.zero_x[:]
         self.masks: tuple[int, ...] | None = None
         self.pattern: _Pattern | None = None
-        self.clean = False
+        self.missed: int | None = None
+        self.routed = 0
         self.best: list[int] | None = None  # strict argmax: each frontend's, as last written
         # reusable per-step buffers
         self.zero_row = array("d", bytes(8 * self.nb))
@@ -871,13 +929,13 @@ class _Kernel:
     def refresh(self, n: list[float]) -> bool:
         """``curves`` at n, then, when a gradient changed (or at the first
         step), the tie masks and, when they changed, their pattern, which
-        no step has solved yet (``clean`` is False).  True when a gradient
+        no step has solved yet (``missed`` is None).  True when a gradient
         changed."""
         if not self.curves(n) and self.masks is not None:
             return False
         fresh = tie_masks(self.neighbors, self.g, self.cfg.tie_band)
         if fresh != self.masks:
-            self.masks, self.pattern, self.clean = fresh, self.pattern_for(fresh), False
+            self.masks, self.pattern, self.missed = fresh, self.pattern_for(fresh), None
         return True
 
     def pattern_for(self, masks: tuple[int, ...]) -> _Pattern:
@@ -1074,7 +1132,7 @@ class _Kernel:
         nb = self.nb
         self.refresh(n)
         pattern = self.pattern
-        if self.clean and not dirty & ~pattern.single:
+        if self.missed == 0 and not dirty & ~pattern.single:
             # the last step solved this pattern outright, and each moved
             # backend is a tier of its own: w_j stays the tier's λ and the
             # rows stay, so only the singles' v_j = w_j − μ_j can move
@@ -1086,7 +1144,7 @@ class _Kernel:
         xbuf = self.xbuf = self.zero_x[:]
         todo = pattern.tiers
         used, cur = pattern, self.masks
-        misses = self.tree_misses
+        misses, flows, routed = self.tree_misses, self.maxflow_witnesses, 0
         while True:
             for tier in todo:
                 if self.tier_flows(tier):
@@ -1096,6 +1154,7 @@ class _Kernel:
                     # fitted to this step's demands often realizes them
                     self.tree_misses += 1
                     if self.demand_witness(tier, xbuf):
+                        routed |= tier.b_mask
                         continue
                     self.maxflow_witnesses += 1
                 # one max flow gives the rows, or the min cut that splits the
@@ -1129,7 +1188,9 @@ class _Kernel:
             used = self.pattern_for(cur)
             todo = [piece for piece in used.tiers if piece.b_mask & redo]
         # only a split changes the pattern used
-        self.clean = used is pattern and self.tree_misses == misses
+        solved = used is pattern and self.maxflow_witnesses == flows
+        self.missed = self.tree_misses - misses if solved else None
+        self.routed = routed
         return used, used is not pattern, None
 
     def argmax_step(self, n: list[float], dirty: int, t: float
@@ -1166,13 +1227,16 @@ class _Kernel:
         """A block: up to `limit` rows from n on, while the step at each would
         move the same backends and either keep its inflow and routing rows
         (`held`: the movers are the backends in `dirty`) or solve the stored
-        tie pattern outright (no split or tree miss), moving the tiers that
-        hold a backend in `dirty`, one of several backends among them.  Takes
-        the rows in spans of 8 rows (held) or 64 at first, growing fourfold,
-        each stepped by the block's scalar run and checked with numpy
-        (``_TierBlock.rows``, through ``_TierBlock.keeps``); ends before the
-        first row that fails a check, before a row the run did not reach,
-        ahead of a row equal to `ckpt`, and after `limit` rows.
+        tie pattern by the trees the last step took (no split or max flow;
+        each tier the pattern's tree or, in ``routed``, the stored demand
+        tree), moving the tiers that hold a backend in `dirty`, one of
+        several backends among them, and counting the last step's tree
+        misses at each row.  Takes the rows in spans of 8 rows (held) or 64
+        at first, growing fourfold, each stepped by the block's scalar run
+        and checked with numpy (``_TierBlock.rows``, through
+        ``_TierBlock.keeps``); ends before the first row that fails a check,
+        before a row the run did not reach, ahead of a row equal to `ckpt`,
+        and after `limit` rows.
         Appends the rows (n first) to rec, the states, inflow, routing and use
         recordings (a held block its states only, adding its rows to the last
         use), leaves n at the row after them, and returns how many it took and
@@ -1185,7 +1249,8 @@ class _Kernel:
         states, inflows, routings, uses = rec
         pattern, nb = self.pattern, self.nb
         moving = dirty if held else sum(t.b_mask for t in pattern.tiers if t.b_mask & dirty)
-        key = (moving, held, self.best and tuple(self.best))  # tier blocks have no argmax
+        # tier blocks have no argmax, and held ones no demand tier
+        key = (moving, held, self.best and tuple(self.best), self.routed & moving)
         blk = pattern.blocks.get(key)
         if blk is None:
             blk = _TierBlock(self, pattern, moving, held)
@@ -1241,6 +1306,7 @@ class _Kernel:
             n[j] = x[c]
         if last is None:
             return taken, dirty
+        self.tree_misses += taken * self.missed  # each row misses as the step before did
         r, run, (mu, g, ic, v, w, x_rows) = last
         mu, g, ic, v, w = (a[r].tolist() for a in (mu, g, ic, v, w))
         for c, j in enumerate(movers):
@@ -1295,7 +1361,8 @@ def integrate_fluid(
     built when they are read, so ``events`` and ``boundary_events`` are then
     sequences of their own (see ``FluidTrajectory``), and a copied event
     takes its template's tiers, built or not.  Copied rows add nothing to
-    ``stats``, and neither do blocks, which count no witness or flow.
+    ``stats``, and blocks run no flow; a tier block's rows count the tree
+    misses that computing them would.
     Recorded events build their ``tiers`` when it is first read.
 
     An event is recorded at every change of the tie pattern, however soon
@@ -1408,14 +1475,14 @@ def integrate_fluid(
             period, replay, marks = step_no - ckpt_row, ckpt_step, ckpt_marks
         elif not step_no & (step_no - 1):
             pass  # the loop steps each power-of-two row itself, a checkpoint
-        elif not clamped and (held and not dirty & ~held or held is None and k.clean
-                              and dirty & ~k.pattern.single):
+        elif not clamped and (held and not dirty & ~held or held is None
+                              and k.missed is not None and dirty & ~k.pattern.single):
             # the step kept its rows, so the next steps may keep them too and
-            # move only the same backends; or it solved its pattern outright
-            # (only sliding steps do) and moved a tier of several backends,
-            # which the next steps may solve outright too: record those rows
-            # at once, up to the row before the next power-of-two row (or the
-            # last row)
+            # move only the same backends; or it solved its pattern with no
+            # split or max flow (only sliding steps do) and moved a tier of
+            # several backends, which the next steps may solve by the same
+            # trees: record those rows at once, up to the row before the next
+            # power-of-two row (or the last row)
             limit = min(steps + 1, 1 << step_no.bit_length()) - 1 - step_no
             if idle:  # the last blocks took one row or none: try later
                 idle -= 1

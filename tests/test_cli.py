@@ -181,6 +181,30 @@ def test_bad_flags_exit_1(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())  # refused before writing anything
 
 
+def test_one_parser_per_process_parses_as_fresh_ones(tmp_path, scenario_file, capsys):
+    # the parser is built once, at the first call; a refused argument leaves
+    # nothing in it that changes the calls after it
+    from gmsr.cli import _build_parser
+
+    scn_path = scenario_file(horizon=2.0)
+
+    def calls(out, fresh):
+        codes = []
+        for argv in (["fluid", scn_path, "--h", "0"], ["fluid", scn_path, "--out", str(out)],
+                     ["report", "--out", str(out)]):
+            if fresh:
+                _build_parser.cache_clear()
+            codes.append(run_command(argv))
+        capsys.readouterr()
+        return codes, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    _build_parser.cache_clear()
+    shared = calls(tmp_path / "shared", fresh=False)
+    assert _build_parser.cache_info().misses == 1
+    assert shared == calls(tmp_path / "fresh", fresh=True)
+    assert shared[0] == [1, 0, 0] and "report.json" in shared[1]
+
+
 def test_optimum_exits_3_when_the_solver_does_not_converge(tmp_path, monkeypatch, capsys):
     import gmsr.fluid_opt
 

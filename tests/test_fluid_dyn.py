@@ -760,7 +760,7 @@ def test_tier_block_rows_read_inflow_dust_as_the_kernel_does():
     cfg = IntegratorConfig(h=0.01)
     k = fluid_dyn._Kernel(sys, cfg)
     k.sliding_step(n[:], k.every, 0.0)
-    assert k.clean and -1e-12 <= k.vbuf[1] + k.mu[1] < 0.0 == k.wbuf[1]
+    assert k.missed == 0 and -1e-12 <= k.vbuf[1] + k.mu[1] < 0.0 == k.wbuf[1]
     block = fluid_dyn._TierBlock(k, k.pattern, k.every, False)
     good, *_, w, x_rows = block.rows(k, np.array([[n[j] for j in block.movers]]),
                                      np.empty((1, 0)))
@@ -1400,6 +1400,22 @@ def test_kernel_stats_count_the_work_on_a_16x16_system(monkeypatch):
     _counting(monkeypatch, kernel, "band_flow", counts, "cut_returns", lambda drop: drop >= 0)
     _counting(monkeypatch, TransportNetwork, "solve", counts, "flows", lambda out: True)
     _counting(monkeypatch, fluid_dyn, "_build_pattern", counts, "patterns", lambda out: True)
+    # a tier block whose step before missed a tree steps each row's tiers as
+    # that step did: the moving ones it verifies, the others do not move.  So
+    # each row misses as often, and each miss takes the demand tree again
+    tier_rows = kernel.tier_rows
+    block_rows = [0]
+
+    def blocks(self, *args):
+        missed, routed = self.missed, sum(1 for t in self.pattern.tiers if t.b_mask & self.routed)
+        out = tier_rows(self, *args)
+        if not args[-1]:
+            counts["tree_misses"] += out[0] * missed
+            counts["demand_trees"] += out[0] * routed
+            block_rows[0] += out[0] * (missed > 0)
+        return out
+
+    monkeypatch.setattr(kernel, "tier_rows", blocks)
     traj = integrate_fluid(sys, n0, 0.5)
 
     stats = traj.stats
@@ -1422,6 +1438,9 @@ def test_kernel_stats_count_the_work_on_a_16x16_system(monkeypatch):
     assert counts["demand_trees"] > 0 and stats.maxflow_witnesses > 0
     assert counts["cut_returns"] > counts["negative_inflows"]
     assert sum(1 for ev in traj.events if ev.kind == "split") <= stats.cuts
+    # the run's longest stretch of misses that the demand tree routes is
+    # stepped in tier blocks
+    assert block_rows[0] > 100
 
 
 def test_kernel_stats_in_strict_argmax_mode_count_patterns_only():
@@ -1677,6 +1696,68 @@ def test_a_demand_tree_is_rebuilt_when_its_weight_order_changes(monkeypatch):
         "f93a138d9e0f6a4de64adb9b9c7202f0a51527890975aa507e5b7df80500ff35")
 
 
+def _demand_block_cases():
+    # (n and seed of the system square_feasible_system(default_rng(seed), n)
+    # and its start, integrated to T = 2; the last row of a tier block whose
+    # moving tier the demand tree routes; digest recorded from the integrator
+    # that stepped every row with a tree miss through the kernel).  The
+    # systems have exponential curves, so the digests use the platform's
+    # math.exp (glibc's here)
+    return {
+        # the run of test_a_demand_tree_is_rebuilt_when_its_weight_order_changes:
+        # two of the tier's weights trade places at row 1567
+        "order": (12, 3, 1566,
+                  "f93a138d9e0f6a4de64adb9b9c7202f0a51527890975aa507e5b7df80500ff35"),
+        # the tier's pattern tree, which missed at every row from row 1647 on,
+        # passes at row 1795
+        "pattern": (4, 55, 1794,
+                    "291d8ee534418a102e9d45bc6750d5621ecaa4c4c0e904252e6b87ed04730bdf"),
+        # the demand tree routes a negative flow at row 1630, and a max flow
+        # gives the rows
+        "negative": (16, 51, 1629,
+                     "aed9baaf551ddff1acbc90d248fb7aa37fa8bf1a1e1d9bd7951b609605c40599"),
+    }
+
+
+def _one_kernel_step(sys, n) -> fluid_dyn._Kernel:
+    """A fresh kernel after one sliding step at n, with the default config."""
+    k = fluid_dyn._Kernel(sys, IntegratorConfig())
+    k.sliding_step(n.tolist(), k.every, 0.0)
+    return k
+
+
+@pytest.mark.parametrize("case", ["order", "pattern", "negative"])
+def test_demand_tree_blocks_end_before_the_row_the_kernel_must_step(case, monkeypatch):
+    # a tier block whose tier the demand tree routes ends before the row
+    # whose weights sort to another order, whose pattern tree passes, or
+    # whose demand tree routes a negative flow; each row in it misses as the
+    # step before it did
+    _, blocks = _record_blocks(monkeypatch)
+    n, seed, last, digest = _demand_block_cases()[case]
+    rng = np.random.default_rng(seed)
+    sys = square_feasible_system(rng, n)
+    n0 = rng.uniform(0.0, 10.0, n)
+    cfg = IntegratorConfig()
+    traj = integrate_fluid(sys, n0, 2.0, cfg)
+    assert trajectory_digest(traj) == digest
+    first = next(a for a, b in blocks if b == last)
+    assert first < last
+    inside, after = (_one_kernel_step(sys, traj.states[r]) for r in (last, last + 1))
+    routed = [t for t in inside.pattern.tiers if t.b_mask & inside.routed]
+    assert inside.missed >= len(routed) > 0
+    assert after.masks == inside.masks
+    tier = routed[0]
+    if case == "order":
+        assert after.routed == inside.routed and after.missed == inside.missed
+        assert after.pattern.tiers[inside.pattern.tiers.index(tier)].order != tier.order
+    elif case == "pattern":
+        assert not after.routed & tier.b_mask and after.missed == inside.missed - 1
+    else:
+        assert after.missed is None and after.stats().maxflow_witnesses == 1
+    _assert_rows_match_one_step_runs(
+        sys, traj, cfg, [*range(first - 1, first + 2), *range(last - 1, last + 3)])
+
+
 # -- V at split rows -----------------------------------------------------------------
 
 
@@ -1786,6 +1867,43 @@ def test_wide_rows_after_each_witness_kind_match_one_step_runs(monkeypatch):
         {"demand tree", "cut"}, {"demand tree", "cut"}, {"demand tree", "max flow", "cut"}]
     for sys, traj, rows, _ in runs:
         _assert_rows_match_one_step_runs(sys, traj, IntegratorConfig(), rows)
+
+
+@pytest.mark.parametrize("task", WIDE_TASKS[1:], ids=_task_id)
+def test_demand_tree_block_rows_are_what_stepping_gives(task, monkeypatch):
+    # on these wide tasks a tier's pattern tree misses for hundreds of rows
+    # in a row, and the demand tree routes it: tier blocks step most of the
+    # rows with a tree miss, as the kernel steps them
+    _, blocks = _record_blocks(monkeypatch)
+    kernel = fluid_dyn._Kernel
+    step, tier_rows = kernel.sliding_step, kernel.tier_rows
+    miss_rows = {"kernel": 0, "block": 0}
+
+    def counted_step(self, *args):
+        before = self.tree_misses
+        out = step(self, *args)
+        miss_rows["kernel"] += self.tree_misses > before
+        return out
+
+    def counted_blocks(self, *args):
+        missed = self.missed
+        out = tier_rows(self, *args)
+        if not args[-1] and missed:
+            miss_rows["block"] += out[0]
+        return out
+
+    monkeypatch.setattr(kernel, "sliding_step", counted_step)
+    monkeypatch.setattr(kernel, "tier_rows", counted_blocks)
+    sys, n0, horizon = wide_task(*task)
+    cfg = IntegratorConfig()
+    traj = integrate_fluid(sys, n0, horizon, cfg)
+    digest, misses, cuts, patterns, flows = _WIDE_PINS[_task_id(task)]
+    assert dynamics_digest(traj) == digest
+    assert traj.stats == KernelStats(tree_misses=misses, maxflow_witnesses=flows, cuts=cuts,
+                                     patterns=patterns)
+    assert miss_rows["block"] > miss_rows["kernel"]
+    _assert_rows_match_one_step_runs(
+        sys, traj, cfg, [r for a, b in blocks for r in (a, a + 1, b)])
 
 
 def test_a_64x64_system_integrates_and_certifies_within_its_budget():
